@@ -6,7 +6,7 @@
 //!                              fig18|fig19|fig20|headline|fault-matrix]
 //! repro [--trace PATH] [--trace-filter COMPONENTS] [--trace-gbps G]
 //!       [--stats-out FILE] [--stats-interval US] [--profile]
-//!       [--faults PLAN] [--fault-seed N] [--burst N] [--frame BYTES]
+//!       [--faults PLAN] [--fault-seed N] [--frame BYTES]
 //!       [--nqueues N] [--lcores N] [--topo CLIENTS] [--threads N]
 //! ```
 //!
@@ -28,13 +28,8 @@
 //! * `--profile` attaches the simulator self-profiler and prints the
 //!   per-event-kind host-time table after the run.
 //!
-//! `--burst N` sets the wire-delivery coalescing factor of the
-//! single-point run (default 32): up to `N` deliveries per direction ride
-//! the event queue as one burst event. `--burst 1` runs the exact scalar
-//! event schedule — by construction both settings produce byte-identical
-//! traces, stats, and summaries. `--frame BYTES` picks the frame size of
-//! the single-point run (default 1518; `--frame 64` reproduces the
-//! small-frame knee).
+//! `--frame BYTES` picks the frame size of the single-point run (default
+//! 1518; `--frame 64` reproduces the small-frame knee).
 //!
 //! `--nqueues N` gives the single-point run N RSS queue pairs and
 //! `--lcores N` that many worker cores polling them (N ≤ nqueues); the
@@ -54,8 +49,7 @@
 //! core count (clamped to the shard count). Any `--threads N` is
 //! byte-identical to `--threads 1` by construction; omitting the flag
 //! runs the legacy single-threaded driver, which stays the determinism
-//! reference. The wire-delivery transport is scalar in sharded mode, so
-//! `--burst` is ignored there.
+//! reference.
 //!
 //! `--faults PLAN` installs a deterministic fault plan for the run
 //! (grammar: `link.ber=1e-7;pci.stall=200ns@10%;dma.burst=+500ns/1us`; see
@@ -160,7 +154,6 @@ struct PointMode {
     stats_path: Option<PathBuf>,
     stats_interval_us: u64,
     profile: bool,
-    burst: usize,
     frame: usize,
     nqueues: usize,
     lcores: usize,
@@ -206,9 +199,6 @@ fn run_point_mode(mode: &PointMode, offered_gbps: f64, faults: FaultInjector) ->
         spec.label(),
         mode.frame
     );
-    if mode.burst != 1 {
-        println!("burst transport: up to {} deliveries per event", mode.burst);
-    }
     if mode.nqueues != 1 || mode.lcores != 1 {
         println!(
             "multi-queue: {} RX/TX queue pairs, {} worker lcores",
@@ -229,7 +219,6 @@ fn run_point_mode(mode: &PointMode, offered_gbps: f64, faults: FaultInjector) ->
             .as_ref()
             .map(|_| tick::us(mode.stats_interval_us.max(1))),
         profile: mode.profile,
-        burst: mode.burst,
     };
     let run = if let Some(threads) = mode.threads {
         let out = run_observed_parallel(&cfg, &spec, mode.frame, offered_gbps, rc, threads, opts);
@@ -388,7 +377,6 @@ fn main() -> ExitCode {
     let mut profile = false;
     let mut fault_plan: Option<FaultPlan> = None;
     let mut fault_seed = 42u64;
-    let mut burst = simnet_net::BURST_INLINE;
     let mut frame = 1518usize;
     let mut nqueues = 1usize;
     let mut lcores = 1usize;
@@ -446,13 +434,6 @@ fn main() -> ExitCode {
                 }
             },
             "--profile" => profile = true,
-            "--burst" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n > 0 => burst = n,
-                _ => {
-                    eprintln!("--burst requires a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--frame" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
                 Some(n) if (64..=9000).contains(&n) => frame = n,
                 _ => {
@@ -511,7 +492,7 @@ fn main() -> ExitCode {
                     "usage: repro [--quick] [--out DIR] [all|{}]\n\
                      \x20      repro [--trace PATH] [--trace-filter COMPONENTS] [--trace-gbps G]\n\
                      \x20            [--stats-out FILE] [--stats-interval US] [--profile]\n\
-                     \x20            [--faults PLAN] [--fault-seed N] [--burst N] [--frame BYTES]\n\
+                     \x20            [--faults PLAN] [--fault-seed N] [--frame BYTES]\n\
                      \x20            [--nqueues N] [--lcores N] [--topo CLIENTS] [--threads N]\n\
                      \x20      --threads N: sharded parallel driver on N worker threads\n\
                      \x20                   (0 = auto-detect; results byte-identical to --threads 1)",
@@ -542,7 +523,6 @@ fn main() -> ExitCode {
             stats_path,
             stats_interval_us,
             profile,
-            burst,
             frame,
             nqueues,
             lcores,

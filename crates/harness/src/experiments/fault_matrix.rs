@@ -48,7 +48,6 @@ fn run_cell(cfg: &SystemConfig, label: &str, plan: FaultPlan, offered: f64) -> C
             capacity: 1024,
             mask: 0,
             faults: FaultInjector::new(plan, FAULT_SEED),
-            ..Default::default()
         },
     );
     Cell {

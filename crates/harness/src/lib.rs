@@ -32,7 +32,7 @@ pub use client_app::SoftwareClient;
 pub use config::SystemConfig;
 pub use msb::{build_loadgen_sim, find_msb, run_point, AppSpec, MsbResult, RunConfig};
 pub use parallel::{auto_threads, resolve_threads, run_observed_parallel, ParallelOutcome};
-pub use sim::{BurstStats, Simulation};
+pub use sim::Simulation;
 pub use stats_dump::{build_registry, stats_text, stats_text_all};
 pub use summary::RunSummary;
 pub use tracerun::{

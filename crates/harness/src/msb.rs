@@ -307,7 +307,7 @@ impl RunConfig {
 /// [`run_point`]/[`run_observed`](crate::run_observed) do — stack, app,
 /// worker lcores, and RSS shard steering included — without running it.
 /// Integration tests use this to attach their own observability layers
-/// (trace, faults, burst factor) before driving the phases themselves.
+/// (trace, faults) before driving the phases themselves.
 pub fn build_loadgen_sim(
     cfg: &SystemConfig,
     spec: &AppSpec,

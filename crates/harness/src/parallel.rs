@@ -25,9 +25,9 @@
 //!
 //! Known, documented divergences from the *legacy single-queue* driver
 //! (all invariant across thread counts):
-//! - `host_events` counts the same logical events, but packet handoff is
-//!   scalar (no burst coalescing) and fragment samplers add `Sample`
-//!   events on switch/client shards in topology mode.
+//! - `host_events` counts the same logical events, except that fragment
+//!   samplers add `Sample` events on switch/client shards in topology
+//!   mode.
 //! - Packet-pool stats (Full dump only) count one extra alloc per
 //!   cross-shard hop: a packet is recycled into the sender's domain and
 //!   reallocated in the receiver's.
@@ -37,8 +37,11 @@
 //!   clients' flow choices from one shared RNG stream; slices draw
 //!   per-client streams.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use simnet_loadgen::{ClientFleet, EtherLoadGen, FleetSnapshot, LoadGenReport};
@@ -518,10 +521,14 @@ impl Shard {
             self.started = true;
             self.start();
         }
-        // Read the horizon BEFORE draining: a message pushed after this
-        // read will be seen by a later drain; one pushed before is in
-        // the inbox now. Draining first could miss a message that lands
-        // between the drain and the clock read, breaking the done check.
+        // Read the horizon once, BEFORE draining, and use that one value
+        // for the execution limit, the published promise and the done
+        // check. Every message that can arrive below `h0` was pushed
+        // before its sender published the clock `h0` was computed from,
+        // so the drain below sees it. A second read after the drain could
+        // admit a message pushed in between, still sitting in the
+        // channel, and the shard would execute and promise past it
+        // (DESIGN.md §3.6).
         let h0 = self.horizon();
         let mut drained = 0u64;
         for i in 0..self.ins.len() {
@@ -546,10 +553,9 @@ impl Shard {
                 );
             }
         }
-        // Execute strictly below the (possibly advanced) horizon: an
-        // event AT the horizon could still be preceded by a same-tick
-        // foreign delivery.
-        let limit = end.min(self.horizon().saturating_sub(1));
+        // Execute strictly below the horizon: an event AT the horizon
+        // could still be preceded by a same-tick foreign delivery.
+        let limit = end.min(h0.saturating_sub(1));
         let mut executed = 0usize;
         let mut progressed = drained > 0;
         while executed < batch {
@@ -594,7 +600,7 @@ impl Shard {
         // clocks advance at least one min-latency per round without
         // null messages.
         let next_local = self.queue.peek_tick().unwrap_or(Tick::MAX);
-        self.clock.publish(next_local.min(self.horizon()));
+        self.clock.publish(next_local.min(h0));
         let done = drained == 0 && h0 > end && self.queue.peek_tick().is_none_or(|t| t > end);
         (progressed, done)
     }
@@ -821,8 +827,8 @@ fn incast_link(cfg: &SystemConfig, index: usize) -> TopoLink {
 }
 
 // ---------------------------------------------------------------------
-// Per-role handlers (ported verbatim from `Simulation`, minus the burst
-// coalescers and capture tap, which the sharded driver does not support)
+// Per-role handlers (ported verbatim from `Simulation`, minus the
+// capture tap, which the sharded driver does not support)
 // ---------------------------------------------------------------------
 
 impl HostShard {
@@ -1256,7 +1262,6 @@ enum Cmd {
         start: Tick,
         end: Tick,
     },
-    Shutdown,
 }
 
 enum Reply {
@@ -1269,6 +1274,8 @@ enum Reply {
         reports: Vec<ShardReport>,
         sync_profile: Option<Profiler>,
     },
+    /// The worker panicked; the payload is re-raised on the driver.
+    Panicked(Box<dyn std::any::Any + Send>),
 }
 
 struct ShardReport {
@@ -1320,10 +1327,34 @@ struct ClientReport {
     frag: Vec<FragRow>,
 }
 
+/// The worker-thread body. A panic anywhere in [`serve`] raises `abort`,
+/// so sibling workers stop waiting on this thread's shards, and ships
+/// the payload to the driver, which re-raises it.
+fn worker(
+    specs: Vec<ShardSpec>,
+    cmds: mpsc::Receiver<Cmd>,
+    replies: mpsc::Sender<Reply>,
+    abort: Arc<AtomicBool>,
+) {
+    let served = catch_unwind(AssertUnwindSafe(|| {
+        serve(specs, &cmds, &replies, &abort);
+    }));
+    if let Err(payload) = served {
+        abort.store(true, Ordering::Relaxed);
+        let _ = replies.send(Reply::Panicked(payload));
+    }
+}
+
 /// The worker-thread pump: builds its shards on-thread, then serves
-/// commands, round-robining bounded batches over its shards during a
-/// `Run` until every owned shard is done with the window.
-fn worker(specs: Vec<ShardSpec>, cmds: mpsc::Receiver<Cmd>, replies: mpsc::Sender<Reply>) {
+/// commands until the driver hangs up, round-robining bounded batches
+/// over its shards during a `Run` until every owned shard is done with
+/// the window. Returns early when a sibling worker panicked.
+fn serve(
+    specs: Vec<ShardSpec>,
+    cmds: &mpsc::Receiver<Cmd>,
+    replies: &mpsc::Sender<Reply>,
+    abort: &AtomicBool,
+) {
     let profile = specs.iter().any(|s| s.profile);
     let mut shards: Vec<Shard> = specs.into_iter().map(Shard::build).collect();
     let mut sync_prof = profile.then(|| Profiler::new(vec![("sync_idle", "sim")]));
@@ -1337,6 +1368,9 @@ fn worker(specs: Vec<ShardSpec>, cmds: mpsc::Receiver<Cmd>, replies: mpsc::Sende
                     .sum();
                 let mut done = vec![false; shards.len()];
                 while !done.iter().all(|d| *d) {
+                    if abort.load(Ordering::Relaxed) {
+                        return;
+                    }
                     let mut any = false;
                     for (i, shard) in shards.iter_mut().enumerate() {
                         if done[i] {
@@ -1388,7 +1422,65 @@ fn worker(specs: Vec<ShardSpec>, cmds: mpsc::Receiver<Cmd>, replies: mpsc::Sende
                     sync_profile: sync_prof.take(),
                 });
             }
-            Cmd::Shutdown => break,
+        }
+    }
+}
+
+/// The driver's handle on its worker threads.
+struct Workers {
+    cmds: Vec<mpsc::Sender<Cmd>>,
+    replies: mpsc::Receiver<Reply>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl Workers {
+    fn broadcast(&self, make: impl Fn() -> Cmd) {
+        for tx in &self.cmds {
+            // A worker that panicked has hung up; its `Panicked` reply is
+            // already queued for `collect`.
+            let _ = tx.send(make());
+        }
+    }
+
+    /// One reply from every worker. A worker's panic is re-raised here,
+    /// with the worker's own payload, once every worker has stopped:
+    /// hanging up ends idle workers' command loops, and the abort flag
+    /// the panicking worker raised ends busy ones.
+    fn collect(&mut self) -> Vec<Reply> {
+        let mut out = Vec::with_capacity(self.handles.len());
+        while out.len() < self.handles.len() {
+            match self.replies.recv_timeout(Duration::from_secs(600)) {
+                Ok(Reply::Panicked(payload)) => {
+                    self.cmds.clear();
+                    for h in self.handles.drain(..) {
+                        let _ = h.join();
+                    }
+                    resume_unwind(payload);
+                }
+                Ok(reply) => out.push(reply),
+                Err(e) => panic!("no reply from the shard workers within 10 minutes: {e}"),
+            }
+        }
+        out
+    }
+
+    /// The `(rank, now, executed)` states of every shard after a `Run`.
+    fn collect_run(&mut self) -> Vec<(u32, Tick, u64)> {
+        let mut states = Vec::new();
+        for reply in self.collect() {
+            match reply {
+                Reply::RunDone { shards } => states.extend(shards),
+                _ => panic!("expected RunDone"),
+            }
+        }
+        states
+    }
+
+    /// Hangs up on the workers and joins them.
+    fn shutdown(mut self) {
+        self.cmds.clear();
+        for h in self.handles.drain(..) {
+            h.join().expect("worker thread exited cleanly");
         }
     }
 }
@@ -1435,13 +1527,12 @@ pub struct ParallelOutcome {
 /// Not supported (panics): dual-mode, PCAP capture (the `ObserveOpts`
 /// surface cannot request either), and topology-mode request workloads
 /// (same restriction as [`build_topo_sim`](crate::msb::build_topo_sim)).
-/// `opts.burst` is ignored: cross-shard handoff is scalar, which PR 6
-/// proved observation-equivalent to every burst factor.
 ///
 /// # Panics
 ///
 /// Panics if a cross-shard link has zero latency (no conservative
-/// lookahead) or if a worker thread dies mid-run.
+/// lookahead). A panic on a worker thread is re-raised here, with the
+/// worker's own payload, as soon as every worker has stopped.
 pub fn run_observed_parallel(
     cfg: &SystemConfig,
     spec: &AppSpec,
@@ -1623,6 +1714,7 @@ pub fn run_observed_parallel(
 
     // --- Spawn workers: shard rank r runs on thread r mod threads. ---
     let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
+    let abort = Arc::new(AtomicBool::new(false));
     let mut cmd_txs = Vec::with_capacity(threads_n);
     let mut handles = Vec::with_capacity(threads_n);
     let mut per_thread: Vec<Vec<ShardSpec>> = (0..threads_n).map(|_| Vec::new()).collect();
@@ -1633,34 +1725,20 @@ pub fn run_observed_parallel(
     for (t, owned) in per_thread.into_iter().enumerate() {
         let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
         let replies = reply_tx.clone();
+        let abort = Arc::clone(&abort);
         handles.push(
             std::thread::Builder::new()
                 .name(format!("simnet-shard-{t}"))
-                .spawn(move || worker(owned, cmd_rx, replies))
+                .spawn(move || worker(owned, cmd_rx, replies, abort))
                 .expect("worker thread spawn"),
         );
         cmd_txs.push(cmd_tx);
     }
     drop(reply_tx);
-
-    let broadcast = |make: &dyn Fn() -> Cmd| {
-        for tx in &cmd_txs {
-            tx.send(make()).expect("worker thread alive");
-        }
-    };
-    let recv = |rx: &mpsc::Receiver<Reply>| -> Reply {
-        rx.recv_timeout(Duration::from_secs(600))
-            .expect("worker thread replied within 10 minutes")
-    };
-    let collect_run = |rx: &mpsc::Receiver<Reply>| -> Vec<(u32, Tick, u64)> {
-        let mut states = Vec::new();
-        for _ in 0..threads_n {
-            match recv(rx) {
-                Reply::RunDone { shards, .. } => states.extend(shards),
-                _ => panic!("expected RunDone"),
-            }
-        }
-        states
+    let mut workers = Workers {
+        cmds: cmd_txs,
+        replies: reply_rx,
+        handles,
     };
 
     // --- Phases (mirrors `run_phases`). ---
@@ -1669,33 +1747,30 @@ pub fn run_observed_parallel(
     let end = phases.warmup + phases.measure;
     let mut events_before = 0u64;
     if phases.warmup > 0 {
-        broadcast(&|| Cmd::Run { end: phases.warmup });
-        let states = collect_run(&reply_rx);
+        workers.broadcast(|| Cmd::Run { end: phases.warmup });
+        let states = workers.collect_run();
         events_before = states.iter().map(|(_, _, e)| e).sum();
-        broadcast(&|| Cmd::Reset);
-        for _ in 0..threads_n {
-            match recv(&reply_rx) {
-                Reply::ResetDone => {}
-                _ => panic!("expected ResetDone"),
-            }
+        workers.broadcast(|| Cmd::Reset);
+        for reply in workers.collect() {
+            assert!(matches!(reply, Reply::ResetDone), "expected ResetDone");
         }
     }
     let t0 = Instant::now();
-    broadcast(&|| Cmd::Run { end });
-    let states = collect_run(&reply_rx);
+    workers.broadcast(|| Cmd::Run { end });
+    let states = workers.collect_run();
     let host_seconds = t0.elapsed().as_secs_f64();
     let now_global = states.iter().map(|&(_, now, _)| now).max().unwrap_or(end);
     let events_total: u64 = states.iter().map(|(_, _, e)| e).sum();
 
-    broadcast(&|| Cmd::Extract {
+    workers.broadcast(|| Cmd::Extract {
         now_global,
         start,
         end,
     });
     let mut reports: Vec<ShardReport> = Vec::with_capacity(nshards);
     let mut sync_profiles: Vec<Profiler> = Vec::new();
-    for _ in 0..threads_n {
-        match recv(&reply_rx) {
+    for reply in workers.collect() {
+        match reply {
             Reply::Extracted {
                 reports: r,
                 sync_profile,
@@ -1706,10 +1781,7 @@ pub fn run_observed_parallel(
             _ => panic!("expected Extracted"),
         }
     }
-    broadcast(&|| Cmd::Shutdown);
-    for h in handles {
-        h.join().expect("worker thread exited cleanly");
-    }
+    workers.shutdown();
     reports.sort_by_key(|r| r.rank);
 
     assemble(

@@ -12,16 +12,15 @@
 use simnet_cpu::Core;
 use simnet_loadgen::{ClientFleet, EtherLoadGen};
 use simnet_mem::MemorySystem;
-use simnet_net::burst::{Burst, BURST_INLINE};
 use simnet_net::pcap::PcapWriter;
-use simnet_net::topo::{Switch, TopoLink, Topology, Verdict};
+use simnet_net::topo::{LinkPolicy, Switch, TopoLink, Topology, Verdict};
 use simnet_net::Packet;
-use simnet_nic::{EtherLink, Nic};
+use simnet_nic::Nic;
 use simnet_pci::devbind::DevBind;
 use simnet_sim::fault::FaultInjector;
 use simnet_sim::stats::{ColumnSpec, Counter, Profiler, SampleValue, StatsRegistry, TimeSeries};
 use simnet_sim::trace::{Component, Stage, TraceEvent, Tracer, NO_PACKET};
-use simnet_sim::{tick, EventKey, EventQueue, Priority, Tick};
+use simnet_sim::{tick, EventQueue, Priority, Tick};
 use simnet_stack::dpdk::{Eal, EalConfig};
 use simnet_stack::{Iteration, NetworkStack, PacketApp};
 
@@ -46,13 +45,6 @@ pub(crate) enum Ev {
     TxWire { node: usize },
     /// One software stack iteration on one worker lcore.
     Software { node: usize, lcore: usize },
-    /// A coalesced batch of frame arrivals at a node's NIC: one queue
-    /// event standing in for up to `burst_size` [`Ev::NicRx`] events,
-    /// each recoverable at its original `(tick, seq)` key.
-    RxBurst { node: usize, burst: Box<Burst> },
-    /// A coalesced batch of echoes arriving back at the load generator
-    /// (the burst form of [`Ev::LoadGenRx`]).
-    EchoBurst { burst: Box<Burst> },
     /// Periodic stat-sampling probe (only scheduled while tracing).
     Probe,
     /// Periodic interval-stats sample (only scheduled when
@@ -94,8 +86,8 @@ pub(crate) const PROFILE_KINDS: &[(&str, &str)] = &[
 pub(crate) fn kind_index(ev: &Ev) -> usize {
     match ev {
         Ev::LoadGenTx => 0,
-        Ev::NicRx { .. } | Ev::RxBurst { .. } => 1,
-        Ev::LoadGenRx { .. } | Ev::EchoBurst { .. } => 2,
+        Ev::NicRx { .. } => 1,
+        Ev::LoadGenRx { .. } => 2,
         Ev::RxDma { .. } => 3,
         Ev::TxDma { .. } => 4,
         Ev::TxWire { .. } => 5,
@@ -111,62 +103,11 @@ pub(crate) fn kind_index(ev: &Ev) -> usize {
     }
 }
 
-/// Where a coalesced wire delivery is headed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BurstSink {
-    /// Frame arrivals at a node's NIC ([`Ev::NicRx`] / [`Ev::RxBurst`]).
-    Nic { node: usize },
-    /// Echoes arriving back at the hardware load generator
-    /// ([`Ev::LoadGenRx`] / [`Ev::EchoBurst`]).
-    LoadGen,
-}
-
-/// Host-side burst bookkeeping. These counters describe how effective
-/// the batching transport was; they are **not** part of the simulated
-/// surface (no stats dump or trace reads them), so they are free to
-/// differ between burst sizes while everything observable stays
-/// byte-identical.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct BurstStats {
-    /// Burst events inserted into the queue (size-1 degenerate flushes
-    /// included).
-    pub flushed: u64,
-    /// Total constituents those flushes carried.
-    pub constituents: u64,
-    /// Constituents dispatched inline, without a queue round-trip.
-    pub inline_dispatched: u64,
-    /// Partially drained bursts requeued behind an interleaving event.
-    pub requeues: u64,
-}
-
-/// An accumulating burst for one wire direction. Each wire direction has
-/// exactly one traffic source (the link serializes it), so constituents
-/// arrive in strictly ascending key order.
-struct Coalescer {
-    sink: BurstSink,
-    burst: Box<Burst>,
-}
-
-impl Coalescer {
-    fn new(sink: BurstSink) -> Self {
-        Self {
-            sink,
-            burst: Box::default(),
-        }
-    }
-
-    /// The full queue key the accumulating burst would carry right now.
-    fn first_key(&self) -> Option<EventKey> {
-        self.burst.peek().map(|(t, s)| (t, Priority::LINK, s))
-    }
-}
-
 /// The instantiated network fabric between the traffic source(s) and the
 /// test node: executable [`TopoLink`]s plus, for fan-in topologies, a
 /// MAC-forwarding [`Switch`]. The degenerate point-to-point fabric is
-/// exactly one pure wire per direction, whose arrival arithmetic is
-/// tick-identical to the `EtherLink` pair it replaced — the legacy
-/// schedule is the 2-node/1-link special case, byte for byte.
+/// exactly one pure wire per direction — the legacy schedule is the
+/// 2-node/1-link special case, byte for byte.
 pub(crate) struct Fabric {
     /// Per-client uplinks toward the switch — or, degenerate, the single
     /// loadgen→host wire at index 0.
@@ -393,8 +334,6 @@ pub struct Node {
     /// Additional worker lcores (lcore `i + 1` is `workers[i]`); empty
     /// in the single-core legacy configuration.
     pub workers: Vec<Worker>,
-    /// Link from this node toward its peer (NIC TX side).
-    out_link: EtherLink,
     /// Per-lcore software-iteration scheduling flags.
     pub(crate) sw_scheduled: Vec<bool>,
     pub(crate) sw_waiting: Vec<bool>,
@@ -445,7 +384,6 @@ impl Node {
             stack,
             app,
             workers: Vec::new(),
-            out_link: EtherLink::new(cfg.link_bandwidth, cfg.link_latency),
             sw_scheduled: vec![false],
             sw_waiting: vec![false],
             rx_dma_scheduled: vec![false; nq],
@@ -548,13 +486,6 @@ impl Node {
 /// The full simulation.
 pub struct Simulation {
     queue: EventQueue<Ev>,
-    /// Wire-delivery coalescing factor: up to this many deliveries per
-    /// direction travel as one queue event. `1` = the scalar schedule.
-    burst_size: usize,
-    /// One accumulating burst per wire direction.
-    coalescers: Vec<Coalescer>,
-    /// Host-side batching effectiveness counters.
-    burst_stats: BurstStats,
     /// Node 0 is always the node under test; node 1 (if present) is the
     /// Drive Node of a dual-mode run.
     pub nodes: Vec<Node>,
@@ -563,8 +494,11 @@ pub struct Simulation {
     pub loadgen: Option<EtherLoadGen>,
     /// The instantiated topology between traffic sources and the test
     /// node (present in loadgen mode — degenerate — and topology mode;
-    /// absent in dual-mode, which keeps the node-to-node `EtherLink`s).
+    /// absent in dual-mode).
     fabric: Option<Fabric>,
+    /// Dual-mode's node-to-node pure wires, indexed by sending node
+    /// (empty in the other modes).
+    wires: Vec<TopoLink>,
     /// The client fleet driving a fan-in topology (topology mode only).
     fleet: Option<ClientFleet>,
     loadgen_tx_scheduled: bool,
@@ -601,15 +535,10 @@ impl Simulation {
         simnet_net::pool::reset_stats();
         Self {
             queue: EventQueue::new(),
-            burst_size: BURST_INLINE,
-            coalescers: vec![
-                Coalescer::new(BurstSink::Nic { node: 0 }),
-                Coalescer::new(BurstSink::LoadGen),
-            ],
-            burst_stats: BurstStats::default(),
             nodes: vec![Node::new(cfg, stack, app)],
             loadgen: Some(loadgen),
             fabric: Some(Fabric::point_to_point(cfg)),
+            wires: Vec::new(),
             fleet: None,
             loadgen_tx_scheduled: false,
             capture: None,
@@ -635,18 +564,22 @@ impl Simulation {
         simnet_net::pool::reset_stats();
         Self {
             queue: EventQueue::new(),
-            burst_size: BURST_INLINE,
-            coalescers: vec![
-                Coalescer::new(BurstSink::Nic { node: 0 }),
-                Coalescer::new(BurstSink::Nic { node: 1 }),
-            ],
-            burst_stats: BurstStats::default(),
             nodes: vec![
                 Node::new(test_cfg, test_stack, test_app),
                 Node::new(drive_cfg, drive_stack, drive_app),
             ],
             loadgen: None,
             fabric: None,
+            wires: [test_cfg, drive_cfg]
+                .iter()
+                .enumerate()
+                .map(|(node, cfg)| {
+                    TopoLink::new(
+                        LinkPolicy::wire(cfg.link_bandwidth, cfg.link_latency),
+                        Fabric::link_seed(cfg.seed, node),
+                    )
+                })
+                .collect(),
             fleet: None,
             loadgen_tx_scheduled: false,
             capture: None,
@@ -681,12 +614,10 @@ impl Simulation {
         let fabric = Fabric::incast(cfg, &fleet);
         Self {
             queue: EventQueue::new(),
-            burst_size: BURST_INLINE,
-            coalescers: vec![Coalescer::new(BurstSink::Nic { node: 0 })],
-            burst_stats: BurstStats::default(),
             nodes: vec![Node::new(cfg, stack, app)],
             loadgen: None,
             fabric: Some(fabric),
+            wires: Vec::new(),
             fleet: Some(fleet),
             loadgen_tx_scheduled: false,
             capture: None,
@@ -773,31 +704,6 @@ impl Simulation {
     /// ran).
     pub fn fault_injector(&self) -> &FaultInjector {
         &self.faults
-    }
-
-    /// Sets the wire-delivery coalescing factor: up to `n` deliveries
-    /// per direction travel the event queue as a single burst event
-    /// (default [`BURST_INLINE`] = 32, DPDK's `rx_burst` size). `1`
-    /// disables batching — the event stream is the exact scalar
-    /// schedule, the determinism reference every batched run must
-    /// reproduce byte-for-byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation already started.
-    pub fn set_burst(&mut self, n: usize) {
-        assert!(!self.started, "set_burst must precede the first run");
-        self.burst_size = n.max(1);
-    }
-
-    /// The configured wire-delivery coalescing factor.
-    pub fn burst(&self) -> usize {
-        self.burst_size
-    }
-
-    /// Host-side batching effectiveness counters (see [`BurstStats`]).
-    pub fn burst_stats(&self) -> BurstStats {
-        self.burst_stats
     }
 
     /// Sets the period of the stat-sampling probe rows (default 10 µs).
@@ -937,7 +843,7 @@ impl Simulation {
         }
     }
 
-    fn dispatch(&mut self, now: Tick, payload: Ev, until: Tick) {
+    fn dispatch(&mut self, now: Tick, payload: Ev) {
         match payload {
             Ev::LoadGenTx => self.handle_loadgen_tx(now),
             Ev::NicRx { node, packet } => self.handle_nic_rx(now, node, packet),
@@ -946,10 +852,6 @@ impl Simulation {
             Ev::TxDma { node, queue } => self.handle_tx_dma(now, node, queue),
             Ev::TxWire { node } => self.handle_tx_wire(now, node),
             Ev::Software { node, lcore } => self.handle_software(now, node, lcore),
-            Ev::RxBurst { node, burst } => {
-                self.handle_burst(now, BurstSink::Nic { node }, burst, until)
-            }
-            Ev::EchoBurst { burst } => self.handle_burst(now, BurstSink::LoadGen, burst, until),
             Ev::Probe => self.handle_probe(now),
             Ev::Sample => self.handle_sample(now),
             Ev::FleetTx { client } => self.handle_fleet_tx(now, client),
@@ -969,166 +871,32 @@ impl Simulation {
     /// cohort (plus a cheap bound check) rather than a re-heapify of the
     /// whole pending set — even when handlers schedule follow-up events
     /// into the cohort being drained.
-    ///
-    /// Before each pop, any accumulating burst whose first constituent
-    /// would sort before the queue's next event is flushed into the
-    /// queue: a delivery is either still coalescing (strictly in the
-    /// future of every pending event) or queued — never skipped over.
-    /// Deliveries still coalescing when the limit hits simply stay
-    /// accumulated, exactly like scalar events parked beyond `until`.
     pub fn run_until(&mut self, until: Tick) {
         self.start();
         if self.profiler.is_some() {
             self.run_until_profiled(until);
             return;
         }
-        loop {
-            self.flush_due_coalescers();
-            let Some(event) = self.queue.pop_until(until) else {
-                break;
-            };
-            self.dispatch(event.tick, event.payload, until);
+        while let Some(event) = self.queue.pop_until(until) {
+            self.dispatch(event.tick, event.payload);
         }
     }
 
     /// The profiled event loop: each `record` covers one pop plus its
-    /// dispatch, so attributed time approaches total loop time. A burst
-    /// event's whole inline drain is attributed to its scalar kind.
+    /// dispatch, so attributed time approaches total loop time.
     fn run_until_profiled(&mut self, until: Tick) {
         let mut profiler = self.profiler.take().expect("checked by run_until");
         let loop_start = std::time::Instant::now();
         let mut mark = loop_start;
-        loop {
-            self.flush_due_coalescers();
-            let Some(event) = self.queue.pop_until(until) else {
-                break;
-            };
+        while let Some(event) = self.queue.pop_until(until) {
             let kind = kind_index(&event.payload);
-            self.dispatch(event.tick, event.payload, until);
+            self.dispatch(event.tick, event.payload);
             let after = std::time::Instant::now();
             profiler.record(kind, after.duration_since(mark).as_nanos() as u64);
             mark = after;
         }
         profiler.add_loop_nanos(loop_start.elapsed().as_nanos() as u64);
         self.profiler = Some(profiler);
-    }
-
-    // ------------------------------------------------------------------
-    // Burst coalescing
-    // ------------------------------------------------------------------
-
-    /// Routes one wire delivery into its direction's accumulating burst,
-    /// reserving the event-queue seq at exactly the point the scalar
-    /// path would have scheduled the event — so every later reservation
-    /// and schedule sees the same seq stream as the scalar run.
-    fn coalesce_delivery(&mut self, sink: BurstSink, tick: Tick, packet: Packet) {
-        let seq = self.queue.reserve_seq();
-        let c = self
-            .coalescers
-            .iter_mut()
-            .find(|c| c.sink == sink)
-            .expect("every wire direction has a registered coalescer");
-        c.burst.push(tick, seq, packet);
-        if c.burst.len() >= self.burst_size {
-            Self::flush_coalescer(&mut self.queue, &mut self.burst_stats, c);
-        }
-    }
-
-    /// Inserts a coalescer's accumulated burst into the event queue under
-    /// its first constituent's original `(tick, seq)` key. A size-1 batch
-    /// degenerates to the original scalar event — with `--burst=1` the
-    /// queue sees the exact scalar event stream, payload types included.
-    /// Flushing earlier than strictly necessary is always safe: the
-    /// partition of deliveries into bursts never affects dispatch order,
-    /// only how many queue round-trips the batch amortizes.
-    fn flush_coalescer(queue: &mut EventQueue<Ev>, stats: &mut BurstStats, c: &mut Coalescer) {
-        let mut burst = std::mem::take(&mut c.burst);
-        let Some((tick, seq)) = burst.peek() else {
-            return;
-        };
-        stats.flushed += 1;
-        stats.constituents += burst.remaining() as u64;
-        if burst.remaining() == 1 {
-            let (t, s, packet) = burst.take_next().expect("peeked above");
-            let ev = match c.sink {
-                BurstSink::Nic { node } => Ev::NicRx { node, packet },
-                BurstSink::LoadGen => Ev::LoadGenRx { packet },
-            };
-            queue.schedule_keyed(t, Priority::LINK, s, ev);
-        } else {
-            let ev = match c.sink {
-                BurstSink::Nic { node } => Ev::RxBurst { node, burst },
-                BurstSink::LoadGen => Ev::EchoBurst { burst },
-            };
-            queue.schedule_keyed(tick, Priority::LINK, seq, ev);
-        }
-    }
-
-    /// Flushes every accumulating burst that must enter the queue before
-    /// the next pop: one whose first constituent sorts before the queue's
-    /// next pending event (or any burst, when the queue is empty).
-    fn flush_due_coalescers(&mut self) {
-        let next = self.queue.peek_key();
-        for c in &mut self.coalescers {
-            if let Some(key) = c.first_key() {
-                if next.is_none_or(|n| key < n) {
-                    Self::flush_coalescer(&mut self.queue, &mut self.burst_stats, c);
-                }
-            }
-        }
-    }
-
-    /// Whether an event with `key` may dispatch right now without
-    /// overtaking anything: every pending queue event and every
-    /// still-accumulating delivery must sort after it.
-    fn dispatchable_inline(&self, key: EventKey) -> bool {
-        if self.queue.peek_key().is_some_and(|n| n < key) {
-            return false;
-        }
-        !self
-            .coalescers
-            .iter()
-            .any(|c| c.first_key().is_some_and(|k| k < key))
-    }
-
-    /// Drains a burst event. The first constituent rides the queue pop
-    /// that delivered the burst; each subsequent constituent dispatches
-    /// inline — recovering its scalar tick analytically from its stored
-    /// key — for as long as nothing else would have dispatched first in
-    /// the scalar schedule and the run limit allows. The moment either
-    /// check fails, the remainder requeues under its next constituent's
-    /// original key and the main loop resumes: dispatch order, clock
-    /// movement, and the executed-event count are byte-identical to the
-    /// scalar run for every burst size.
-    fn handle_burst(&mut self, now: Tick, sink: BurstSink, mut burst: Box<Burst>, until: Tick) {
-        let (tick, _seq, packet) = burst.take_next().expect("bursts are never queued empty");
-        debug_assert_eq!(tick, now, "a burst is keyed by its first constituent");
-        self.deliver(tick, sink, packet);
-        loop {
-            let Some((t, s)) = burst.peek() else { return };
-            let key = (t, Priority::LINK, s);
-            if t > until || !self.dispatchable_inline(key) {
-                let ev = match sink {
-                    BurstSink::Nic { node } => Ev::RxBurst { node, burst },
-                    BurstSink::LoadGen => Ev::EchoBurst { burst },
-                };
-                self.queue.schedule_keyed(t, Priority::LINK, s, ev);
-                self.burst_stats.requeues += 1;
-                return;
-            }
-            self.queue.advance_inline(t);
-            self.burst_stats.inline_dispatched += 1;
-            let (t, _s, packet) = burst.take_next().expect("peeked above");
-            self.deliver(t, sink, packet);
-        }
-    }
-
-    /// Dispatches one wire delivery to its scalar handler.
-    fn deliver(&mut self, now: Tick, sink: BurstSink, packet: Packet) {
-        match sink {
-            BurstSink::Nic { node } => self.handle_nic_rx(now, node, packet),
-            BurstSink::LoadGen => self.handle_loadgen_rx(now, packet),
-        }
     }
 
     /// Resets all statistics (end of warm-up).
@@ -1143,7 +911,9 @@ impl Simulation {
                 w.core.reset_stats();
                 w.stack.reset_stats();
             }
-            node.out_link.reset_stats();
+        }
+        for wire in &mut self.wires {
+            wire.reset_stats();
         }
         if let Some(lg) = &mut self.loadgen {
             lg.reset_stats();
@@ -1192,7 +962,8 @@ impl Simulation {
         // The degenerate uplink is statically a pure wire (no queue, no
         // loss), so the Verdict fast path skips the policy dispatch.
         let arrival = fabric.uplinks[0].transmit_wire(now, packet.len());
-        self.coalesce_delivery(BurstSink::Nic { node: 0 }, arrival, packet);
+        self.queue
+            .schedule_with_priority(arrival, Priority::LINK, Ev::NicRx { node: 0, packet });
         let lg = self.loadgen.as_mut().expect("checked above");
         if let Some(next) = lg.next_departure(now) {
             self.queue.schedule(next.max(now), Ev::LoadGenTx);
@@ -1257,12 +1028,7 @@ impl Simulation {
     fn handle_rx_dma(&mut self, now: Tick, node: usize, queue: usize) {
         self.nodes[node].rx_dma_scheduled[queue] = false;
         let n = &mut self.nodes[node];
-        let next_dbg = n.nic.rx_dma_advance_q(queue, now, &mut n.mem);
-        if std::env::var_os("SIMNET_TRACE_RXDMA").is_some() {
-            let (brx, btx) = n.mem.io_busy_horizons();
-            eprintln!("rxdma t={now} q={queue} next={next_dbg:?} busyrx={brx} busytx={btx}");
-        }
-        if let Some(next) = next_dbg {
+        if let Some(next) = n.nic.rx_dma_advance_q(queue, now, &mut n.mem) {
             n.rx_dma_scheduled[queue] = true;
             self.queue.schedule_with_priority(
                 next.max(now),
@@ -1495,7 +1261,11 @@ impl Simulation {
                 Self::tap(&mut self.capture, now, &packet);
                 let fabric = self.fabric.as_mut().expect("loadgen mode has a fabric");
                 let arrival = fabric.downlinks[0].transmit_wire(now, packet.len());
-                self.coalesce_delivery(BurstSink::LoadGen, arrival, packet);
+                self.queue.schedule_with_priority(
+                    arrival,
+                    Priority::LINK,
+                    Ev::LoadGenRx { packet },
+                );
             } else if self.fleet.is_some() && node == 0 {
                 // Fan-in topology: host→switch trunk, then MAC forwarding.
                 Self::tap(&mut self.capture, now, &packet);
@@ -1509,9 +1279,16 @@ impl Simulation {
                     );
                 }
             } else {
-                let peer = 1 - node;
-                let arrival = self.nodes[node].out_link.transmit(now, packet.len());
-                self.coalesce_delivery(BurstSink::Nic { node: peer }, arrival, packet);
+                // Dual mode: the node-to-node pure wire.
+                let arrival = self.wires[node].transmit_wire(now, packet.len());
+                self.queue.schedule_with_priority(
+                    arrival,
+                    Priority::LINK,
+                    Ev::NicRx {
+                        node: 1 - node,
+                        packet,
+                    },
+                );
             }
         }
         let n = &mut self.nodes[node];
@@ -1565,12 +1342,12 @@ impl Simulation {
             Some(0) => {
                 let trunk = fabric.trunk_up.as_mut().expect("port 0 is the trunk");
                 if let Verdict::Deliver(arrival) = trunk.transmit(now, packet.len()) {
-                    // Trunk arrivals are monotone (the busy horizon only
-                    // grows and the latency is constant), so they may
-                    // ride the coalescing transport like any other
-                    // single-source wire direction.
                     Self::tap(&mut self.capture, now, &packet);
-                    self.coalesce_delivery(BurstSink::Nic { node: 0 }, arrival, packet);
+                    self.queue.schedule_with_priority(
+                        arrival,
+                        Priority::LINK,
+                        Ev::NicRx { node: 0, packet },
+                    );
                 }
             }
             Some(port) => {
@@ -1738,112 +1515,5 @@ impl std::fmt::Debug for Simulation {
             .field("nodes", &self.nodes.len())
             .field("dual_mode", &self.loadgen.is_none())
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    //! White-box tests of the burst drain mechanics. The differential
-    //! suite in `tests/burst_equivalence.rs` proves batching never
-    //! changes observable behaviour; these tests pin down the *inline*
-    //! dispatch path directly, because the end-to-end event schedule —
-    //! where every wire arrival immediately schedules its own same-tick
-    //! DMA kick and departures rate-match arrivals — contains an
-    //! interposing event between any two consecutive deliveries, so the
-    //! inline branch only runs when constituents are genuinely adjacent
-    //! in the global order.
-
-    use super::*;
-    use crate::msb::AppSpec;
-
-    fn test_sim() -> Simulation {
-        let cfg = SystemConfig::gem5();
-        let spec = AppSpec::TestPmd;
-        let (stack, app) = spec.instantiate(cfg.seed);
-        let loadgen = spec.loadgen(&cfg, 1518, 2.0);
-        Simulation::loadgen_mode(&cfg, stack, app, loadgen)
-    }
-
-    fn make_burst(sim: &mut Simulation, ticks: &[Tick]) -> Box<Burst> {
-        // Mark the RX DMA engine busy: a delivery on an idle engine
-        // schedules a same-tick kick event, which correctly blocks any
-        // inline drain (the kick dispatches before the next arrival in
-        // the scalar schedule). Adjacency only exists while the engine
-        // is already churning through a backlog.
-        sim.nodes[0].rx_dma_scheduled[0] = true;
-        let mut burst = Box::new(Burst::new());
-        for &t in ticks {
-            let seq = sim.queue.reserve_seq();
-            burst.push(t, seq, Packet::zeroed(t, 64));
-        }
-        burst
-    }
-
-    #[test]
-    fn adjacent_constituents_drain_inline() {
-        let mut sim = test_sim();
-        let burst = make_burst(&mut sim, &[100, 200, 300]);
-        sim.handle_burst(100, BurstSink::Nic { node: 0 }, burst, 1_000);
-        let stats = sim.burst_stats();
-        assert_eq!(
-            stats.inline_dispatched, 2,
-            "both trailing constituents should drain inline: {stats:?}"
-        );
-        assert_eq!(stats.requeues, 0, "nothing interposed: {stats:?}");
-        assert_eq!(
-            sim.queue.now(),
-            300,
-            "inline dispatch advances the clock to each constituent's tick"
-        );
-    }
-
-    #[test]
-    fn interposing_event_requeues_remainder_at_original_key() {
-        let mut sim = test_sim();
-        let burst = make_burst(&mut sim, &[100, 200, 300]);
-        // A pending scalar event between constituents 1 and 2 must
-        // dispatch first in the scalar schedule, so the drain stops.
-        sim.queue.schedule(150, Ev::LoadGenTx);
-        sim.handle_burst(100, BurstSink::Nic { node: 0 }, burst, 1_000);
-        let stats = sim.burst_stats();
-        assert_eq!(stats.inline_dispatched, 0, "{stats:?}");
-        assert_eq!(stats.requeues, 1, "{stats:?}");
-        let (tick, priority, _) = sim.queue.peek_key().expect("interposer still queued");
-        assert_eq!((tick, priority), (150, Priority::NORMAL));
-    }
-
-    #[test]
-    fn accumulating_coalescer_blocks_inline_dispatch() {
-        let mut sim = test_sim();
-        let burst = make_burst(&mut sim, &[100, 200, 300]);
-        // A still-coalescing delivery for the other direction that sorts
-        // between constituents must also stop the drain — it would have
-        // dispatched first in the scalar schedule.
-        let seq = sim.queue.reserve_seq();
-        sim.coalescers[1]
-            .burst
-            .push(150, seq, Packet::zeroed(9, 64));
-        sim.handle_burst(100, BurstSink::Nic { node: 0 }, burst, 1_000);
-        let stats = sim.burst_stats();
-        assert_eq!(stats.inline_dispatched, 0, "{stats:?}");
-        assert_eq!(stats.requeues, 1, "{stats:?}");
-    }
-
-    #[test]
-    fn run_limit_parks_remainder_like_scalar_events() {
-        let mut sim = test_sim();
-        let burst = make_burst(&mut sim, &[100, 200, 300]);
-        sim.handle_burst(100, BurstSink::Nic { node: 0 }, burst, 250);
-        let stats = sim.burst_stats();
-        assert_eq!(
-            stats.inline_dispatched, 1,
-            "constituent at 200 is within the limit: {stats:?}"
-        );
-        assert_eq!(
-            stats.requeues, 1,
-            "constituent at 300 parks past the limit: {stats:?}"
-        );
-        let (tick, priority, _) = sim.queue.peek_key().expect("remainder requeued");
-        assert_eq!((tick, priority), (300, Priority::LINK));
     }
 }

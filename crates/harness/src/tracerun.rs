@@ -17,7 +17,6 @@
 //! [`ObserveOpts`]. All observation is passive — a run with every layer
 //! enabled measures the same summary as a bare run.
 
-use simnet_net::burst::BURST_INLINE;
 use simnet_sim::fault::{FaultCounts, FaultInjector};
 use simnet_sim::stats::{Profiler, TimeSeries};
 use simnet_sim::trace::{canonical_text, trace_hash, Component, TraceEvent};
@@ -41,9 +40,6 @@ pub struct TraceOpts {
     /// Fault injector to install before the run starts. Use
     /// [`FaultInjector::disabled`] for a clean run.
     pub faults: FaultInjector,
-    /// Wire-delivery coalescing factor (see [`crate::Simulation::set_burst`]);
-    /// `1` runs the exact scalar event schedule.
-    pub burst: usize,
 }
 
 impl Default for TraceOpts {
@@ -52,7 +48,6 @@ impl Default for TraceOpts {
             capacity: DEFAULT_TRACE_CAPACITY,
             mask: Component::ALL_MASK,
             faults: FaultInjector::disabled(),
-            burst: BURST_INLINE,
         }
     }
 }
@@ -95,9 +90,6 @@ pub struct ObserveOpts {
     pub stats_interval: Option<Tick>,
     /// Attach the self-profiler to the event loop.
     pub profile: bool,
-    /// Wire-delivery coalescing factor (see [`crate::Simulation::set_burst`]);
-    /// `1` runs the exact scalar event schedule.
-    pub burst: usize,
 }
 
 impl Default for ObserveOpts {
@@ -107,7 +99,6 @@ impl Default for ObserveOpts {
             faults: FaultInjector::disabled(),
             stats_interval: None,
             profile: false,
-            burst: BURST_INLINE,
         }
     }
 }
@@ -152,7 +143,6 @@ pub fn run_observed(
         (None, _) => offered,
     };
     let mut sim = crate::msb::build_loadgen_sim(cfg, spec, size, offered);
-    sim.set_burst(opts.burst);
     sim.install_faults(opts.faults);
     if let Some((capacity, mask)) = opts.trace {
         sim.enable_trace(capacity, mask);
@@ -201,7 +191,6 @@ pub fn run_traced_with(
         ObserveOpts {
             trace: Some((opts.capacity, opts.mask)),
             faults: opts.faults,
-            burst: opts.burst,
             ..Default::default()
         },
     );

@@ -304,11 +304,6 @@ impl MemorySystem {
         &self.io_rx
     }
 
-    /// Diagnostic: both I/O bus busy horizons `(rx, tx)`.
-    pub fn io_busy_horizons(&self) -> (Tick, Tick) {
-        (self.io_rx.busy_until(), self.io_tx.busy_until())
-    }
-
     /// TX-direction I/O bus (DMA reads toward the device).
     pub fn io_tx_bus(&self) -> &Bus {
         &self.io_tx

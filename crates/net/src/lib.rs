@@ -15,8 +15,6 @@
 //! * [`packet`] — the [`Packet`] buffer and [`PacketBuilder`].
 //! * [`pool`] — the DPDK-mempool-style recycled buffer arena backing
 //!   [`Packet`] storage.
-//! * [`burst`] — the [`Burst`] carrier moving batches of wire
-//!   deliveries as single events, DPDK-`rx_burst`-style.
 //! * [`rss`] — the Toeplitz receive-side-scaling hash steering flows to
 //!   RX queues.
 //! * [`topo`] — topology graphs: named nodes joined by links carrying
@@ -26,7 +24,6 @@
 //! * [`pcap`] — PCAP file reading/writing (tcpdump/dpdk-pdump stand-in).
 //! * [`proto`] — application protocols (memcached-over-UDP).
 
-pub mod burst;
 pub mod checksum;
 pub mod ethernet;
 pub mod ipv4;
@@ -41,7 +38,6 @@ pub mod timestamp;
 pub mod topo;
 pub mod udp;
 
-pub use burst::{Burst, BurstEntry, SmallVec, BURST_INLINE};
 pub use ethernet::{EtherType, EthernetHeader, ETHERNET_HEADER_LEN, MAX_FRAME_LEN, MIN_FRAME_LEN};
 pub use mac::MacAddr;
 pub use packet::{Packet, PacketBuilder};

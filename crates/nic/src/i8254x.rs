@@ -527,16 +527,6 @@ impl Nic {
         }
         let verdict = self.fsm.on_packet_rx(observed);
         if verdict.is_some() {
-            if std::env::var_os("SIMNET_TRACE_DROP").is_some() {
-                eprintln!(
-                    "drop t={now} kind={verdict:?} q={queue} avail={} cache={} pending={} visible={} inflight={}",
-                    self.rxq[queue].avail,
-                    self.rxq[queue].desc_cache,
-                    self.rxq[queue].pending_wb.len(),
-                    self.rxq[queue].visible.len(),
-                    self.rxq[queue].inflight.map(|(r, _, _)| r as i64 - now as i64).unwrap_or(-1)
-                );
-            }
             self.regs.raise_cause(irq::RXO);
             if let Some(kind) = verdict {
                 self.tracer.emit(
@@ -637,12 +627,6 @@ impl Nic {
             let n = self.cfg.desc_refill_batch.min(self.rxq[queue].avail);
             let addr = layout::rx_desc_addr(queue * ring + self.rxq[queue].next_slot, total_ring);
             let timing = mem.dma_read_control(t, addr, n as u64 * layout::DESC_SIZE);
-            if std::env::var_os("SIMNET_TRACE_REFILL").is_some() && timing.complete > t + 500_000 {
-                eprintln!(
-                    "refill slow t={t} data_ready={} complete={} n={n}",
-                    timing.next_issue, timing.complete
-                );
-            }
             t = timing.complete;
             self.rxq[queue].desc_cache += n;
             self.rxq[queue].avail -= n;

@@ -19,7 +19,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use super::{Event, EventKey, Priority};
+use super::{Event, Priority};
 use crate::tick::Tick;
 
 pub(super) struct HeapEntry<E> {
@@ -141,58 +141,6 @@ impl<E> BinaryHeapQueue<E> {
             seq,
             payload,
         });
-    }
-
-    /// Reserves the next insertion sequence number without inserting an
-    /// event yet (see [`super::EventQueue::reserve_seq`]).
-    pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled += 1;
-        seq
-    }
-
-    /// Inserts an event under a previously reserved key (see
-    /// [`super::EventQueue::schedule_keyed`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tick` is before [`BinaryHeapQueue::now`].
-    pub fn schedule_keyed(&mut self, tick: Tick, priority: Priority, seq: u64, payload: E) {
-        assert!(
-            tick >= self.now,
-            "scheduling into the past: tick {tick} < now {}",
-            self.now
-        );
-        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
-        self.heap.push(HeapEntry {
-            tick,
-            priority,
-            seq,
-            payload,
-        });
-    }
-
-    /// Full key of the next pending event, if any.
-    pub fn peek_key(&self) -> Option<EventKey> {
-        self.heap.peek().map(|e| (e.tick, e.priority, e.seq))
-    }
-
-    /// Advances the clock to `tick` and counts one executed event (see
-    /// [`super::EventQueue::advance_inline`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tick` is before [`BinaryHeapQueue::now`].
-    pub fn advance_inline(&mut self, tick: Tick) {
-        assert!(
-            tick >= self.now,
-            "inline dispatch into the past: tick {tick} < now {}",
-            self.now
-        );
-        debug_assert!(self.peek_tick().is_none_or(|t| t >= tick));
-        self.now = tick;
-        self.executed += 1;
     }
 
     /// Tick of the next pending event, if any.

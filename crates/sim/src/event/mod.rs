@@ -21,11 +21,6 @@ pub use shard::{ShardChannel, ShardClock};
 use crate::tick::Tick;
 use ladder::LadderQueue;
 
-/// The full event-ordering key. Events dispatch in ascending key order;
-/// the key is total (the `seq` component is unique), so comparing keys
-/// answers "which of these two events runs first" exactly.
-pub type EventKey = (Tick, Priority, u64);
-
 /// Scheduling priority for events that share a tick. Lower runs first.
 ///
 /// The default priority is [`Priority::NORMAL`]. The named levels mirror the
@@ -210,49 +205,6 @@ impl<E> EventQueue<E> {
         });
     }
 
-    /// Reserves the next insertion sequence number without inserting an
-    /// event yet. The reservation counts as a scheduled event (the event
-    /// *will* be dispatched — possibly inline from a burst carrier), so
-    /// `scheduled_count` is independent of how events are batched.
-    ///
-    /// Pair with [`EventQueue::schedule_keyed`] or an inline dispatch via
-    /// [`EventQueue::advance_inline`]; a leaked reservation leaves a hole
-    /// in the seq space, which is harmless for ordering but skews the
-    /// scheduled/executed books.
-    pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled += 1;
-        seq
-    }
-
-    /// Inserts an event under a previously reserved key. Unlike
-    /// [`EventQueue::schedule_with_priority`] this bumps neither the seq
-    /// counter nor the scheduled count — the reservation already did.
-    /// Used by burst carriers to (re-)insert a batch under its first
-    /// constituent's original key, keeping dispatch order byte-identical
-    /// to the unbatched schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tick` is before [`EventQueue::now`]. `seq` must come
-    /// from [`EventQueue::reserve_seq`] and must not be pending (the
-    /// total order relies on unique keys).
-    pub fn schedule_keyed(&mut self, tick: Tick, priority: Priority, seq: u64, payload: E) {
-        assert!(
-            tick >= self.now,
-            "scheduling into the past: tick {tick} < now {}",
-            self.now
-        );
-        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
-        self.ladder.insert(ladder::Entry {
-            tick,
-            priority,
-            seq,
-            payload,
-        });
-    }
-
     /// Inserts a cross-shard event under a *synthetic* key minted by
     /// [`shard::foreign_seq`] instead of a locally reserved one. Foreign
     /// keys live in the upper half of the seq space (bit 63 set), so they
@@ -285,35 +237,6 @@ impl<E> EventQueue<E> {
             seq,
             payload,
         });
-    }
-
-    /// Full key of the next pending event, if any. A burst carrier may
-    /// dispatch its next constituent inline only while the constituent's
-    /// key sorts before this one.
-    pub fn peek_key(&self) -> Option<EventKey> {
-        self.ladder.peek_key()
-    }
-
-    /// Advances the clock to `tick` and counts one executed event, as if
-    /// an event at `tick` had been popped. Used when a burst carrier
-    /// dispatches a constituent inline instead of round-tripping it
-    /// through the queue; the executed/scheduled books stay identical to
-    /// the unbatched run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tick` is before [`EventQueue::now`]. The caller must
-    /// have checked (via [`EventQueue::peek_key`]) that no pending event
-    /// sorts before the inlined one.
-    pub fn advance_inline(&mut self, tick: Tick) {
-        assert!(
-            tick >= self.now,
-            "inline dispatch into the past: tick {tick} < now {}",
-            self.now
-        );
-        debug_assert!(self.peek_tick().is_none_or(|t| t >= tick));
-        self.now = tick;
-        self.executed += 1;
     }
 
     /// Tick of the next pending event, if any.

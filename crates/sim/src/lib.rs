@@ -54,7 +54,7 @@ pub mod stats;
 pub mod tick;
 pub mod trace;
 
-pub use event::{Event, EventKey, EventQueue, Priority};
+pub use event::{Event, EventQueue, Priority};
 pub use fault::{FaultCounts, FaultInjector, FaultKind, FaultPlan};
 pub use tick::Tick;
 pub use trace::{Component, DropClass, Stage, TraceEvent, Tracer};

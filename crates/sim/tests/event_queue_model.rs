@@ -8,14 +8,6 @@
 //! `Priority::MINIMUM`/`MAXIMUM` sentinels, bounded `pop_until` sweeps,
 //! and deltas that cross the ladder's near-future window into the
 //! overflow heap (and trigger window jumps back out of it).
-//!
-//! The burst-transport primitives are part of the differential surface
-//! too: `reserve_seq` (a coalescer claiming the scalar event's seq
-//! without inserting), `schedule_keyed` (the deferred flush under the
-//! reserved key), `peek_key`, and `advance_inline` (an inline burst
-//! constituent advancing the clock and the executed counter without a
-//! pop) must leave both implementations in agreeing states under
-//! arbitrary interleavings with ordinary scheduling and popping.
 
 use proptest::prelude::*;
 use simnet_sim::event::BinaryHeapQueue;
@@ -33,15 +25,6 @@ enum Op {
     PopUntil { dt: u64 },
     /// Discard everything pending (mid-window `clear`).
     Clear,
-    /// Reserve a seq for a future keyed insert at `(now + dt, prio)` —
-    /// the coalescer side of the burst transport.
-    Reserve { dt: u64, prio: i16 },
-    /// Insert every outstanding reservation under its reserved key —
-    /// the coalescer flush.
-    Flush,
-    /// Advance the clock inline to `min(now + dt, peek_tick)`, counting
-    /// one executed event — an inline burst-constituent dispatch.
-    AdvanceInline { dt: u64 },
 }
 
 fn arb_priority() -> impl Strategy<Value = i16> {
@@ -73,9 +56,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         3 => (1usize..8).prop_map(|n| Op::Pop { n }),
         2 => arb_dt().prop_map(|dt| Op::PopUntil { dt }),
         1 => Just(Op::Clear),
-        3 => (arb_dt(), arb_priority()).prop_map(|(dt, prio)| Op::Reserve { dt, prio }),
-        2 => Just(Op::Flush),
-        1 => arb_dt().prop_map(|dt| Op::AdvanceInline { dt }),
     ]
 }
 
@@ -90,32 +70,7 @@ fn assert_observables(
     prop_assert_eq!(q.peek_tick(), r.peek_tick(), "peek_tick diverged");
     prop_assert_eq!(q.scheduled_count(), r.scheduled_count());
     prop_assert_eq!(q.executed_count(), r.executed_count());
-    prop_assert_eq!(q.peek_key(), r.peek_key(), "peek_key diverged");
     Ok(())
-}
-
-/// Outstanding `reserve_seq` claims not yet flushed: `(tick, prio, seq)`.
-type Pending = Vec<(u64, i16, u64)>;
-
-/// Flushes every outstanding reservation into both queues under its
-/// reserved key (skipping any the clock has already passed — a real
-/// coalescer flushes before its first key can be overtaken, but the
-/// model's arbitrary interleavings may advance `now` first; both queues
-/// must skip identically).
-fn flush_pending(
-    pending: &mut Pending,
-    q: &mut EventQueue<usize>,
-    r: &mut BinaryHeapQueue<usize>,
-    label: &mut usize,
-) {
-    for (tick, prio, seq) in pending.drain(..) {
-        if tick < q.now() {
-            continue;
-        }
-        q.schedule_keyed(tick, Priority(prio), seq, *label);
-        r.schedule_keyed(tick, Priority(prio), seq, *label);
-        *label += 1;
-    }
 }
 
 /// Pops from both queues and asserts the events are identical.
@@ -154,7 +109,6 @@ proptest! {
         let mut q = EventQueue::new();
         let mut r = BinaryHeapQueue::new();
         let mut label = 0usize;
-        let mut pending: Pending = Vec::new();
         for op in &ops {
             match op {
                 Op::Schedule { dt, prio } => {
@@ -182,28 +136,11 @@ proptest! {
                 Op::Clear => {
                     q.clear();
                     r.clear();
-                    pending.clear();
-                }
-                Op::Reserve { dt, prio } => {
-                    let tick = q.now().saturating_add(*dt);
-                    let (sq, sr) = (q.reserve_seq(), r.reserve_seq());
-                    prop_assert_eq!(sq, sr, "reserved seqs diverged");
-                    pending.push((tick, *prio, sq));
-                }
-                Op::Flush => flush_pending(&mut pending, &mut q, &mut r, &mut label),
-                Op::AdvanceInline { dt } => {
-                    let mut t = q.now().saturating_add(*dt);
-                    if let Some(p) = q.peek_tick() {
-                        t = t.min(p);
-                    }
-                    q.advance_inline(t);
-                    r.advance_inline(t);
                 }
             }
             assert_observables(&q, &r)?;
         }
-        // Flush stragglers, then drain: full order must still agree.
-        flush_pending(&mut pending, &mut q, &mut r, &mut label);
+        // Drain: full order must still agree.
         loop {
             let (a, b) = (q.pop(), r.pop());
             let done = a.is_none();
@@ -268,58 +205,6 @@ proptest! {
             let (a, b) = (q.pop(), r.pop());
             let done = a.is_none();
             assert_same_pop(a, b)?;
-            if done {
-                break;
-            }
-        }
-    }
-
-    /// A same-tick cohort mixing keyed (burst-reserved) and directly
-    /// scheduled events — priorities including both sentinels, so a
-    /// MIN/MAX-priority burst sits around scalar events in one tick —
-    /// must drain in identical order from both implementations even
-    /// when the keyed inserts land *after* the cohort is activated
-    /// (mid-cohort insertion of earlier-reserved seqs).
-    #[test]
-    fn keyed_burst_cohort_matches_reference(
-        tick in 0u64..10_000_000,
-        head in arb_priority(),
-        reserved in prop::collection::vec(arb_priority(), 1..40),
-        direct in prop::collection::vec(arb_priority(), 1..40),
-    ) {
-        let mut q = EventQueue::new();
-        let mut r = BinaryHeapQueue::new();
-        let mut label = 0usize;
-        // Reserve the burst's seqs first — the coalescer pattern claims
-        // the scalar stream's seqs at delivery time...
-        let mut keys: Vec<(i16, u64)> = Vec::new();
-        for prio in &reserved {
-            let (sq, sr) = (q.reserve_seq(), r.reserve_seq());
-            prop_assert_eq!(sq, sr);
-            keys.push((*prio, sq));
-        }
-        // ...while later scalar events schedule normally on the same tick.
-        for prio in &direct {
-            q.schedule_with_priority(tick, Priority(*prio), label);
-            r.schedule_with_priority(tick, Priority(*prio), label);
-            label += 1;
-        }
-        // One more event to activate the cohort before the keyed flood.
-        q.schedule_with_priority(tick, Priority(head), label);
-        r.schedule_with_priority(tick, Priority(head), label);
-        label += 1;
-        assert_same_pop(q.pop(), r.pop())?;
-        // Flush the burst mid-cohort under the reserved keys.
-        for (prio, seq) in keys {
-            q.schedule_keyed(tick, Priority(prio), seq, label);
-            r.schedule_keyed(tick, Priority(prio), seq, label);
-            label += 1;
-        }
-        loop {
-            let (a, b) = (q.pop(), r.pop());
-            let done = a.is_none();
-            assert_same_pop(a, b)?;
-            assert_observables(&q, &r)?;
             if done {
                 break;
             }

@@ -61,17 +61,15 @@ fn faulted_point(fault_seed: u64) -> TracedRun {
             capacity: 1 << 16,
             mask: Component::ALL_MASK,
             faults: FaultInjector::new(plan, fault_seed),
-            ..Default::default()
         },
     )
 }
 
-/// A line-rate-ish TestPMD point where the burst transport genuinely
-/// coalesces (hundreds of multi-packet bursts per window): 30 Gbps of
-/// 1518 B frames over the same 250 µs window. `burst` selects the
-/// coalescing factor; `fault_seed` optionally installs the same chaos
-/// plan as [`faulted_point`].
-fn burst_point(burst: usize, fault_seed: Option<u64>) -> TracedRun {
+/// A line-rate-ish TestPMD point: 30 Gbps of 1518 B frames over the same
+/// 250 µs window, so hundreds of frames are in flight per direction.
+/// `fault_seed` optionally installs the same chaos plan as
+/// [`faulted_point`].
+fn line_rate_point(fault_seed: Option<u64>) -> TracedRun {
     let cfg = SystemConfig::gem5();
     let rc = RunConfig {
         phases: Phases {
@@ -96,7 +94,6 @@ fn burst_point(burst: usize, fault_seed: Option<u64>) -> TracedRun {
             capacity: 1 << 20,
             mask: Component::ALL_MASK,
             faults,
-            burst,
         },
     )
 }
@@ -259,19 +256,16 @@ fn faulted_trace_matches_committed_golden_file() {
     );
 }
 
-/// The burst-path golden: a point hot enough that deliveries travel as
-/// real multi-packet bursts, committed at the default coalescing factor.
-/// The same point re-run with `--burst=1` (the exact scalar schedule)
-/// must produce the identical bytes — the golden file itself witnesses
-/// the tentpole's equivalence claim.
+/// The line-rate golden (`testpmd_burst.trace`, named for the 30 Gbps
+/// arrival bursts it pins): hundreds of frames in flight per direction.
 #[test]
 fn burst_trace_matches_committed_golden_file() {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/testpmd_burst.trace"
     );
-    let run = burst_point(32, None);
-    assert_eq!(run.evicted, 0, "burst golden trace must fit the ring");
+    let run = line_rate_point(None);
+    assert_eq!(run.evicted, 0, "line-rate golden trace must fit the ring");
     let text = run.canonical_text();
 
     if std::env::var_os("SIMNET_UPDATE_GOLDEN").is_some() {
@@ -288,27 +282,18 @@ fn burst_trace_matches_committed_golden_file() {
         "burst trace diverged from the golden file; if the change is \
          intentional, regenerate with SIMNET_UPDATE_GOLDEN=1 cargo test --test golden_trace"
     );
-
-    let scalar = burst_point(1, None);
-    assert_eq!(
-        scalar.canonical_text(),
-        golden,
-        "the scalar (--burst=1) schedule must reproduce the burst golden byte-for-byte"
-    );
 }
 
-/// The faulted burst golden: the same hot point with the chaos plan
-/// installed, so fault draws land mid-burst. Both the batched and the
-/// scalar schedule must reproduce the committed bytes, including every
-/// `stage=fault` line.
+/// The faulted line-rate golden: the same hot point with the chaos plan
+/// installed, every `stage=fault` line included.
 #[test]
 fn faulted_burst_trace_matches_committed_golden_file() {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/testpmd_burst_faulted.trace"
     );
-    let run = burst_point(32, Some(11));
-    assert_eq!(run.evicted, 0, "faulted burst golden must fit the ring");
+    let run = line_rate_point(Some(11));
+    assert_eq!(run.evicted, 0, "faulted line-rate golden must fit the ring");
     let text = run.canonical_text();
     assert!(
         text.contains("stage=fault"),
@@ -333,14 +318,6 @@ fn faulted_burst_trace_matches_committed_golden_file() {
         text, golden,
         "faulted burst trace diverged from the golden file; if the change is \
          intentional, regenerate with SIMNET_UPDATE_GOLDEN=1 cargo test --test golden_trace"
-    );
-
-    let scalar = burst_point(1, Some(11));
-    assert_eq!(
-        scalar.canonical_text(),
-        golden,
-        "the scalar (--burst=1) schedule must reproduce the faulted burst \
-         golden byte-for-byte, fault draws included"
     );
 }
 

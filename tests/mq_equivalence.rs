@@ -4,12 +4,12 @@
 //! be observationally indistinguishable from the legacy single-ring
 //! assembly — byte-identical golden traces, full stats dumps, executed
 //! event counts, throughput bits, fault counters, and buffer ledgers —
-//! across frame sizes, offered rates, fault plans, and burst settings.
+//! across frame sizes, offered rates, and fault plans.
 //! (The committed goldens in `tests/golden/` separately pin this
 //! combined surface against the pre-multi-queue history.)
 //!
 //! Multi-queue runs themselves (`nqueues > 1`) are covered by replay
-//! determinism, burst invariance, and conservation checks: the per-queue
+//! determinism and conservation checks: the per-queue
 //! FIFOs and per-lcore schedules are a pure function of the seed.
 
 use proptest::prelude::*;
@@ -34,8 +34,7 @@ struct Observed {
 
 /// Drives an assembled simulation through the common observability
 /// harness and captures the full observable surface.
-fn observe(mut sim: Simulation, burst: usize, plan: &str, phases: Phases) -> Observed {
-    sim.set_burst(burst);
+fn observe(mut sim: Simulation, plan: &str, phases: Phases) -> Observed {
     sim.enable_trace(1 << 20, Component::ALL_MASK);
     if !plan.is_empty() {
         let plan = FaultPlan::parse(plan).expect("valid plan");
@@ -61,29 +60,21 @@ fn observe(mut sim: Simulation, burst: usize, plan: &str, phases: Phases) -> Obs
 /// The legacy single-ring assembly: `AppSpec::instantiate` plus
 /// `Simulation::loadgen_mode`, no worker attachment, no queue knobs —
 /// the exact pre-multi-queue construction sequence.
-fn run_legacy(spec: AppSpec, size: usize, gbps: f64, burst: usize, plan: &str) -> Observed {
+fn run_legacy(spec: AppSpec, size: usize, gbps: f64, plan: &str) -> Observed {
     let cfg = SystemConfig::gem5();
     let (stack, app) = spec.instantiate(cfg.seed);
     let loadgen = spec.loadgen(&cfg, size, gbps);
     let sim = Simulation::loadgen_mode(&cfg, stack, app, loadgen);
-    observe(sim, burst, plan, SHORT)
+    observe(sim, plan, SHORT)
 }
 
 /// The multi-queue assembly at an arbitrary `(nqueues, lcores)` point:
 /// `build_loadgen_sim` — the entry `run_point`, `run_observed`, and the
 /// `repro --nqueues/--lcores` flags all share.
-fn run_mq(
-    spec: AppSpec,
-    nq: usize,
-    lcores: usize,
-    size: usize,
-    gbps: f64,
-    burst: usize,
-    plan: &str,
-) -> Observed {
+fn run_mq(spec: AppSpec, nq: usize, lcores: usize, size: usize, gbps: f64, plan: &str) -> Observed {
     let cfg = SystemConfig::gem5().with_queues(nq).with_lcores(lcores);
     let sim = build_loadgen_sim(&cfg, &spec, size, gbps);
-    observe(sim, burst, plan, SHORT)
+    observe(sim, plan, SHORT)
 }
 
 /// Asserts the full observable surface matches between two runs.
@@ -118,22 +109,20 @@ const SHORT: Phases = Phases {
     measure: us(150),
 };
 
-/// The canonical differential matrix from the issue: sizes × rates ×
-/// fault plans × burst settings, single-queue multi-queue assembly vs
-/// the legacy construction. Every cell must match bit-for-bit.
+/// The canonical differential matrix: sizes × rates × fault plans,
+/// single-queue multi-queue assembly vs the legacy construction. Every
+/// cell must match bit-for-bit.
 #[test]
 fn single_queue_matrix_is_byte_identical_to_legacy_assembly() {
     for (size, gbps) in [(1518usize, 30.0f64), (64, 70.0), (256, 10.0)] {
         for plan in ["", "link.ber=3e-5;dma.burst=+500ns/2us@20us"] {
-            for burst in [1usize, 32] {
-                let legacy = run_legacy(AppSpec::TestPmd, size, gbps, burst, plan);
-                let mq = run_mq(AppSpec::TestPmd, 1, 1, size, gbps, burst, plan);
-                assert_equivalent(
-                    &legacy,
-                    &mq,
-                    &format!("testpmd {size}B @{gbps}Gbps burst={burst} plan={plan:?}"),
-                );
-            }
+            let legacy = run_legacy(AppSpec::TestPmd, size, gbps, plan);
+            let mq = run_mq(AppSpec::TestPmd, 1, 1, size, gbps, plan);
+            assert_equivalent(
+                &legacy,
+                &mq,
+                &format!("testpmd {size}B @{gbps}Gbps plan={plan:?}"),
+            );
         }
     }
 }
@@ -144,8 +133,8 @@ fn single_queue_matrix_is_byte_identical_to_legacy_assembly() {
 #[test]
 fn kernel_stack_single_queue_matches_legacy_assembly() {
     for plan in ["", "nic.wb_corrupt=8%;link.ber=2e-5"] {
-        let legacy = run_legacy(AppSpec::Iperf, 1024, 20.0, 32, plan);
-        let mq = run_mq(AppSpec::Iperf, 1, 1, 1024, 20.0, 32, plan);
+        let legacy = run_legacy(AppSpec::Iperf, 1024, 20.0, plan);
+        let mq = run_mq(AppSpec::Iperf, 1, 1, 1024, 20.0, plan);
         assert_equivalent(&legacy, &mq, &format!("iperf plan={plan:?}"));
     }
 }
@@ -158,28 +147,10 @@ fn kernel_stack_single_queue_matches_legacy_assembly() {
 fn multi_queue_replay_is_deterministic() {
     for (nq, lcores) in [(2usize, 2usize), (4, 2), (4, 4)] {
         for plan in ["", "link.ber=3e-5;dma.burst=+500ns/2us@20us"] {
-            let a = run_mq(AppSpec::TestPmd, nq, lcores, 512, 40.0, 32, plan);
-            let b = run_mq(AppSpec::TestPmd, nq, lcores, 512, 40.0, 32, plan);
+            let a = run_mq(AppSpec::TestPmd, nq, lcores, 512, 40.0, plan);
+            let b = run_mq(AppSpec::TestPmd, nq, lcores, 512, 40.0, plan);
             assert_equivalent(&a, &b, &format!("replay {nq}q/{lcores}l plan={plan:?}"));
             assert!(!a.trace.is_empty(), "{nq}q/{lcores}l captured no events");
-        }
-    }
-}
-
-/// Burst batching composes with multi-queue: the coalesced wire
-/// transport must leave an `(nqueues, lcores)` schedule bit-identical
-/// to its scalar (`burst=1`) reference, exactly as it does at one queue.
-#[test]
-fn multi_queue_runs_are_burst_invariant() {
-    for plan in ["", "nic.fifo_stuck=15us@50us;link.ber=2e-5"] {
-        let scalar = run_mq(AppSpec::TestPmd, 2, 2, 512, 40.0, 1, plan);
-        for burst in [2usize, 32, 33] {
-            let batched = run_mq(AppSpec::TestPmd, 2, 2, 512, 40.0, burst, plan);
-            assert_equivalent(
-                &scalar,
-                &batched,
-                &format!("2q/2l burst={burst} plan={plan:?}"),
-            );
         }
     }
 }
@@ -197,8 +168,8 @@ fn sharded_memcached_uses_every_queue_and_replays_identically() {
         let cfg = SystemConfig::gem5().with_queues(4).with_lcores(4);
         build_loadgen_sim(&cfg, &AppSpec::MemcachedDpdk, 0, 400.0)
     };
-    let a = observe(build(), 32, "", phases);
-    let b = observe(build(), 32, "", phases);
+    let a = observe(build(), "", phases);
+    let b = observe(build(), "", phases);
     assert_equivalent(&a, &b, "memcached 4q/4l replay");
     // Per-queue RX counters in the full stats dump must all be nonzero.
     for q in 0..4 {
@@ -223,13 +194,12 @@ proptest! {
     })]
 
     /// Differential fuzz over the single-queue knob space: arbitrary
-    /// sizes, rates, bursts, and fault plans — the multi-queue assembly
+    /// sizes, rates, and fault plans — the multi-queue assembly
     /// at (1, 1) must match the legacy construction bit-for-bit.
     #[test]
     fn arbitrary_single_queue_points_match_legacy(
         size in prop_oneof![Just(64usize), Just(256), Just(1024), Just(1518)],
         gbps in prop_oneof![Just(2.0f64), Just(15.0), Just(45.0), Just(70.0)],
-        burst in prop_oneof![Just(1usize), Just(2), Just(32), Just(33)],
         plan in prop_oneof![
             Just(""),
             Just("link.ber=3e-5"),
@@ -237,12 +207,12 @@ proptest! {
             Just("nic.fifo_stuck=15us@50us;link.ber=2e-5"),
         ],
     ) {
-        let legacy = run_legacy(AppSpec::TestPmd, size, gbps, burst, plan);
-        let mq = run_mq(AppSpec::TestPmd, 1, 1, size, gbps, burst, plan);
+        let legacy = run_legacy(AppSpec::TestPmd, size, gbps, plan);
+        let mq = run_mq(AppSpec::TestPmd, 1, 1, size, gbps, plan);
         assert_equivalent(
             &legacy,
             &mq,
-            &format!("fuzz {size}B @{gbps}Gbps burst={burst} plan={plan:?}"),
+            &format!("fuzz {size}B @{gbps}Gbps plan={plan:?}"),
         );
     }
 
@@ -261,8 +231,8 @@ proptest! {
         ],
     ) {
         let (nq, lcores) = shape;
-        let a = run_mq(AppSpec::TestPmd, nq, lcores, 512, gbps, 32, plan);
-        let b = run_mq(AppSpec::TestPmd, nq, lcores, 512, gbps, 32, plan);
+        let a = run_mq(AppSpec::TestPmd, nq, lcores, 512, gbps, plan);
+        let b = run_mq(AppSpec::TestPmd, nq, lcores, 512, gbps, plan);
         assert_equivalent(&a, &b, &format!("fuzz replay {nq}q/{lcores}l plan={plan:?}"));
     }
 }

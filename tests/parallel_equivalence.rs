@@ -78,7 +78,6 @@ fn opts(plan: &str, sample: bool) -> ObserveOpts {
         },
         stats_interval: sample.then(|| us(50)),
         profile: false,
-        ..ObserveOpts::default()
     }
 }
 
@@ -371,4 +370,33 @@ fn thread_clamp_reports_realized_parallelism() {
     let outcome = run_sharded(&cfg, AppSpec::TestPmd, 512, 2.0, 16, "", false);
     assert_eq!(outcome.shards, 2, "point-to-point decomposes into 2 shards");
     assert_eq!(outcome.threads, 2, "threads clamp to the shard count");
+}
+
+/// A panic on a worker thread fails the run promptly, with the worker's
+/// own message. Here the host shard cannot be built (two lcores on a
+/// one-queue NIC) while the load-generator shard, on the other thread,
+/// would otherwise wait for the host's clock forever.
+#[test]
+fn worker_panic_fails_the_run_promptly() {
+    let mut cfg = SystemConfig::gem5();
+    cfg.num_lcores = 2;
+    let t0 = std::time::Instant::now();
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_sharded(&cfg, AppSpec::TestPmd, 512, 2.0, 2, "", false)
+    }))
+    .expect_err("an unbuildable host shard must fail the run");
+    let msg = err
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| err.downcast_ref::<&str>().copied())
+        .unwrap_or_default();
+    assert!(
+        msg.contains("lcores need at least as many NIC queues"),
+        "not the worker's own panic: {msg:?}"
+    );
+    assert!(
+        t0.elapsed() < std::time::Duration::from_secs(10),
+        "worker panic took {:?} to surface",
+        t0.elapsed()
+    );
 }

@@ -3,13 +3,13 @@
 //! be observationally indistinguishable from the default assembly —
 //! byte-identical traces, full stats dumps, event counts, and
 //! throughput bits — and the pure-wire [`TopoLink`] must compute the
-//! exact `EtherLink` arrival tick on any offer schedule. (The committed
+//! closed-form arrival tick on any offer schedule. (The committed
 //! goldens in `tests/golden/` separately pin the degenerate schedule
 //! against the pre-topology history.)
 //!
 //! Incast runs themselves (`clients > 1`) are covered by replay
-//! determinism, burst invariance, and the per-link drop/queue stats the
-//! full dump must expose.
+//! determinism and the per-link drop/queue stats the full dump must
+//! expose.
 
 use proptest::prelude::*;
 use simnet::harness::config::TopoConfig;
@@ -17,7 +17,6 @@ use simnet::harness::summary::{run_phases, Phases};
 use simnet::harness::{build_loadgen_sim, stats_text_all, AppSpec, Simulation, SystemConfig};
 use simnet::net::pool;
 use simnet::net::topo::{LinkPolicy, TopoLink, Verdict};
-use simnet::nic::EtherLink;
 use simnet::sim::tick::{ns, us, Bandwidth};
 use simnet::sim::trace::{canonical_text, trace_hash, Component};
 
@@ -34,8 +33,7 @@ struct Observed {
 }
 
 /// Drives an assembled simulation and captures the observable surface.
-fn observe(mut sim: Simulation, burst: usize, phases: Phases) -> Observed {
-    sim.set_burst(burst);
+fn observe(mut sim: Simulation, phases: Phases) -> Observed {
     sim.enable_trace(1 << 20, Component::ALL_MASK);
     let summary = run_phases(&mut sim, phases);
     let events = sim.take_trace();
@@ -100,17 +98,15 @@ fn incast_cfg(clients: usize) -> SystemConfig {
 
 /// The degenerate differential matrix: an explicit point-to-point
 /// `TopoConfig` must assemble the exact same simulation as the default
-/// config across sizes, rates, and burst settings.
+/// config across sizes and rates.
 #[test]
 fn explicit_point_to_point_topology_matches_default_assembly() {
     for (size, gbps) in [(1518usize, 30.0f64), (64, 70.0), (256, 10.0)] {
-        for burst in [1usize, 32] {
-            let default_cfg = SystemConfig::gem5();
-            let topo_cfg = SystemConfig::gem5().with_topo(TopoConfig::point_to_point());
-            let a = observe(build(&default_cfg, size, gbps), burst, SHORT);
-            let b = observe(build(&topo_cfg, size, gbps), burst, SHORT);
-            assert_equivalent(&a, &b, &format!("{size}B @{gbps}Gbps burst={burst}"));
-        }
+        let default_cfg = SystemConfig::gem5();
+        let topo_cfg = SystemConfig::gem5().with_topo(TopoConfig::point_to_point());
+        let a = observe(build(&default_cfg, size, gbps), SHORT);
+        let b = observe(build(&topo_cfg, size, gbps), SHORT);
+        assert_equivalent(&a, &b, &format!("{size}B @{gbps}Gbps"));
     }
 }
 
@@ -120,7 +116,7 @@ fn explicit_point_to_point_topology_matches_default_assembly() {
 #[test]
 fn degenerate_runs_keep_the_stats_dump_clean() {
     let cfg = SystemConfig::gem5().with_topo(TopoConfig::point_to_point());
-    let obs = observe(build(&cfg, 1518, 30.0), 32, SHORT);
+    let obs = observe(build(&cfg, 1518, 30.0), SHORT);
     assert!(
         !obs.stats.contains("system.topo"),
         "degenerate topology must not register fabric stats"
@@ -136,8 +132,8 @@ fn incast_replay_is_deterministic() {
         warmup: us(100),
         measure: us(400),
     };
-    let a = observe(build(&incast_cfg(8), 1518, 40.0), 32, phases);
-    let b = observe(build(&incast_cfg(8), 1518, 40.0), 32, phases);
+    let a = observe(build(&incast_cfg(8), 1518, 40.0), phases);
+    let b = observe(build(&incast_cfg(8), 1518, 40.0), phases);
     assert_equivalent(&a, &b, "incast 8-client replay");
     assert!(!a.trace.is_empty(), "incast run captured no events");
     assert_ne!(
@@ -145,18 +141,6 @@ fn incast_replay_is_deterministic() {
         0f64.to_bits(),
         "incast moved no traffic"
     );
-}
-
-/// Burst batching composes with the fabric: the coalesced trunk
-/// transport leaves an incast schedule bit-identical to its scalar
-/// (`burst=1`) reference.
-#[test]
-fn incast_runs_are_burst_invariant() {
-    let scalar = observe(build(&incast_cfg(8), 1518, 40.0), 1, SHORT);
-    for burst in [2usize, 32, 33] {
-        let batched = observe(build(&incast_cfg(8), 1518, 40.0), burst, SHORT);
-        assert_equivalent(&scalar, &batched, &format!("incast burst={burst}"));
-    }
 }
 
 /// The full stats dump of an incast run exposes the per-link ledger:
@@ -170,7 +154,7 @@ fn incast_stats_expose_the_per_link_ledger() {
             .with_latency_spread(us(5))
             .with_trunk_queue(16),
     );
-    let obs = observe(build(&cfg, 1518, 120.0), 32, SHORT);
+    let obs = observe(build(&cfg, 1518, 120.0), SHORT);
     for needle in [
         "loadgen.clients",
         "system.topo.clients",
@@ -204,29 +188,28 @@ proptest! {
         cases: 64, ..ProptestConfig::default()
     })]
 
-    /// The pure-wire `TopoLink` computes the exact `EtherLink` arrival
-    /// tick — same serialization overhead, same busy horizon — on any
-    /// offer schedule, which is the arithmetic the byte-identical
-    /// degenerate schedule rests on.
+    /// The pure-wire `TopoLink` computes the closed-form arrival tick
+    /// `max(now, busy) + (len + 20 B) at the line rate + latency` (20 B
+    /// of preamble, SFD and inter-frame gap) on any offer schedule,
+    /// which is the arithmetic every wire in the simulator rests on.
     #[test]
-    fn wire_link_is_tick_identical_to_etherlink(
+    fn wire_link_matches_closed_form(
         gbps in prop_oneof![Just(10.0f64), Just(40.0), Just(100.0)],
         latency in 0u64..=5_000,
         offers in proptest::collection::vec((0u64..=2_000, 64usize..=1518), 1..100),
         seed in any::<u64>(),
     ) {
         let bw = Bandwidth::gbps(gbps);
-        let mut legacy = EtherLink::new(bw, ns(latency));
         let mut topo = TopoLink::new(LinkPolicy::wire(bw, ns(latency)), seed);
-        let mut now = 0;
+        let (mut now, mut busy, mut bytes) = (0u64, 0u64, 0u64);
         for &(gap, len) in &offers {
             now += ns(gap);
-            let expected = legacy.transmit(now, len);
-            let got = topo.transmit(now, len);
-            prop_assert_eq!(got, Verdict::Deliver(expected));
+            busy = now.max(busy) + bw.bytes_to_ticks(len as u64 + 20);
+            bytes += len as u64;
+            prop_assert_eq!(topo.transmit(now, len), Verdict::Deliver(busy + ns(latency)));
         }
-        prop_assert_eq!(topo.frames.value(), legacy.frames.value());
-        prop_assert_eq!(topo.bytes.value(), legacy.bytes.value());
-        prop_assert_eq!(topo.next_free(), legacy.next_free());
+        prop_assert_eq!(topo.frames.value(), offers.len() as u64);
+        prop_assert_eq!(topo.bytes.value(), bytes);
+        prop_assert_eq!(topo.next_free(), busy);
     }
 }

@@ -183,7 +183,6 @@ fn packet_conservation_holds_across_fault_matrix() {
                     capacity: 1 << 22,
                     mask: Component::ALL_MASK,
                     faults,
-                    ..Default::default()
                 },
             );
             let cell = format!("{}/{plan_text:?}", spec.label());
