@@ -7,7 +7,7 @@
 //! repro [--trace PATH] [--trace-filter COMPONENTS] [--trace-gbps G]
 //!       [--stats-out FILE] [--stats-interval US] [--profile]
 //!       [--faults PLAN] [--fault-seed N] [--frame BYTES]
-//!       [--nqueues N] [--lcores N] [--topo CLIENTS] [--threads N]
+//!       [--nqueues N] [--lcores N] [--topo CLIENTS]
 //! ```
 //!
 //! Results print as tables and are written as CSVs under `--out`
@@ -28,8 +28,8 @@
 //! * `--profile` attaches the simulator self-profiler and prints the
 //!   per-event-kind host-time table after the run.
 //!
-//! `--frame BYTES` picks the frame size of the single-point run (default
-//! 1518; `--frame 64` reproduces the small-frame knee).
+//! `--frame BYTES` picks the frame size of the single-point run (64 to
+//! 1518, default 1518; `--frame 64` reproduces the small-frame knee).
 //!
 //! `--nqueues N` gives the single-point run N RSS queue pairs and
 //! `--lcores N` that many worker cores polling them (N ≤ nqueues); the
@@ -42,15 +42,6 @@
 //! feeds the host NIC. `--topo 1` (the default) keeps the legacy wire;
 //! the experiment `topo-sweep` sweeps the fan-in axis.
 //!
-//! `--threads N` runs the single point on the sharded parallel driver:
-//! each topology node (client, switch, host, load generator) gets its own
-//! event loop on a worker-thread pool of N threads, synchronized by
-//! conservative link-latency lookahead. `--threads 0` auto-detects the
-//! core count (clamped to the shard count). Any `--threads N` is
-//! byte-identical to `--threads 1` by construction; omitting the flag
-//! runs the legacy single-threaded driver, which stays the determinism
-//! reference.
-//!
 //! `--faults PLAN` installs a deterministic fault plan for the run
 //! (grammar: `link.ber=1e-7;pci.stall=200ns@10%;dma.burst=+500ns/1us`; see
 //! `simnet_sim::fault::FaultPlan`). `--fault-seed N` picks the fault RNG
@@ -61,9 +52,8 @@ use std::process::ExitCode;
 
 use simnet_harness::config::TopoConfig;
 use simnet_harness::experiments::{self, Effort, ExperimentOutput};
-use simnet_harness::{
-    run_observed, run_observed_parallel, AppSpec, ObserveOpts, RunConfig, SystemConfig,
-};
+use simnet_harness::{run_observed, AppSpec, ObserveOpts, RunConfig, SystemConfig};
+use simnet_net::{MAX_FRAME_LEN, MIN_FRAME_LEN};
 use simnet_sim::fault::FaultInjector;
 use simnet_sim::fault::FaultPlan;
 use simnet_sim::tick;
@@ -135,17 +125,6 @@ fn run_one(name: &str, effort: Effort) -> Option<ExperimentOutput> {
     Some(out)
 }
 
-/// The observables of one single-point run, whichever driver produced
-/// them (`run_observed` or `run_observed_parallel`).
-struct Point {
-    events: Vec<simnet_sim::trace::TraceEvent>,
-    evicted: u64,
-    summary: simnet_harness::RunSummary,
-    fault_counts: simnet_sim::fault::FaultCounts,
-    timeseries: Option<simnet_sim::stats::TimeSeries>,
-    profile: Option<simnet_sim::stats::Profiler>,
-}
-
 /// The single-point observed run: which layers `--trace`, `--stats-out`
 /// and `--profile` selected.
 struct PointMode {
@@ -158,7 +137,6 @@ struct PointMode {
     nqueues: usize,
     lcores: usize,
     topo: usize,
-    threads: Option<usize>,
 }
 
 fn write_file(path: &PathBuf, contents: &str) -> Result<(), ExitCode> {
@@ -220,31 +198,7 @@ fn run_point_mode(mode: &PointMode, offered_gbps: f64, faults: FaultInjector) ->
             .map(|_| tick::us(mode.stats_interval_us.max(1))),
         profile: mode.profile,
     };
-    let run = if let Some(threads) = mode.threads {
-        let out = run_observed_parallel(&cfg, &spec, mode.frame, offered_gbps, rc, threads, opts);
-        println!(
-            "parallel: {} shards on {} worker threads (conservative lookahead sync)",
-            out.shards, out.threads
-        );
-        Point {
-            events: out.events,
-            evicted: out.evicted,
-            summary: out.summary,
-            fault_counts: out.fault_counts,
-            timeseries: out.timeseries,
-            profile: out.profile,
-        }
-    } else {
-        let run = run_observed(&cfg, &spec, mode.frame, offered_gbps, rc, opts);
-        Point {
-            events: run.events,
-            evicted: run.evicted,
-            summary: run.summary,
-            fault_counts: run.fault_counts,
-            timeseries: run.timeseries,
-            profile: run.profile,
-        }
-    };
+    let run = run_observed(&cfg, &spec, mode.frame, offered_gbps, rc, opts);
 
     if let Some(path) = &mode.trace_path {
         // The FSM counters reset at the end of warm-up; compare only
@@ -381,7 +335,6 @@ fn main() -> ExitCode {
     let mut nqueues = 1usize;
     let mut lcores = 1usize;
     let mut topo = 1usize;
-    let mut threads: Option<usize> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -413,9 +366,9 @@ fn main() -> ExitCode {
                 }
             },
             "--trace-gbps" => match args.next().and_then(|g| g.parse::<f64>().ok()) {
-                Some(g) => trace_gbps = g,
-                None => {
-                    eprintln!("--trace-gbps requires a number");
+                Some(g) if g.is_finite() && g > 0.0 => trace_gbps = g,
+                _ => {
+                    eprintln!("--trace-gbps requires a finite rate above 0 (Gbps)");
                     return ExitCode::FAILURE;
                 }
             },
@@ -435,9 +388,12 @@ fn main() -> ExitCode {
             },
             "--profile" => profile = true,
             "--frame" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if (64..=9000).contains(&n) => frame = n,
+                Some(n) if (MIN_FRAME_LEN..=MAX_FRAME_LEN).contains(&n) => frame = n,
                 _ => {
-                    eprintln!("--frame requires a frame size in bytes (64..=9000)");
+                    eprintln!(
+                        "--frame requires a frame size in bytes \
+                         ({MIN_FRAME_LEN}..={MAX_FRAME_LEN})"
+                    );
                     return ExitCode::FAILURE;
                 }
             },
@@ -459,13 +415,6 @@ fn main() -> ExitCode {
                 Some(n) if (1..=64).contains(&n) => topo = n,
                 _ => {
                     eprintln!("--topo requires a client fan-in count (1..=64)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--threads" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) => threads = Some(n),
-                None => {
-                    eprintln!("--threads requires a worker count (0 = auto-detect)");
                     return ExitCode::FAILURE;
                 }
             },
@@ -493,9 +442,7 @@ fn main() -> ExitCode {
                      \x20      repro [--trace PATH] [--trace-filter COMPONENTS] [--trace-gbps G]\n\
                      \x20            [--stats-out FILE] [--stats-interval US] [--profile]\n\
                      \x20            [--faults PLAN] [--fault-seed N] [--frame BYTES]\n\
-                     \x20            [--nqueues N] [--lcores N] [--topo CLIENTS] [--threads N]\n\
-                     \x20      --threads N: sharded parallel driver on N worker threads\n\
-                     \x20                   (0 = auto-detect; results byte-identical to --threads 1)",
+                     \x20            [--nqueues N] [--lcores N] [--topo CLIENTS]",
                     EXPERIMENTS.join("|")
                 );
                 return ExitCode::SUCCESS;
@@ -527,7 +474,6 @@ fn main() -> ExitCode {
             nqueues,
             lcores,
             topo,
-            threads,
         };
         return run_point_mode(&mode, trace_gbps, faults);
     }
@@ -537,10 +483,6 @@ fn main() -> ExitCode {
     }
     if topo != 1 {
         eprintln!("--topo only applies to single-point runs (see topo-sweep)");
-        return ExitCode::FAILURE;
-    }
-    if threads.is_some() {
-        eprintln!("--threads only applies to single-point runs");
         return ExitCode::FAILURE;
     }
     if faults.is_enabled() {

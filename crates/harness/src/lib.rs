@@ -21,7 +21,6 @@ pub mod client_app;
 pub mod config;
 pub mod experiments;
 pub mod msb;
-pub mod parallel;
 pub mod sim;
 pub mod stats_dump;
 pub mod summary;
@@ -31,7 +30,6 @@ pub mod tracerun;
 pub use client_app::SoftwareClient;
 pub use config::SystemConfig;
 pub use msb::{build_loadgen_sim, find_msb, run_point, AppSpec, MsbResult, RunConfig};
-pub use parallel::{auto_threads, resolve_threads, run_observed_parallel, ParallelOutcome};
 pub use sim::Simulation;
 pub use stats_dump::{build_registry, stats_text, stats_text_all};
 pub use summary::RunSummary;

@@ -15,7 +15,7 @@ use simnet_sim::tick::{us, Bandwidth, Tick};
 use simnet_stack::{DpdkStack, KernelStack, NetworkStack, PacketApp};
 
 use crate::config::SystemConfig;
-use crate::sim::{Node, Simulation};
+use crate::sim::Simulation;
 use crate::summary::{run_phases, Phases, RunSummary};
 
 /// Which benchmark to run (§V, plus iperf).
@@ -212,46 +212,9 @@ pub(crate) fn add_workers(sim: &mut Simulation, cfg: &SystemConfig, spec: &AppSp
     }
 }
 
-/// Builds the complete test node for `cfg`/`spec` — lcore 0's stack and
-/// app plus worker lcores `1..cfg.num_lcores` with RSS queue assignment —
-/// exactly as [`build_loadgen_sim`] + [`add_workers`] would inside a
-/// `Simulation`. The sharded driver builds host shards from this on
-/// their worker threads.
-pub(crate) fn host_node(cfg: &SystemConfig, spec: &AppSpec) -> Node {
-    let nq = cfg.nic.num_queues;
-    let (stack, app) = spec.instantiate_mq(cfg.seed, 0, cfg.num_lcores, nq);
-    let mut node = Node::new(cfg, stack, app);
-    for lcore in 1..cfg.num_lcores {
-        let (stack, app) = spec.instantiate_mq(cfg.seed, lcore, cfg.num_lcores, nq);
-        node.attach_worker(stack, app);
-    }
-    node
-}
-
-/// Builds the load generator for `cfg`/`spec` with the multi-queue RSS
-/// shard steering [`add_workers`] applies — the generator exactly as a
-/// legacy loadgen-mode `Simulation` would hold it after assembly.
-pub(crate) fn build_loadgen(
-    cfg: &SystemConfig,
-    spec: &AppSpec,
-    size: usize,
-    offered: f64,
-) -> EtherLoadGen {
-    let mut lg = spec.loadgen(cfg, size, offered);
-    if cfg.nic.num_queues > 1 {
-        lg.set_memcached_shard_ports(simnet_net::rss::ports_for_queues(
-            [10, 0, 0, 2],
-            [10, 0, 0, 1],
-            11_211,
-            cfg.nic.num_queues,
-        ));
-    }
-    lg
-}
-
 /// Clamps the offered load to a software client's per-packet rate
-/// ceiling (the altra setup's Pktgen cannot exceed it), as
-/// [`run_point`] does.
+/// ceiling (the altra setup's Pktgen cannot exceed it), for
+/// [`run_point`] and [`run_observed`](crate::run_observed).
 pub(crate) fn clamp_offered(cfg: &SystemConfig, spec: &AppSpec, size: usize, offered: f64) -> f64 {
     match (cfg.client_pps_cap, spec.uses_rps()) {
         (Some(cap), false) => {

@@ -26,11 +26,9 @@ use simnet_stack::{Iteration, NetworkStack, PacketApp};
 
 use crate::config::SystemConfig;
 
-/// Simulation events. Shared with the sharded driver
-/// (`crate::parallel`), whose per-shard event loops dispatch the same
-/// payloads over disjoint state.
+/// Simulation events.
 #[derive(Debug)]
-pub(crate) enum Ev {
+enum Ev {
     /// The load generator's next departure.
     LoadGenTx,
     /// A frame arrives at a node's NIC.
@@ -57,17 +55,10 @@ pub(crate) enum Ev {
     SwitchRx { packet: Packet },
     /// An echo arrives back at a fleet client (topology mode).
     FleetRx { client: usize, packet: Packet },
-    /// A cross-shard wire delivery in flight (sharded driver only): the
-    /// packet stays as plain bytes until the event executes, so the
-    /// receiving shard's pool sees the allocation at dispatch time —
-    /// making pool counters a function of the event schedule, not of
-    /// worker-thread drain timing. `kind` selects which concrete arrival
-    /// event the bytes rematerialize into.
-    ShardRx { kind: u8, id: u64, bytes: Vec<u8> },
 }
 
 /// Host-time attribution labels, one per [`Ev`] kind: `(kind, component)`.
-pub(crate) const PROFILE_KINDS: &[(&str, &str)] = &[
+const PROFILE_KINDS: &[(&str, &str)] = &[
     ("loadgen_tx", "loadgen"),
     ("nic_rx", "link"),
     ("loadgen_rx", "loadgen"),
@@ -83,7 +74,7 @@ pub(crate) const PROFILE_KINDS: &[(&str, &str)] = &[
 ];
 
 /// Index into [`PROFILE_KINDS`] for an event payload.
-pub(crate) fn kind_index(ev: &Ev) -> usize {
+fn kind_index(ev: &Ev) -> usize {
     match ev {
         Ev::LoadGenTx => 0,
         Ev::NicRx { .. } => 1,
@@ -97,9 +88,6 @@ pub(crate) fn kind_index(ev: &Ev) -> usize {
         Ev::FleetTx { .. } => 9,
         Ev::SwitchRx { .. } => 10,
         Ev::FleetRx { .. } => 11,
-        Ev::ShardRx { .. } => {
-            unreachable!("sharded dispatch materializes the concrete arrival before profiling")
-        }
     }
 }
 
@@ -108,34 +96,34 @@ pub(crate) fn kind_index(ev: &Ev) -> usize {
 /// MAC-forwarding [`Switch`]. The degenerate point-to-point fabric is
 /// exactly one pure wire per direction — the legacy schedule is the
 /// 2-node/1-link special case, byte for byte.
-pub(crate) struct Fabric {
+struct Fabric {
     /// Per-client uplinks toward the switch — or, degenerate, the single
     /// loadgen→host wire at index 0.
-    pub(crate) uplinks: Vec<TopoLink>,
+    uplinks: Vec<TopoLink>,
     /// Per-client downlinks from the switch (degenerate: host→loadgen).
-    pub(crate) downlinks: Vec<TopoLink>,
+    downlinks: Vec<TopoLink>,
     /// Switch→host trunk (fan-in topologies only).
-    pub(crate) trunk_up: Option<TopoLink>,
+    trunk_up: Option<TopoLink>,
     /// Host→switch trunk (fan-in topologies only).
-    pub(crate) trunk_down: Option<TopoLink>,
+    trunk_down: Option<TopoLink>,
     /// Destination-MAC forwarding table. Port 0 is the trunk toward the
     /// host; port `i + 1` is client `i`'s downlink.
-    pub(crate) switch: Switch,
+    switch: Switch,
     /// Frames whose destination MAC had no switch route (counted and
     /// dropped — no flooding in this model).
-    pub(crate) unroutable: Counter,
+    unroutable: Counter,
 }
 
 impl Fabric {
     /// Deterministic per-link loss-stream seed: the workload seed mixed
     /// with the link index (splitmix64 odd constant), so links draw
     /// independent streams and runs replay exactly.
-    pub(crate) fn link_seed(seed: u64, index: usize) -> u64 {
+    fn link_seed(seed: u64, index: usize) -> u64 {
         seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
     /// The degenerate two-node topology: one pure wire per direction.
-    pub(crate) fn point_to_point(cfg: &SystemConfig) -> Self {
+    fn point_to_point(cfg: &SystemConfig) -> Self {
         let topo = Topology::point_to_point(cfg.link_bandwidth, cfg.link_latency);
         let links = topo.links();
         Fabric {
@@ -152,7 +140,7 @@ impl Fabric {
     /// pairs into a switch whose trunk (optionally carrying a bounded
     /// congestion queue) feeds the host. Link order follows
     /// [`Topology::incast`]: trunk pair first, then per-client pairs.
-    pub(crate) fn incast(cfg: &SystemConfig, fleet: &ClientFleet) -> Self {
+    fn incast(cfg: &SystemConfig, fleet: &ClientFleet) -> Self {
         let t = &cfg.topo;
         let topo = Topology::incast(
             t.clients,
@@ -213,7 +201,7 @@ impl Fabric {
 
     /// Cumulative drops across the whole fabric: tail-drops and loss
     /// draws on every link, plus unroutable frames at the switch.
-    pub(crate) fn drops_total(&self) -> u64 {
+    fn drops_total(&self) -> u64 {
         self.links()
             .map(|l| l.tail_drops.value() + l.loss_drops.value())
             .sum::<u64>()
@@ -222,7 +210,7 @@ impl Fabric {
 
     /// Current switch→host trunk congestion-queue occupancy (0 when
     /// degenerate or unbounded).
-    pub(crate) fn trunk_occupancy(&mut self, now: Tick) -> usize {
+    fn trunk_occupancy(&mut self, now: Tick) -> usize {
         self.trunk_up.as_mut().map_or(0, |l| l.occupancy(now))
     }
 
@@ -237,27 +225,27 @@ impl Fabric {
 /// Cumulative counter values at the previous interval sample, for the
 /// per-interval delta columns.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct SampleBaseline {
-    pub(crate) dma_drops: u64,
-    pub(crate) core_drops: u64,
-    pub(crate) tx_drops: u64,
-    pub(crate) fault_drops: u64,
-    pub(crate) faults: u64,
-    pub(crate) topo_drops: u64,
+struct SampleBaseline {
+    dma_drops: u64,
+    core_drops: u64,
+    tx_drops: u64,
+    fault_drops: u64,
+    faults: u64,
+    topo_drops: u64,
 }
 
 /// The interval time-series sampler: a periodic simulation event that
 /// snapshots registered counters and live queue gauges into a
 /// [`TimeSeries`] (one row per interval).
-pub(crate) struct IntervalSampler {
-    pub(crate) interval: Tick,
-    pub(crate) series: TimeSeries,
-    pub(crate) prev: SampleBaseline,
-    pub(crate) last_sample: Option<Tick>,
+struct IntervalSampler {
+    interval: Tick,
+    series: TimeSeries,
+    prev: SampleBaseline,
+    last_sample: Option<Tick>,
 }
 
 impl IntervalSampler {
-    pub(crate) fn new(interval: Tick) -> Self {
+    fn new(interval: Tick) -> Self {
         Self {
             interval,
             series: TimeSeries::new(sample_columns()),
@@ -270,7 +258,7 @@ impl IntervalSampler {
 /// The interval time-series schema. Cumulative columns restart from the
 /// warm-up reset; `drop_*` and `faults` are per-interval deltas, so they
 /// sum exactly to the final drop-FSM and fault-injection counters.
-pub(crate) fn sample_columns() -> Vec<ColumnSpec> {
+fn sample_columns() -> Vec<ColumnSpec> {
     vec![
         ColumnSpec::float("t_us", "sample time (simulated microseconds)"),
         ColumnSpec::int("rx_frames", "cumulative frames accepted from the wire"),
@@ -335,20 +323,16 @@ pub struct Node {
     /// in the single-core legacy configuration.
     pub workers: Vec<Worker>,
     /// Per-lcore software-iteration scheduling flags.
-    pub(crate) sw_scheduled: Vec<bool>,
-    pub(crate) sw_waiting: Vec<bool>,
+    sw_scheduled: Vec<bool>,
+    sw_waiting: Vec<bool>,
     /// Per-queue DMA-engine scheduling flags.
-    pub(crate) rx_dma_scheduled: Vec<bool>,
-    pub(crate) tx_dma_scheduled: Vec<bool>,
-    pub(crate) tx_wire_scheduled: bool,
+    rx_dma_scheduled: Vec<bool>,
+    tx_dma_scheduled: Vec<bool>,
+    tx_wire_scheduled: bool,
 }
 
 impl Node {
-    pub(crate) fn new(
-        cfg: &SystemConfig,
-        mut stack: Box<dyn NetworkStack>,
-        app: Box<dyn PacketApp>,
-    ) -> Self {
+    fn new(cfg: &SystemConfig, mut stack: Box<dyn NetworkStack>, app: Box<dyn PacketApp>) -> Self {
         let mut nic = Nic::new(cfg.nic);
         let mut mem = MemorySystem::new(cfg.mem);
         mem.set_core_frequency(cfg.core.frequency);
@@ -399,7 +383,7 @@ impl Node {
 
     /// Runs one stack iteration on `lcore`, activating its private cache
     /// hierarchy first.
-    pub(crate) fn run_lcore(&mut self, now: Tick, lcore: usize) -> Iteration {
+    fn run_lcore(&mut self, now: Tick, lcore: usize) -> Iteration {
         self.mem.set_active_core(lcore);
         if lcore == 0 {
             self.stack.iteration(
@@ -421,7 +405,7 @@ impl Node {
         }
     }
 
-    pub(crate) fn wakeup_latency_of(&self, lcore: usize) -> Tick {
+    fn wakeup_latency_of(&self, lcore: usize) -> Tick {
         if lcore == 0 {
             self.stack.wakeup_latency()
         } else {
@@ -429,7 +413,7 @@ impl Node {
         }
     }
 
-    pub(crate) fn next_tx_of(&mut self, lcore: usize, at: Tick) -> Option<Tick> {
+    fn next_tx_of(&mut self, lcore: usize, at: Tick) -> Option<Tick> {
         if lcore == 0 {
             self.app.next_tx_at(at)
         } else {
@@ -440,46 +424,12 @@ impl Node {
     /// Earliest tick at which a packet becomes visible on any queue this
     /// lcore services (round-robin assignment: queue `q` belongs to
     /// lcore `q mod nlcores`).
-    pub(crate) fn rx_next_visible_for(&self, lcore: usize) -> Option<Tick> {
+    fn rx_next_visible_for(&self, lcore: usize) -> Option<Tick> {
         let nlcores = self.lcores();
         (0..self.nic.num_queues())
             .filter(|q| q % nlcores == lcore)
             .filter_map(|q| self.nic.rx_next_visible_at_q(q))
             .min()
-    }
-
-    /// Adds one worker lcore: a private core cloned from lcore 0's
-    /// config, an independent stack instance, and an application shard.
-    /// Queue assignments for *every* lcore are recomputed round-robin
-    /// and the memory system grows a private L1/L2 hierarchy per core.
-    /// (The [`Simulation::add_worker`] wrapper adds the not-started
-    /// assertion and tracer distribution; the sharded driver calls this
-    /// directly while building a host shard off-thread.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node would end up with more lcores than NIC queues
-    /// (an lcore with nothing to poll).
-    pub(crate) fn attach_worker(&mut self, stack: Box<dyn NetworkStack>, app: Box<dyn PacketApp>) {
-        let core = Core::new(*self.core.config());
-        self.workers.push(Worker { core, stack, app });
-        self.sw_scheduled.push(false);
-        self.sw_waiting.push(false);
-        let nq = self.nic.num_queues();
-        let nlcores = self.lcores();
-        assert!(
-            nlcores <= nq,
-            "{nlcores} lcores need at least as many NIC queues (have {nq})"
-        );
-        for lcore in 0..nlcores {
-            let queues: Vec<usize> = (0..nq).filter(|q| q % nlcores == lcore).collect();
-            if lcore == 0 {
-                self.stack.assign_queues(queues);
-            } else {
-                self.workers[lcore - 1].stack.assign_queues(queues);
-            }
-        }
-        self.mem.set_num_cores(nlcores);
     }
 }
 
@@ -681,7 +631,26 @@ impl Simulation {
         if self.tracer.is_enabled() {
             stack.set_tracer(self.tracer.clone());
         }
-        self.nodes[node].attach_worker(stack, app);
+        let n = &mut self.nodes[node];
+        let core = Core::new(*n.core.config());
+        n.workers.push(Worker { core, stack, app });
+        n.sw_scheduled.push(false);
+        n.sw_waiting.push(false);
+        let nq = n.nic.num_queues();
+        let nlcores = n.lcores();
+        assert!(
+            nlcores <= nq,
+            "{nlcores} lcores need at least as many NIC queues (have {nq})"
+        );
+        for lcore in 0..nlcores {
+            let queues: Vec<usize> = (0..nq).filter(|q| q % nlcores == lcore).collect();
+            if lcore == 0 {
+                n.stack.assign_queues(queues);
+            } else {
+                n.workers[lcore - 1].stack.assign_queues(queues);
+            }
+        }
+        n.mem.set_num_cores(nlcores);
     }
 
     /// Installs a fault injector (see `simnet_sim::fault`). Clones of the
@@ -857,9 +826,6 @@ impl Simulation {
             Ev::FleetTx { client } => self.handle_fleet_tx(now, client),
             Ev::SwitchRx { packet } => self.handle_switch_rx(now, packet),
             Ev::FleetRx { client, packet } => self.handle_fleet_rx(now, client, packet),
-            Ev::ShardRx { .. } => {
-                unreachable!("cross-shard deliveries exist only on the sharded driver")
-            }
         }
     }
 
@@ -1389,85 +1355,47 @@ impl Simulation {
         if fabric.is_degenerate() {
             return;
         }
-        TopoStatsSnap::of_fabric(fabric).register(reg);
-    }
-}
-
-/// One [`TopoLink`]'s counter values, detached from the link (a plain
-/// `Send` value). The sharded driver snapshots links on their owning
-/// shard threads and reassembles the fabric section on the main thread;
-/// the legacy path snapshots the whole fabric in place.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct LinkStatsSnap {
-    pub(crate) frames: u64,
-    pub(crate) bytes: u64,
-    pub(crate) tail_drops: u64,
-    pub(crate) loss_drops: u64,
-    pub(crate) queue_peak: u64,
-}
-
-impl LinkStatsSnap {
-    pub(crate) fn of(link: &TopoLink) -> Self {
-        Self {
-            frames: link.frames.value(),
-            bytes: link.bytes.value(),
-            tail_drops: link.tail_drops.value(),
-            loss_drops: link.loss_drops.value(),
-            queue_peak: link.queue_peak() as u64,
-        }
-    }
-}
-
-/// The full `system.topo` section as detached values, so both drivers
-/// render byte-identical fabric statistics from one code path.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct TopoStatsSnap {
-    pub(crate) clients: u64,
-    pub(crate) unroutable: u64,
-    pub(crate) trunk: Option<LinkStatsSnap>,
-    pub(crate) uplinks: Vec<LinkStatsSnap>,
-    pub(crate) downlinks: Vec<LinkStatsSnap>,
-}
-
-impl TopoStatsSnap {
-    fn of_fabric(fabric: &Fabric) -> Self {
-        Self {
-            clients: fabric.uplinks.len() as u64,
-            unroutable: fabric.unroutable.value(),
-            trunk: fabric.trunk_up.as_ref().map(LinkStatsSnap::of),
-            uplinks: fabric.uplinks.iter().map(LinkStatsSnap::of).collect(),
-            downlinks: fabric.downlinks.iter().map(LinkStatsSnap::of).collect(),
-        }
-    }
-
-    /// Registers the `system.topo` section: switch and per-direction
-    /// link counters, with per-link breakdowns behind the `full` gate.
-    pub(crate) fn register(&self, reg: &mut StatsRegistry) {
         reg.scoped("system.topo", |reg| {
-            reg.scalar("clients", self.clients, "fleet endpoints behind the switch");
-            reg.scalar("unroutable", self.unroutable, "frames with no switch route");
-            if let Some(trunk) = &self.trunk {
-                reg.scalar("trunk.txFrames", trunk.frames, "trunk frames toward host");
-                reg.scalar("trunk.txBytes", trunk.bytes, "trunk bytes toward host");
+            reg.scalar(
+                "clients",
+                fabric.uplinks.len() as u64,
+                "fleet endpoints behind the switch",
+            );
+            reg.scalar(
+                "unroutable",
+                fabric.unroutable.value(),
+                "frames with no switch route",
+            );
+            if let Some(trunk) = &fabric.trunk_up {
+                reg.scalar(
+                    "trunk.txFrames",
+                    trunk.frames.value(),
+                    "trunk frames toward host",
+                );
+                reg.scalar(
+                    "trunk.txBytes",
+                    trunk.bytes.value(),
+                    "trunk bytes toward host",
+                );
                 reg.scalar(
                     "trunk.tailDrops",
-                    trunk.tail_drops,
+                    trunk.tail_drops.value(),
                     "trunk congestion-queue tail drops",
                 );
                 reg.scalar(
                     "trunk.lossDrops",
-                    trunk.loss_drops,
+                    trunk.loss_drops.value(),
                     "trunk random-loss drops",
                 );
                 reg.scalar(
                     "trunk.queuePeak",
-                    trunk.queue_peak,
+                    trunk.queue_peak() as u64,
                     "trunk congestion-queue high-water mark",
                 );
             }
-            let up_frames: u64 = self.uplinks.iter().map(|l| l.frames).sum();
-            let up_loss: u64 = self.uplinks.iter().map(|l| l.loss_drops).sum();
-            let down_frames: u64 = self.downlinks.iter().map(|l| l.frames).sum();
+            let up_frames: u64 = fabric.uplinks.iter().map(|l| l.frames.value()).sum();
+            let up_loss: u64 = fabric.uplinks.iter().map(|l| l.loss_drops.value()).sum();
+            let down_frames: u64 = fabric.downlinks.iter().map(|l| l.frames.value()).sum();
             reg.scalar(
                 "uplinks.txFrames",
                 up_frames,
@@ -1484,22 +1412,22 @@ impl TopoStatsSnap {
                 "client downlink frames (all clients)",
             );
             if reg.full() {
-                for (i, l) in self.uplinks.iter().enumerate() {
+                for (i, l) in fabric.uplinks.iter().enumerate() {
                     reg.scalar(
                         &format!("uplink{i}.txFrames"),
-                        l.frames,
+                        l.frames.value(),
                         "client uplink frames",
                     );
                     reg.scalar(
                         &format!("uplink{i}.lossDrops"),
-                        l.loss_drops,
+                        l.loss_drops.value(),
                         "client uplink loss drops",
                     );
                 }
-                for (i, l) in self.downlinks.iter().enumerate() {
+                for (i, l) in fabric.downlinks.iter().enumerate() {
                     reg.scalar(
                         &format!("downlink{i}.txFrames"),
-                        l.frames,
+                        l.frames.value(),
                         "client downlink frames",
                     );
                 }
@@ -1515,5 +1443,19 @@ impl std::fmt::Debug for Simulation {
             .field("nodes", &self.nodes.len())
             .field("dual_mode", &self.loadgen.is_none())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Packets ride in events by value (DESIGN §3.2), so every pending
+    /// ladder entry pays for the largest variant: a node or client index
+    /// plus a two-word `Packet`.
+    #[test]
+    fn events_stay_four_words() {
+        let size = std::mem::size_of::<Ev>();
+        assert!(size <= 32, "Ev is {size} bytes");
     }
 }

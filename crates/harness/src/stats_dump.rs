@@ -22,12 +22,9 @@
 
 use std::fmt::Write as _;
 
-use simnet_net::pool::PoolStats;
-use simnet_sim::fault::FaultInjector;
 use simnet_sim::stats::{DumpLevel, StatsRegistry};
-use simnet_sim::Tick;
 
-use crate::sim::{Node, Simulation};
+use crate::sim::Simulation;
 
 /// Builds the hierarchical stats registry for node `node`, asking each
 /// component to register its own statistics in the legacy section order:
@@ -46,7 +43,36 @@ pub fn build_registry(sim: &Simulation, node: usize, level: DumpLevel) -> StatsR
     reg.scalar("sim_ticks", now, "simulated ticks (ps)");
     reg.scalar("host_events", sim.events_executed(), "events executed");
 
-    register_node_sections(n, now, sim.fault_injector(), &mut reg);
+    n.core.register_stats(&mut reg);
+    n.mem.register_stats(now, &mut reg);
+    n.nic.register_stats(&mut reg);
+    if let Some(stack_stats) = n.stack.stats() {
+        stack_stats.register_stats(&mut reg);
+    }
+    // Multi-lcore runs additionally get per-lcore CPU and stack sections
+    // (lcore0 is the node's own core; workers are lcore1..). Absent in
+    // single-lcore runs, so the compat dump stays byte-identical.
+    if !n.workers.is_empty() {
+        n.core.register_stats_at("system.cpu.lcore0", &mut reg);
+        if let Some(stack_stats) = n.stack.stats() {
+            stack_stats.register_stats_at("system.stack.lcore0", &mut reg);
+        }
+        for (i, w) in n.workers.iter().enumerate() {
+            let lcore = i + 1;
+            w.core
+                .register_stats_at(&format!("system.cpu.lcore{lcore}"), &mut reg);
+            if let Some(stack_stats) = w.stack.stats() {
+                stack_stats.register_stats_at(&format!("system.stack.lcore{lcore}"), &mut reg);
+            }
+        }
+    }
+    n.nic.pci_config().stats().register_stats(&mut reg);
+
+    let injector = sim.fault_injector();
+    if injector.is_enabled() {
+        injector.register_stats(&mut reg);
+        n.nic.register_fault_stats(&mut reg);
+    }
 
     if let Some(lg) = &sim.loadgen {
         lg.register_stats(now, &mut reg);
@@ -63,111 +89,58 @@ pub fn build_registry(sim: &Simulation, node: usize, level: DumpLevel) -> StatsR
     // Interval-sampler health: present only when sampling is on, so the
     // compat dump for unsampled runs stays byte-identical.
     if let Some(nonfinite) = sim.sampler_nonfinite() {
-        register_sampler_health(nonfinite, &mut reg);
+        reg.scoped("system.sampler", |reg| {
+            reg.scalar(
+                "nonfinite",
+                nonfinite,
+                "non-finite sampled cells (serialized as null, not 0)",
+            );
+        });
     }
 
     // Packet-mempool accounting is a post-registry addition: Full level
     // only, so the frozen compat dump stays byte-identical.
-    register_mempool(&simnet_net::pool::stats(), &mut reg);
+    if reg.full() {
+        let pool = simnet_net::pool::stats();
+        reg.scoped("system.mempool", |reg| {
+            reg.scalar(
+                "inUse",
+                pool.in_use,
+                "pooled packet buffers held by live handles",
+            );
+            reg.scalar(
+                "highWater",
+                pool.high_water,
+                "peak pooled buffers in use since reset",
+            );
+            for (i, cap) in simnet_net::pool::CLASS_CAPS.iter().enumerate() {
+                reg.scalar(
+                    &format!("class{cap}.allocs"),
+                    pool.class_allocs[i],
+                    "allocations served from this buffer class",
+                );
+                reg.scalar(
+                    &format!("class{cap}.recycles"),
+                    pool.class_recycles[i],
+                    "buffers returned to this class's freelist",
+                );
+            }
+            reg.scalar(
+                "heapFallbacks",
+                pool.heap_fallback,
+                "allocations that fell back to the heap (class exhausted)",
+            );
+            reg.scalar(
+                "heapLive",
+                pool.heap_live,
+                "heap-fallback buffers held by live handles",
+            );
+        });
+    }
     reg
 }
 
-/// Registers the node-local sections in the legacy order: CPU, memory,
-/// NIC, stack, per-lcore sections (multi-lcore runs only), PCI, and the
-/// fault section when the injector is armed. Shared verbatim between
-/// [`build_registry`] and the sharded driver's host-shard fragment so
-/// both dumps stay byte-identical.
-pub(crate) fn register_node_sections(
-    n: &Node,
-    now: Tick,
-    injector: &FaultInjector,
-    reg: &mut StatsRegistry,
-) {
-    n.core.register_stats(reg);
-    n.mem.register_stats(now, reg);
-    n.nic.register_stats(reg);
-    if let Some(stack_stats) = n.stack.stats() {
-        stack_stats.register_stats(reg);
-    }
-    // Multi-lcore runs additionally get per-lcore CPU and stack sections
-    // (lcore0 is the node's own core; workers are lcore1..). Absent in
-    // single-lcore runs, so the compat dump stays byte-identical.
-    if !n.workers.is_empty() {
-        n.core.register_stats_at("system.cpu.lcore0", reg);
-        if let Some(stack_stats) = n.stack.stats() {
-            stack_stats.register_stats_at("system.stack.lcore0", reg);
-        }
-        for (i, w) in n.workers.iter().enumerate() {
-            let lcore = i + 1;
-            w.core
-                .register_stats_at(&format!("system.cpu.lcore{lcore}"), reg);
-            if let Some(stack_stats) = w.stack.stats() {
-                stack_stats.register_stats_at(&format!("system.stack.lcore{lcore}"), reg);
-            }
-        }
-    }
-    n.nic.pci_config().stats().register_stats(reg);
-
-    if injector.is_enabled() {
-        injector.register_stats(reg);
-        n.nic.register_fault_stats(reg);
-    }
-}
-
-/// Registers the `system.sampler` health section.
-pub(crate) fn register_sampler_health(nonfinite: u64, reg: &mut StatsRegistry) {
-    reg.scoped("system.sampler", |reg| {
-        reg.scalar(
-            "nonfinite",
-            nonfinite,
-            "non-finite sampled cells (serialized as null, not 0)",
-        );
-    });
-}
-
-/// Registers the `system.mempool` section from a detached snapshot
-/// (Full level only; a no-op at Compat).
-pub(crate) fn register_mempool(pool: &PoolStats, reg: &mut StatsRegistry) {
-    if !reg.full() {
-        return;
-    }
-    reg.scoped("system.mempool", |reg| {
-        reg.scalar(
-            "inUse",
-            pool.in_use,
-            "pooled packet buffers held by live handles",
-        );
-        reg.scalar(
-            "highWater",
-            pool.high_water,
-            "peak pooled buffers in use since reset",
-        );
-        for (i, cap) in simnet_net::pool::CLASS_CAPS.iter().enumerate() {
-            reg.scalar(
-                &format!("class{cap}.allocs"),
-                pool.class_allocs[i],
-                "allocations served from this buffer class",
-            );
-            reg.scalar(
-                &format!("class{cap}.recycles"),
-                pool.class_recycles[i],
-                "buffers returned to this class's freelist",
-            );
-        }
-        reg.scalar(
-            "heapFallbacks",
-            pool.heap_fallback,
-            "allocations that fell back to the heap (class exhausted)",
-        );
-        reg.scalar(
-            "heapLive",
-            pool.heap_live,
-            "heap-fallback buffers held by live handles",
-        );
-    });
-}
-
-pub(crate) fn render(reg: &StatsRegistry) -> String {
+fn render(reg: &StatsRegistry) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "---------- Begin Simulation Statistics ----------");
     out.push_str(&reg.render_gem5());

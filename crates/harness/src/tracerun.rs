@@ -134,14 +134,7 @@ pub fn run_observed(
     rc: RunConfig,
     opts: ObserveOpts,
 ) -> ObservedRun {
-    let offered = match (cfg.client_pps_cap, spec.uses_rps()) {
-        (Some(cap), false) => {
-            let cap_gbps = cap * size as f64 * 8.0 / 1e9;
-            offered.min(cap_gbps)
-        }
-        (Some(cap), true) => offered.min(cap / 1_000.0),
-        (None, _) => offered,
-    };
+    let offered = crate::msb::clamp_offered(cfg, spec, size, offered);
     let mut sim = crate::msb::build_loadgen_sim(cfg, spec, size, offered);
     sim.install_faults(opts.faults);
     if let Some((capacity, mask)) = opts.trace {

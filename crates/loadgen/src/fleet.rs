@@ -32,24 +32,10 @@ pub const CLIENT_MAC_BASE: u32 = 100;
 pub const FLEET_PORT_BASE: u16 = 40_000;
 
 /// A fleet of synthetic clients sharing one builder and one RNG.
-///
-/// A fleet may be a *slice* of a larger logical fleet
-/// ([`ClientFleet::fixed_rate_slice`]): it then owns `clients` local
-/// endpoints whose global indices start at `index_base` within
-/// `total_clients`. Identity (MAC, source IP, packet id, departure
-/// phase) is always derived from the *global* index, so carving one
-/// logical fleet into per-shard slices reproduces exactly the packets
-/// the whole fleet would have produced.
 pub struct ClientFleet {
     clients: usize,
-    /// Size of the logical fleet this instance is a slice of
-    /// (== `clients` for a whole fleet).
-    total_clients: usize,
-    /// Global index of local client 0.
-    index_base: usize,
     frame_len: usize,
-    /// Per-client fixed inter-departure (aggregate interval × total
-    /// clients of the logical fleet).
+    /// Per-client fixed inter-departure (aggregate interval × clients).
     interval: Tick,
     server: MacAddr,
     dst_ip: [u8; 4],
@@ -63,10 +49,7 @@ pub struct ClientFleet {
     /// aggregate latency set; these stay for per-client drop accounting).
     client_tx: Vec<u64>,
     client_rx: Vec<u64>,
-    /// Per-client departure counters backing packet ids. Separate from
-    /// `client_tx` because ids must keep advancing across the warm-up
-    /// stats reset.
-    client_seq: Vec<u64>,
+    next_id: u64,
     tx_packets: Counter,
     tx_bytes: Counter,
     rx_packets: Counter,
@@ -89,74 +72,19 @@ impl ClientFleet {
         server: MacAddr,
         seed: u64,
     ) -> Self {
-        Self::slice(
-            clients,
-            clients,
-            0,
-            frame_len,
-            aggregate,
-            server,
-            SimRng::seed_from(seed),
-        )
-    }
-
-    /// A slice of a logical `total_clients`-endpoint fleet: the
-    /// `local_clients` endpoints whose global indices are
-    /// `index_base .. index_base + local_clients`. `aggregate` is the
-    /// goodput of the *whole* logical fleet, exactly as passed to
-    /// [`ClientFleet::fixed_rate`]; this slice offers its proportional
-    /// share on the same staggered departure grid. The slice's RNG
-    /// stream is decorrelated by `index_base` (stable under any
-    /// thread-count or shard-placement choice).
-    pub fn fixed_rate_slice(
-        local_clients: usize,
-        total_clients: usize,
-        index_base: usize,
-        frame_len: usize,
-        aggregate: Bandwidth,
-        server: MacAddr,
-        seed: u64,
-    ) -> Self {
-        assert!(
-            index_base + local_clients <= total_clients,
-            "slice [{index_base}, {}) overruns the {total_clients}-client fleet",
-            index_base + local_clients
-        );
-        Self::slice(
-            local_clients,
-            total_clients,
-            index_base,
-            frame_len,
-            aggregate,
-            server,
-            SimRng::seed_for_shard(seed, index_base as u64),
-        )
-    }
-
-    fn slice(
-        clients: usize,
-        total_clients: usize,
-        index_base: usize,
-        frame_len: usize,
-        aggregate: Bandwidth,
-        server: MacAddr,
-        rng: SimRng,
-    ) -> Self {
         assert!(clients >= 1, "a fleet needs at least one client");
         assert!(
-            total_clients <= 250,
-            "client source IPs live in one /24 (got {total_clients})"
+            clients <= 250,
+            "client source IPs live in one /24 (got {clients})"
         );
         assert!(
             frame_len >= timestamp::UDP_OFFSET + timestamp::TIMESTAMP_LEN,
             "frame_len {frame_len} cannot hold UDP headers + timestamp"
         );
         let agg_interval = aggregate.bytes_to_ticks(frame_len as u64).max(1);
-        let interval = agg_interval * total_clients as Tick;
+        let interval = agg_interval * clients as Tick;
         ClientFleet {
             clients,
-            total_clients,
-            index_base,
             frame_len,
             interval,
             server,
@@ -164,13 +92,11 @@ impl ClientFleet {
             dst_port: 9, // discard/echo
             flows_per_client: 1,
             zipf: None,
-            rng,
-            next_departure: (0..clients)
-                .map(|i| (index_base + i) as Tick * agg_interval)
-                .collect(),
+            rng: SimRng::seed_from(seed),
+            next_departure: (0..clients as Tick).map(|i| i * agg_interval).collect(),
             client_tx: vec![0; clients],
             client_rx: vec![0; clients],
-            client_seq: vec![0; clients],
+            next_id: 0,
             tx_packets: Counter::new(),
             tx_bytes: Counter::new(),
             rx_packets: Counter::new(),
@@ -196,25 +122,15 @@ impl ClientFleet {
         self.tracer = tracer;
     }
 
-    /// Number of client endpoints in this instance (the local slice).
+    /// Number of client endpoints.
     pub fn clients(&self) -> usize {
         self.clients
     }
 
-    /// Size of the logical fleet this instance belongs to.
-    pub fn total_clients(&self) -> usize {
-        self.total_clients
-    }
-
-    /// Global index of local client 0.
-    pub fn index_base(&self) -> usize {
-        self.index_base
-    }
-
-    /// Local client `i`'s MAC address (derived from its global index).
+    /// Client `i`'s MAC address (derived, not stored).
     pub fn client_mac(&self, client: usize) -> MacAddr {
         debug_assert!(client < self.clients);
-        MacAddr::simulated(CLIENT_MAC_BASE + (self.index_base + client) as u32)
+        MacAddr::simulated(CLIENT_MAC_BASE + client as u32)
     }
 
     /// The tick at which client `client`'s next frame wants to depart.
@@ -225,14 +141,8 @@ impl ClientFleet {
     /// Materializes client `client`'s frame departing at `now` and
     /// advances that client's departure clock by the per-client interval.
     pub fn take_packet(&mut self, client: usize, now: Tick) -> Packet {
-        // The fleet's staggered fixed-rate grid departs clients in strict
-        // global round-robin, so the k-th frame of global client g is the
-        // (k × total + g)-th departure fleet-wide. Deriving the id from
-        // that identity (instead of a shared take-order counter) makes a
-        // slice's ids independent of every other slice.
-        let global = (self.index_base + client) as u64;
-        let id = self.client_seq[client] * self.total_clients as u64 + global;
-        self.client_seq[client] += 1;
+        let id = self.next_id;
+        self.next_id += 1;
         let flow = if self.flows_per_client <= 1 {
             0
         } else if let Some(zipf) = &self.zipf {
@@ -240,7 +150,7 @@ impl ClientFleet {
         } else {
             (id % u64::from(self.flows_per_client)) as u16
         };
-        let src_ip = [10, 0, 1, global as u8];
+        let src_ip = [10, 0, 1, client as u8];
         let src_port = FLEET_PORT_BASE + flow;
         let packet = PacketBuilder::new()
             .dst(self.server)
@@ -345,84 +255,6 @@ impl ClientFleet {
         self.client_tx.iter_mut().for_each(|c| *c = 0);
         self.client_rx.iter_mut().for_each(|c| *c = 0);
     }
-
-    /// Detaches this slice's statistics and per-client state as a plain
-    /// `Send` value, so a shard thread can hand its fleet slice back to
-    /// the assembling thread without moving the (tracer-holding, hence
-    /// `!Send`) fleet itself.
-    pub fn snapshot(&self) -> FleetSnapshot {
-        FleetSnapshot {
-            clients: self.clients,
-            total_clients: self.total_clients,
-            index_base: self.index_base,
-            tx_packets: self.tx_packets.value(),
-            tx_bytes: self.tx_bytes.value(),
-            rx_packets: self.rx_packets.value(),
-            rx_bytes: self.rx_bytes.value(),
-            latency: self.latency.clone(),
-            latency_histogram: self.latency_histogram.clone(),
-            client_tx: self.client_tx.clone(),
-            client_rx: self.client_rx.clone(),
-            client_seq: self.client_seq.clone(),
-            next_departure: self.next_departure.clone(),
-        }
-    }
-
-    /// Folds a slice's statistics into this fleet (which must span the
-    /// slice's logical fleet). Counters add exactly; latency samples
-    /// merge via [`SampleSet::merge`]; per-client counts land at the
-    /// slice's global indices. Used by the sharded driver to reassemble
-    /// the whole-fleet report from per-shard slices in global index
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice belongs to a differently sized logical fleet
-    /// or its clients fall outside this fleet's range.
-    pub fn absorb(&mut self, slice: &FleetSnapshot) {
-        assert_eq!(
-            self.total_clients, slice.total_clients,
-            "slice belongs to a different logical fleet"
-        );
-        assert!(
-            slice.index_base + slice.clients <= self.index_base + self.clients,
-            "slice clients fall outside this fleet"
-        );
-        self.tx_packets.add(slice.tx_packets);
-        self.tx_bytes.add(slice.tx_bytes);
-        self.rx_packets.add(slice.rx_packets);
-        self.rx_bytes.add(slice.rx_bytes);
-        self.latency.merge(&slice.latency);
-        self.latency_histogram.merge(&slice.latency_histogram);
-        for j in 0..slice.clients {
-            let local = slice.index_base + j - self.index_base;
-            self.client_tx[local] += slice.client_tx[j];
-            self.client_rx[local] += slice.client_rx[j];
-            self.client_seq[local] += slice.client_seq[j];
-            self.next_departure[local] = slice.next_departure[j];
-        }
-    }
-}
-
-/// A [`ClientFleet`] slice's statistics and per-client state, detached
-/// from the fleet (plain data, `Send`). Produced by
-/// [`ClientFleet::snapshot`] on the shard thread that owns the slice and
-/// consumed by [`ClientFleet::absorb`] on the assembling thread.
-#[derive(Debug, Clone)]
-pub struct FleetSnapshot {
-    clients: usize,
-    total_clients: usize,
-    index_base: usize,
-    tx_packets: u64,
-    tx_bytes: u64,
-    rx_packets: u64,
-    rx_bytes: u64,
-    latency: SampleSet,
-    latency_histogram: Histogram,
-    client_tx: Vec<u64>,
-    client_rx: Vec<u64>,
-    client_seq: Vec<u64>,
-    next_departure: Vec<Tick>,
 }
 
 impl std::fmt::Debug for ClientFleet {
@@ -554,63 +386,18 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// The staggered grid departs clients in strict round-robin, so the
+    /// k-th frame of client c is the (k × clients + c)-th departure.
     #[test]
-    fn slices_reproduce_the_whole_fleet_packet_for_packet() {
-        let agg = Bandwidth::gbps(10.0);
-        let server = MacAddr::simulated(1);
-        let mut whole = ClientFleet::fixed_rate(4, 256, agg, server, 7);
-        let mut slices: Vec<_> = (0..4)
-            .map(|g| ClientFleet::fixed_rate_slice(1, 4, g, 256, agg, server, 7))
-            .collect();
+    fn ids_follow_take_order() {
+        let mut f = fleet(4);
         for round in 0..16u64 {
-            for (c, slice) in slices.iter_mut().enumerate() {
-                let t = whole.next_departure(c);
-                assert_eq!(slice.next_departure(0), t, "departure grids agree");
-                let a = whole.take_packet(c, t);
-                let b = slice.take_packet(0, t);
-                assert_eq!(a.id(), b.id());
-                assert_eq!(a.id(), round * 4 + c as u64, "legacy take-order ids");
-                assert_eq!(a.bytes(), b.bytes(), "identical frames");
-                // Echo half of them back for the merged report.
-                if round % 2 == 0 {
-                    whole.on_rx(c, t + 1_000, &a);
-                    slice.on_rx(0, t + 1_000, &b);
-                }
+            for c in 0..4 {
+                let t = f.next_departure(c);
+                let pkt = f.take_packet(c, t);
+                assert_eq!(pkt.id(), round * 4 + c as u64);
             }
         }
-        // Merging slices in index order reassembles the whole report.
-        let mut merged = ClientFleet::fixed_rate(4, 256, agg, server, 7);
-        for s in &slices {
-            merged.absorb(&s.snapshot());
-        }
-        let end = us(100);
-        assert_eq!(merged.report(0, end), whole.report(0, end));
-        for c in 0..4 {
-            assert_eq!(merged.client_counts(c), whole.client_counts(c));
-            assert_eq!(merged.next_departure(c), whole.next_departure(c));
-        }
-    }
-
-    #[test]
-    fn slice_identity_comes_from_the_global_index() {
-        let mut s = ClientFleet::fixed_rate_slice(
-            2,
-            8,
-            5,
-            256,
-            Bandwidth::gbps(10.0),
-            MacAddr::simulated(1),
-            7,
-        );
-        assert_eq!(s.clients(), 2);
-        assert_eq!(s.total_clients(), 8);
-        assert_eq!(s.index_base(), 5);
-        assert_eq!(s.client_mac(1), MacAddr::simulated(CLIENT_MAC_BASE + 6));
-        let t = s.next_departure(1);
-        let pkt = s.take_packet(1, t);
-        let (ip, _, _) = pkt.udp().unwrap();
-        assert_eq!(ip.src, [10, 0, 1, 6]);
-        assert_eq!(pkt.id(), 6, "first departure of global client 6");
     }
 
     #[test]

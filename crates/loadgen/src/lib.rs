@@ -30,7 +30,7 @@ pub mod synthetic;
 pub mod tcp_client;
 pub mod trace;
 
-pub use fleet::{ClientFleet, FleetSnapshot};
+pub use fleet::ClientFleet;
 pub use memcached_client::MemcachedClientConfig;
 pub use ramp::{find_knee, RatePoint, MSB_DROP_THRESHOLD};
 pub use report::LoadGenReport;

@@ -21,25 +21,14 @@
 //! the simulation.
 //!
 //! The pool is **thread-local**. Packets never cross threads (the
-//! sharded simulation hands frames across shard boundaries as plain
-//! bytes and re-materializes them on the receiving side), so no
-//! allocation ever takes a lock. Determinism is unaffected by recycling:
-//! a buffer's visible bytes are fully initialized on allocation, and no
-//! simulated behaviour observes pool state.
-//!
-//! On top of the per-thread default pool sit [`PoolDomain`]s: explicit,
-//! swappable pool instances for callers that host *several* independent
-//! simulation shards on one worker thread. Each shard activates its own
-//! domain around its event batches, so its `system.mempool.*` gauges
-//! (in-use, high-water) depend only on that shard's packet population —
-//! never on how shards happen to interleave on the thread. Buffers
-//! remember the pool that carved them and always recycle back to it
-//! (owner-aware recycling), even if a different domain is active when
-//! the last handle drops; a buffer that outlives its pool is simply
-//! freed.
+//! experiment harness parallelizes over whole simulations, not packets),
+//! so each worker thread owns an independent pool and no allocation ever
+//! takes a lock. Determinism is unaffected by recycling: a buffer's
+//! visible bytes are fully initialized on allocation, and no simulated
+//! behaviour observes pool state.
 
 use std::cell::RefCell;
-use std::rc::{Rc, Weak};
+use std::rc::Rc;
 
 /// Number of fixed buffer classes.
 pub const NUM_CLASSES: usize = 3;
@@ -49,8 +38,12 @@ pub const NUM_CLASSES: usize = 3;
 pub const CLASS_CAPS: [usize; NUM_CLASSES] = [128, 512, 2048];
 
 /// Per-class buffer budget before the allocator falls back to the heap.
-/// 16 Ki buffers of the largest class is 32 MiB — far above any ring +
-/// FIFO + in-flight population a simulation produces.
+/// 16 Ki buffers of the largest class is 32 MiB. That holds the ring,
+/// FIFO and in-flight population of full-size frames, but not of a 64 B
+/// overload, where the frames on the two 100 µs wires plus those in the
+/// RX FIFO outnumber it: the 128 B class runs out and later frames fall
+/// back to counted heap buffers. A 64 Ki budget measured no faster; the
+/// cost is building the frames, not `malloc`.
 const DEFAULT_CLASS_LIMIT: usize = 16_384;
 
 /// Class marker for heap-fallback buffers (never recycled).
@@ -138,107 +131,11 @@ impl Pool {
             heap_live: 0,
         }
     }
-
-    fn stats(&self) -> PoolStats {
-        let mut s = PoolStats {
-            in_use: self.in_use,
-            high_water: self.high_water,
-            heap_fallback: self.heap_fallback,
-            heap_live: self.heap_live,
-            ..PoolStats::default()
-        };
-        for (i, c) in self.classes.iter().enumerate() {
-            s.class_allocs[i] = c.allocs;
-            s.class_recycles[i] = c.recycles;
-        }
-        s
-    }
 }
 
 thread_local! {
-    // The thread's *active* pool. Defaults to a pool private to the
-    // thread; a [`PoolDomain`] guard swaps its own pool in (and the
-    // previous one back out on drop).
-    static ACTIVE: RefCell<Rc<RefCell<Pool>>> =
-        RefCell::new(Rc::new(RefCell::new(Pool::new())));
-}
-
-/// Runs `f` against the thread's active pool.
-fn with_active<R>(f: impl FnOnce(&mut Pool) -> R) -> R {
-    let pool = ACTIVE.with(|a| Rc::clone(&a.borrow()));
-    let r = f(&mut pool.borrow_mut());
-    r
-}
-
-/// An independent packet-buffer pool that can be swapped in as the
-/// calling thread's active pool.
-///
-/// One domain per simulation shard keeps every shard's mempool gauges
-/// (`in_use`, `high_water`, per-class ledgers) a pure function of that
-/// shard's own packet population, even when several shards share a
-/// worker thread. While a domain's [`PoolDomain::activate`] guard is
-/// live, every [`PktBuf`] allocation and every free-function in this
-/// module ([`stats`], [`reset_stats`], [`set_class_limit`]) operates on
-/// the domain's pool.
-///
-/// Domains are deliberately `!Send` (shards build and run on one worker
-/// thread); buffers carved from a domain recycle back to it from
-/// anywhere on the same thread via their owner link.
-pub struct PoolDomain {
-    pool: Rc<RefCell<Pool>>,
-}
-
-impl Default for PoolDomain {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PoolDomain {
-    /// A fresh, empty pool domain.
-    pub fn new() -> Self {
-        Self {
-            pool: Rc::new(RefCell::new(Pool::new())),
-        }
-    }
-
-    /// Makes this domain the thread's active pool until the guard drops
-    /// (the previously active pool is then restored). Guards nest.
-    pub fn activate(&self) -> PoolDomainGuard {
-        let prev = ACTIVE.with(|a| std::mem::replace(&mut *a.borrow_mut(), Rc::clone(&self.pool)));
-        PoolDomainGuard { prev }
-    }
-
-    /// Snapshot of this domain's statistics (no activation needed).
-    pub fn stats(&self) -> PoolStats {
-        self.pool.borrow().stats()
-    }
-}
-
-impl std::fmt::Debug for PoolDomain {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolDomain")
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-/// Restores the previously active pool when dropped. See
-/// [`PoolDomain::activate`].
-pub struct PoolDomainGuard {
-    prev: Rc<RefCell<Pool>>,
-}
-
-impl std::fmt::Debug for PoolDomainGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolDomainGuard").finish_non_exhaustive()
-    }
-}
-
-impl Drop for PoolDomainGuard {
-    fn drop(&mut self) {
-        ACTIVE.with(|a| *a.borrow_mut() = Rc::clone(&self.prev));
-    }
+    // `const`-initialized: no lazy-init branch on the per-packet path.
+    static POOL: RefCell<Pool> = const { RefCell::new(Pool::new()) };
 }
 
 /// The smallest class whose capacity holds `len`, if any.
@@ -246,9 +143,23 @@ fn class_for(len: usize) -> Option<usize> {
     CLASS_CAPS.iter().position(|&cap| len <= cap)
 }
 
-/// Snapshot of the calling thread's active pool statistics.
+/// Snapshot of the calling thread's pool statistics.
 pub fn stats() -> PoolStats {
-    with_active(|p| p.stats())
+    POOL.with(|p| {
+        let p = p.borrow();
+        let mut s = PoolStats {
+            in_use: p.in_use,
+            high_water: p.high_water,
+            heap_fallback: p.heap_fallback,
+            heap_live: p.heap_live,
+            ..PoolStats::default()
+        };
+        for (i, c) in p.classes.iter().enumerate() {
+            s.class_allocs[i] = c.allocs;
+            s.class_recycles[i] = c.recycles;
+        }
+        s
+    })
 }
 
 /// Zeroes the alloc/recycle/fallback counters and re-baselines the
@@ -257,7 +168,8 @@ pub fn stats() -> PoolStats {
 /// history. Called at simulation start and at the warm-up reset so the
 /// registered `system.mempool.*` stats describe one run.
 pub fn reset_stats() {
-    with_active(|p| {
+    POOL.with(|p| {
+        let mut p = p.borrow_mut();
         p.high_water = p.in_use;
         p.heap_fallback = 0;
         for c in &mut p.classes {
@@ -267,26 +179,23 @@ pub fn reset_stats() {
     });
 }
 
-/// Overrides a class's buffer budget on the calling thread's active
-/// pool (tests use a tiny budget to exercise the heap fallback without
-/// gigabytes of allocation).
+/// Overrides a class's buffer budget on the calling thread (tests use a
+/// tiny budget to exercise the heap fallback without gigabytes of
+/// allocation).
 ///
 /// # Panics
 ///
 /// Panics if `class` is out of range.
 pub fn set_class_limit(class: usize, limit: usize) {
-    with_active(|p| p.classes[class].limit = limit);
+    POOL.with(|p| p.borrow_mut().classes[class].limit = limit);
 }
 
 /// The storage behind one handle: either a pooled class buffer (the
 /// whole refcounted allocation is returned to its freelist when the last
-/// handle drops) or a heap-fallback buffer (simply freed). `owner` links
-/// back to the pool that carved the buffer so the recycle settles *that*
-/// pool's ledger regardless of which domain is active at drop time.
+/// handle drops) or a heap-fallback buffer (simply freed).
 struct RawBuf {
     class: u8,
     len: u32,
-    owner: Weak<RefCell<Pool>>,
     data: Box<[u8]>,
 }
 
@@ -330,76 +239,70 @@ impl std::fmt::Debug for PktBuf {
     }
 }
 
-/// Returns the last handle's buffer to its owning pool's class freelist
-/// (or frees a heap fallback) and settles that pool's ledger. A buffer
-/// whose pool is gone (its domain was dropped) is simply freed.
+/// Returns the last handle's buffer to its class freelist (or frees a
+/// heap fallback) and settles the ledger. A buffer dropped while the
+/// thread tears its pool down is simply freed.
 fn recycle(rc: Rc<RawBuf>) {
-    let Some(owner) = rc.owner.upgrade() else {
-        return;
-    };
-    let mut p = owner.borrow_mut();
-    if rc.class == HEAP_CLASS {
-        p.heap_live -= 1;
-    } else {
-        p.in_use -= 1;
-        let c = &mut p.classes[rc.class as usize];
-        c.recycles += 1;
-        c.free.push(rc);
-    }
+    let _ = POOL.try_with(|p| {
+        let mut p = p.borrow_mut();
+        if rc.class == HEAP_CLASS {
+            p.heap_live -= 1;
+        } else {
+            p.in_use -= 1;
+            let c = &mut p.classes[rc.class as usize];
+            c.recycles += 1;
+            c.free.push(rc);
+        }
+    });
 }
 
-/// Pops a unique buffer sized for `len` from the active pool without
-/// initializing its contents. Callers must fill `[..len]` before the
-/// bytes become visible.
+/// Pops a unique buffer sized for `len` without initializing its
+/// contents. Callers must fill `[..len]` before the bytes become
+/// visible.
 fn alloc_raw(len: usize) -> Rc<RawBuf> {
-    let pool = ACTIVE.with(|a| Rc::clone(&a.borrow()));
-    let owner = Rc::downgrade(&pool);
-    let mut p = pool.borrow_mut();
-    if let Some(class) = class_for(len) {
-        let c = &mut p.classes[class];
-        let rc = match c.free.pop() {
-            Some(mut rc) => {
-                // Freelist buffers were carved by this pool; their owner
-                // link already points here.
-                let raw = Rc::get_mut(&mut rc).expect("freelist buffers are unreferenced");
-                raw.len = len as u32;
-                rc
-            }
-            None if c.total < c.limit => {
-                c.total += 1;
-                Rc::new(RawBuf {
-                    class: class as u8,
-                    len: len as u32,
-                    owner,
-                    data: vec![0u8; c.cap].into_boxed_slice(),
-                })
-            }
-            None => {
-                p.heap_fallback += 1;
-                p.heap_live += 1;
-                return Rc::new(RawBuf {
-                    class: HEAP_CLASS,
-                    len: len as u32,
-                    owner,
-                    data: vec![0u8; len].into_boxed_slice(),
-                });
-            }
-        };
-        let c = &mut p.classes[class];
-        c.allocs += 1;
-        p.in_use += 1;
-        p.high_water = p.high_water.max(p.in_use);
-        rc
-    } else {
-        p.heap_fallback += 1;
-        p.heap_live += 1;
-        Rc::new(RawBuf {
-            class: HEAP_CLASS,
-            len: len as u32,
-            owner,
-            data: vec![0u8; len].into_boxed_slice(),
-        })
-    }
+    POOL.with(|p| {
+        let mut p = p.borrow_mut();
+        if let Some(class) = class_for(len) {
+            let c = &mut p.classes[class];
+            let rc = match c.free.pop() {
+                Some(mut rc) => {
+                    let raw = Rc::get_mut(&mut rc).expect("freelist buffers are unreferenced");
+                    raw.len = len as u32;
+                    rc
+                }
+                None if c.total < c.limit => {
+                    c.total += 1;
+                    Rc::new(RawBuf {
+                        class: class as u8,
+                        len: len as u32,
+                        data: vec![0u8; c.cap].into_boxed_slice(),
+                    })
+                }
+                None => {
+                    p.heap_fallback += 1;
+                    p.heap_live += 1;
+                    return Rc::new(RawBuf {
+                        class: HEAP_CLASS,
+                        len: len as u32,
+                        data: vec![0u8; len].into_boxed_slice(),
+                    });
+                }
+            };
+            let c = &mut p.classes[class];
+            c.allocs += 1;
+            p.in_use += 1;
+            p.high_water = p.high_water.max(p.in_use);
+            rc
+        } else {
+            p.heap_fallback += 1;
+            p.heap_live += 1;
+            Rc::new(RawBuf {
+                class: HEAP_CLASS,
+                len: len as u32,
+                data: vec![0u8; len].into_boxed_slice(),
+            })
+        }
+    })
 }
 
 impl PktBuf {
@@ -560,76 +463,6 @@ mod tests {
         let big = PktBuf::alloc_zeroed(4096);
         assert_eq!(big.len(), 4096);
         assert_eq!(stats().heap_fallback, before.heap_fallback + 1);
-    }
-
-    #[test]
-    fn domains_isolate_gauges_from_the_thread_pool() {
-        let before = stats();
-        let domain = PoolDomain::new();
-        let held;
-        {
-            let _guard = domain.activate();
-            held = PktBuf::alloc_zeroed(1000);
-            let inside = stats();
-            assert_eq!(inside.in_use, 1);
-            assert_eq!(inside.class_allocs[2], 1);
-        }
-        // The thread's default pool never saw the allocation.
-        assert_eq!(stats().in_use, before.in_use);
-        assert_eq!(domain.stats().in_use, 1);
-        drop(held);
-    }
-
-    #[test]
-    fn recycle_settles_the_owning_domain() {
-        let domain = PoolDomain::new();
-        let buf = {
-            let _guard = domain.activate();
-            PktBuf::alloc_zeroed(300)
-        };
-        // Dropped with the default pool active: the buffer still returns
-        // to the domain that carved it.
-        let before = stats();
-        drop(buf);
-        assert_eq!(stats(), before);
-        let s = domain.stats();
-        assert_eq!(s.in_use, 0);
-        assert_eq!(s.class_recycles[1], 1);
-        // And the domain reuses it.
-        let _guard = domain.activate();
-        let again = PktBuf::alloc_zeroed(300);
-        assert_eq!(domain.stats().class_allocs[1], 2);
-        drop(again);
-    }
-
-    #[test]
-    fn buffer_outliving_its_domain_frees_plainly() {
-        let domain = PoolDomain::new();
-        let buf = {
-            let _guard = domain.activate();
-            PktBuf::alloc_zeroed(64)
-        };
-        drop(domain);
-        let before = stats();
-        drop(buf); // owner is gone: no panic, no ledger change anywhere
-        assert_eq!(stats(), before);
-    }
-
-    #[test]
-    fn domain_guards_nest_and_restore() {
-        let a = PoolDomain::new();
-        let b = PoolDomain::new();
-        let ga = a.activate();
-        let _x = PktBuf::alloc_zeroed(10);
-        {
-            let _gb = b.activate();
-            let _y = PktBuf::alloc_zeroed(10);
-            assert_eq!(stats().in_use, 1); // b's view
-        }
-        assert_eq!(stats().in_use, 1); // back to a's view
-        assert_eq!(a.stats().class_allocs[0], 1);
-        assert_eq!(b.stats().class_allocs[0], 1);
-        drop(ga);
     }
 
     #[test]

@@ -139,13 +139,6 @@ impl TopoLink {
         self.policy
     }
 
-    /// The link's propagation latency — the conservative-parallel
-    /// *lookahead*: a frame offered while the sender's clock reads `C`
-    /// can never arrive before `C + lookahead()`.
-    pub fn lookahead(&self) -> Tick {
-        self.policy.latency
-    }
-
     /// Whether this link can never drop a frame: no bounded congestion
     /// queue and no random loss. Pure wires take the branch-free
     /// [`TopoLink::transmit_wire`] fast path.

@@ -13,10 +13,8 @@
 
 mod heap;
 mod ladder;
-pub mod shard;
 
 pub use heap::BinaryHeapQueue;
-pub use shard::{ShardChannel, ShardClock};
 
 use crate::tick::Tick;
 use ladder::LadderQueue;
@@ -196,40 +194,6 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled += 1;
-        self.ladder.insert(ladder::Entry {
-            tick,
-            priority,
-            seq,
-            payload,
-        });
-    }
-
-    /// Inserts a cross-shard event under a *synthetic* key minted by
-    /// [`shard::foreign_seq`] instead of a locally reserved one. Foreign
-    /// keys live in the upper half of the seq space (bit 63 set), so they
-    /// sort after every locally scheduled event at the same
-    /// `(tick, priority)` and never consume the local seq counter — which
-    /// is what keeps a shard's local event keys invariant under any
-    /// thread count or message-arrival timing. Counts as one scheduled
-    /// event (the message is scheduled exactly once, on the receiving
-    /// shard), so the global scheduled/executed books stay partition-
-    /// independent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tick` is before [`EventQueue::now`] or if `seq` is not
-    /// in the foreign namespace.
-    pub fn schedule_foreign(&mut self, tick: Tick, priority: Priority, seq: u64, payload: E) {
-        assert!(
-            tick >= self.now,
-            "foreign event in the past: tick {tick} < now {}",
-            self.now
-        );
-        assert!(
-            seq & shard::FOREIGN_SEQ_BIT != 0,
-            "seq {seq:#x} is not in the foreign namespace (bit 63 clear)"
-        );
         self.scheduled += 1;
         self.ladder.insert(ladder::Entry {
             tick,

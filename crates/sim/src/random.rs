@@ -87,33 +87,6 @@ impl SimRng {
     pub fn fork(&mut self, stream: u64) -> SimRng {
         SimRng::seed_from(self.next_u64() ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
-
-    /// Seeds the RNG stream of shard `shard_id` from a run-wide base
-    /// seed: `SimRng::seed_from(shard_seed(seed, shard_id))`.
-    ///
-    /// Unlike [`SimRng::fork`], this is a *pure* function of
-    /// `(seed, shard_id)` — no parent stream is consumed — so a shard's
-    /// draws depend only on its stable identity, never on how many
-    /// threads run the simulation or in what order shards were built.
-    pub fn seed_for_shard(seed: u64, shard_id: u64) -> SimRng {
-        SimRng::seed_from(shard_seed(seed, shard_id))
-    }
-}
-
-/// Folds a stable shard id into a base seed, decorrelating per-shard RNG
-/// streams while keeping each one a pure function of `(seed, shard_id)`.
-///
-/// The fold is a SplitMix64 finalizer over the golden-ratio-spread shard
-/// id, the same mixing [`SimRng::seed_from`] uses for state expansion, so
-/// nearby shard ids (0, 1, 2, …) land on unrelated seeds and
-/// `shard_seed(s, 0) != s` (shard streams never alias the base stream).
-pub fn shard_seed(seed: u64, shard_id: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(shard_id.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A sampling distribution over non-negative real values.
@@ -285,23 +258,6 @@ mod tests {
         let mut fork1 = a.fork(1);
         let mut fork2 = a.fork(2);
         assert_ne!(fork1.next_u64(), fork2.next_u64());
-    }
-
-    #[test]
-    fn shard_seeds_are_pure_and_decorrelated() {
-        // Pure function of (seed, shard_id): no hidden state.
-        assert_eq!(shard_seed(42, 3), shard_seed(42, 3));
-        // Nearby shard ids map to unrelated seeds and streams.
-        let mut seen = std::collections::HashSet::new();
-        for shard in 0..64u64 {
-            assert!(seen.insert(shard_seed(0x5EED, shard)));
-        }
-        let mut a = SimRng::seed_for_shard(0x5EED, 0);
-        let mut b = SimRng::seed_for_shard(0x5EED, 1);
-        let collisions = (0..1_000).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(collisions, 0);
-        // Shard streams never alias the base stream.
-        assert_ne!(shard_seed(0x5EED, 0), 0x5EED);
     }
 
     #[test]

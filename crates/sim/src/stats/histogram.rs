@@ -109,25 +109,6 @@ impl Histogram {
         self.bins.iter().sum::<u64>() + self.underflow + self.overflow
     }
 
-    /// Folds another histogram into this one by exact per-bucket adds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometries (`[lo, hi)` span or bin count) differ —
-    /// bucket-wise addition would silently misbin otherwise.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert!(
-            self.lo == other.lo && self.hi == other.hi && self.bins.len() == other.bins.len(),
-            "histogram merge needs identical geometry"
-        );
-        for (b, o) in self.bins.iter_mut().zip(&other.bins) {
-            *b += o;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.rejected += other.rejected;
-    }
-
     /// Zeroes all buckets.
     pub fn reset(&mut self) {
         self.bins.iter_mut().for_each(|b| *b = 0);
@@ -249,30 +230,6 @@ mod tests {
         h.record(f64::NAN);
         h.reset();
         assert_eq!(h.rejected(), 0);
-    }
-
-    #[test]
-    fn merge_adds_buckets_exactly() {
-        let mut a = Histogram::new(0.0, 10.0, 5);
-        let mut b = Histogram::new(0.0, 10.0, 5);
-        a.record(1.0);
-        b.record(1.5);
-        b.record(-1.0);
-        b.record(99.0);
-        b.record(f64::NAN);
-        a.merge(&b);
-        assert_eq!(a.bin_count(0), 2);
-        assert_eq!(a.underflow(), 1);
-        assert_eq!(a.overflow(), 1);
-        assert_eq!(a.rejected(), 1);
-        assert_eq!(a.total(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "identical geometry")]
-    fn merge_rejects_mismatched_geometry() {
-        let mut a = Histogram::new(0.0, 10.0, 5);
-        a.merge(&Histogram::new(0.0, 10.0, 4));
     }
 
     #[test]

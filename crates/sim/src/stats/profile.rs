@@ -61,49 +61,9 @@ impl Profiler {
         self.nanos[idx] += nanos;
     }
 
-    /// Attributes `count` events of kind `idx` costing `nanos` host-ns
-    /// in one record — used when folding pre-aggregated attributions
-    /// (e.g. a shard's synchronization-idle residual) into a profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn record_bulk(&mut self, idx: usize, count: u64, nanos: u64) {
-        self.counts[idx] += count;
-        self.nanos[idx] += nanos;
-    }
-
     /// Adds measured event-loop wall time (the attribution denominator).
     pub fn add_loop_nanos(&mut self, nanos: u64) {
         self.loop_nanos += nanos;
-    }
-
-    /// Folds another profile into this one, matching rows by
-    /// `(kind, component)` label (appending labels this profile lacks).
-    /// Event counts, attributed nanoseconds, and loop time all add, so
-    /// merging per-shard profiles yields one report whose shares still
-    /// sum to the merged coverage — the cross-thread 100%-attribution
-    /// view. Note the merged `loop_nanos` is summed *CPU* time across
-    /// shard threads, not elapsed wall time.
-    pub fn merge(&mut self, other: &Profiler) {
-        for (kind, comp, count, nanos) in other.kinds() {
-            let idx = match self
-                .labels
-                .iter()
-                .position(|&(k, c)| k == kind && c == comp)
-            {
-                Some(i) => i,
-                None => {
-                    self.labels.push((kind, comp));
-                    self.counts.push(0);
-                    self.nanos.push(0);
-                    self.labels.len() - 1
-                }
-            };
-            self.counts[idx] += count;
-            self.nanos[idx] += nanos;
-        }
-        self.loop_nanos += other.loop_nanos;
     }
 
     /// Total events attributed.
@@ -253,26 +213,6 @@ mod tests {
         assert!(text.contains("per-component shares"));
         assert!(text.contains("cpu"));
         assert!(text.contains("% attributed"));
-    }
-
-    #[test]
-    fn merge_matches_labels_and_appends_strangers() {
-        let mut a = sample();
-        let mut b = Profiler::new(vec![("rx_dma", "dma"), ("sync_idle", "sim")]);
-        b.record(0, 500);
-        b.record_bulk(1, 1, 4_000);
-        b.add_loop_nanos(4_500);
-        a.merge(&b);
-        assert_eq!(a.events(), 6);
-        assert_eq!(a.attributed_nanos(), 14_500);
-        assert_eq!(a.loop_nanos(), 15_000);
-        let kinds = a.kinds();
-        let rx = kinds.iter().find(|k| k.0 == "rx_dma").unwrap();
-        assert_eq!((rx.2, rx.3), (2, 2_500));
-        let idle = kinds.iter().find(|k| k.0 == "sync_idle").unwrap();
-        assert_eq!((idle.2, idle.3), (1, 4_000));
-        // Shares over the merged denominator still sum to the coverage.
-        assert!((a.coverage() - 14_500.0 / 15_000.0).abs() < 1e-12);
     }
 
     #[test]

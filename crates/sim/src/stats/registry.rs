@@ -187,15 +187,6 @@ impl StatsRegistry {
             .map(|e| &e.value)
     }
 
-    /// Appends every entry of `other` (in its registration order) after
-    /// this registry's entries. The entries carry their full dotted
-    /// paths, so the current group prefix does not apply. This is how a
-    /// sharded run reassembles one dump from per-shard registry
-    /// fragments without re-walking the components.
-    pub fn extend(&mut self, other: &StatsRegistry) {
-        self.entries.extend(other.entries.iter().cloned());
-    }
-
     /// Renders every entry in gem5's `stats.txt` line format:
     /// `name value # description`, 52/16-column aligned.
     pub fn render_gem5(&self) -> String {
@@ -270,23 +261,5 @@ mod tests {
     #[should_panic(expected = "pop_group")]
     fn unbalanced_pop_panics() {
         StatsRegistry::new().pop_group();
-    }
-
-    #[test]
-    fn extend_appends_fragments_in_order() {
-        let mut main = StatsRegistry::new();
-        main.scalar("sim_ticks", 1, "ticks");
-        let mut frag = StatsRegistry::new();
-        frag.scoped("system.nic", |r| r.scalar("rxPackets", 7, "frames"));
-        main.extend(&frag);
-        main.scalar("after", 2, "post-fragment entry keeps ordering");
-        let paths: Vec<_> = main.entries().iter().map(|e| e.path.as_str()).collect();
-        assert_eq!(paths, ["sim_ticks", "system.nic.rxPackets", "after"]);
-        assert_eq!(
-            main.get("system.nic.rxPackets"),
-            Some(&StatValue::Scalar(7))
-        );
-        // The fragment's render is a verbatim slice of the merged render.
-        assert!(main.render_gem5().contains(&frag.render_gem5()));
     }
 }

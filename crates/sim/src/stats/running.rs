@@ -108,31 +108,6 @@ impl Running {
     pub fn reset(&mut self) {
         *self = Self::default();
     }
-
-    /// Merges another accumulator into this one (parallel sweep reduction).
-    pub fn merge(&mut self, other: &Running) {
-        self.rejected += other.rejected;
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            let rejected = self.rejected;
-            *self = *other;
-            self.rejected = rejected;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean = mean;
-        self.m2 = m2;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl std::fmt::Display for Running {
@@ -175,42 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let values: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Running::new();
-        for &v in &values {
-            whole.record(v);
-        }
-        let mut a = Running::new();
-        let mut b = Running::new();
-        for &v in &values[..37] {
-            a.record(v);
-        }
-        for &v in &values[37..] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Running::new();
-        a.record(1.0);
-        let before = a;
-        a.merge(&Running::new());
-        assert_eq!(a, before);
-
-        let mut e = Running::new();
-        e.merge(&before);
-        assert_eq!(e, before);
-    }
-
-    #[test]
     fn non_finite_cannot_poison_the_mean() {
         let mut r = Running::new();
         r.record(1.0);
@@ -224,26 +163,6 @@ mod tests {
         assert_eq!(r.min(), Some(1.0));
         assert_eq!(r.max(), Some(3.0));
         assert!(r.stddev().is_finite());
-    }
-
-    #[test]
-    fn merge_carries_rejections_both_ways() {
-        let mut a = Running::new();
-        a.record(f64::NAN); // a is empty but has a rejection
-        let mut b = Running::new();
-        b.record(2.0);
-        b.record(f64::INFINITY);
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        assert_eq!(a.rejected(), 2);
-        assert!((a.mean() - 2.0).abs() < 1e-12);
-
-        let mut c = Running::new();
-        c.record(4.0);
-        c.merge(&a);
-        assert_eq!(c.count(), 2);
-        assert_eq!(c.rejected(), 2);
-        assert!((c.mean() - 3.0).abs() < 1e-12);
     }
 
     #[test]

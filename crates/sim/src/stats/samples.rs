@@ -112,12 +112,6 @@ impl SampleSet {
         self.sum_sq += value * value;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        self.store(value);
-    }
-
-    /// Retains `value` in the bounded store, assuming `seen` has already
-    /// been advanced past it.
-    fn store(&mut self, value: f64) {
         if self.samples.len() < self.capacity {
             self.samples.push(value);
         } else {
@@ -132,32 +126,6 @@ impl SampleSet {
                 self.samples[slot as usize] = value;
             }
         }
-    }
-
-    /// Folds another sample set into this one.
-    ///
-    /// Exact aggregates (count, sum, sum of squares, min/max, rejections)
-    /// add exactly; retained samples append while capacity allows and then
-    /// fall back to the same deterministic reservoir replacement as
-    /// [`SampleSet::record`]. Merging per-shard sets in a fixed order is
-    /// therefore deterministic, and when the combined retained samples fit
-    /// the capacity (the common case — per-run sample counts sit far below
-    /// the reservoir bound) the merged quantiles are computed over the
-    /// exact union multiset.
-    pub fn merge(&mut self, other: &SampleSet) {
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.rejected += other.rejected;
-        let evicted = other.seen - other.samples.len() as u64;
-        for &value in &other.samples {
-            self.seen += 1;
-            self.store(value);
-        }
-        // Observations the other set saw but no longer retains still count
-        // toward the merged mean/stddev via the summed moments.
-        self.seen += evicted;
     }
 
     /// Total observations recorded (not just retained).
@@ -333,53 +301,6 @@ mod tests {
         assert!(s.is_empty());
         s.record(1.0);
         assert_eq!(s.count(), 1);
-    }
-
-    #[test]
-    fn merge_unions_exact_below_capacity() {
-        let mut a = SampleSet::with_capacity(100);
-        let mut b = SampleSet::with_capacity(100);
-        for v in [1.0, 3.0, 5.0] {
-            a.record(v);
-        }
-        for v in [2.0, 4.0] {
-            b.record(v);
-        }
-        b.record(f64::NAN);
-        a.merge(&b);
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.rejected(), 1);
-        let sum = a.summary();
-        assert_eq!(sum.min, 1.0);
-        assert_eq!(sum.max, 5.0);
-        assert!((sum.mean - 3.0).abs() < 1e-12);
-        // Quantiles see the exact union multiset {1,2,3,4,5}.
-        assert_eq!(a.quantile(0.0), 1.0);
-        assert_eq!(a.quantile(0.5), 3.0);
-        assert_eq!(a.quantile(1.0), 5.0);
-        // Merging an empty set is a no-op.
-        let before = a.summary();
-        a.merge(&SampleSet::with_capacity(4));
-        assert_eq!(a.summary(), before);
-    }
-
-    #[test]
-    fn merge_over_capacity_is_deterministic_and_counts_evictions() {
-        let run = || {
-            let mut a = SampleSet::with_capacity(16);
-            let mut b = SampleSet::with_capacity(16);
-            for v in 0..200 {
-                a.record(v as f64);
-                b.record((v * 3 % 101) as f64);
-            }
-            a.merge(&b);
-            (a.count(), a.summary())
-        };
-        let (count, summary) = run();
-        // Both sets saw 200 each, retained 16: evicted ones still count.
-        assert_eq!(count, 400);
-        assert!(summary.mean.is_finite());
-        assert_eq!(run(), (count, summary));
     }
 
     #[test]
