@@ -51,7 +51,7 @@ fn bench_cache(c: &mut Criterion) {
         b.iter(|| {
             i = i.wrapping_add(0x1D872B41);
             let addr = (i ^ (i >> 13)) & 0xFF_FFFF;
-            if !cache.lookup(addr, AccessClass::Core, false) {
+            if cache.lookup(addr, AccessClass::Core, false).is_none() {
                 cache.fill(addr, AccessClass::Core, false);
             }
         })

@@ -18,8 +18,8 @@
 
 use simnet_net::{timestamp, MacAddr, Packet, PacketBuilder};
 use simnet_sim::random::{SimRng, Zipf};
-use simnet_sim::stats::{Counter, Histogram, SampleSet, StatsRegistry};
-use simnet_sim::tick::{us, Bandwidth, Tick};
+use simnet_sim::stats::{Counter, SampleSet, StatsRegistry};
+use simnet_sim::tick::{Bandwidth, Tick};
 use simnet_sim::trace::{Component, Stage, Tracer};
 
 use crate::report::LoadGenReport;
@@ -55,7 +55,6 @@ pub struct ClientFleet {
     rx_packets: Counter,
     rx_bytes: Counter,
     latency: SampleSet,
-    latency_histogram: Histogram,
     tracer: Tracer,
 }
 
@@ -102,7 +101,6 @@ impl ClientFleet {
             rx_packets: Counter::new(),
             rx_bytes: Counter::new(),
             latency: SampleSet::with_capacity(1 << 18),
-            latency_histogram: Histogram::new(0.0, us(1000) as f64, 200),
             tracer: Tracer::disabled(),
         }
     }
@@ -186,7 +184,6 @@ impl ClientFleet {
         if let Some(sent) = timestamp::read_timestamp(packet, timestamp::UDP_OFFSET) {
             let rtt = now.saturating_sub(sent) as f64;
             self.latency.record(rtt);
-            self.latency_histogram.record(rtt);
         }
     }
 
@@ -251,7 +248,6 @@ impl ClientFleet {
         self.rx_packets.reset();
         self.rx_bytes.reset();
         self.latency.reset();
-        self.latency_histogram.reset();
         self.client_tx.iter_mut().for_each(|c| *c = 0);
         self.client_rx.iter_mut().for_each(|c| *c = 0);
     }

@@ -1,5 +1,6 @@
 //! Set-associative write-back caches with optional DCA way partitioning.
 
+pub mod reference;
 mod stats;
 
 pub use stats::CacheStats;
@@ -86,15 +87,6 @@ impl CacheConfig {
     }
 }
 
-#[derive(Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Higher = more recently used.
-    lru: u32,
-}
-
 /// What a fill displaced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Eviction {
@@ -116,23 +108,51 @@ impl Eviction {
     }
 }
 
+/// Where [`Cache::fill`] put its line, and what it displaced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fill {
+    /// The way now holding the line (see [`Cache::lookup`]).
+    pub way: usize,
+    /// What the fill displaced; [`Eviction::None`] also when the line was
+    /// already present.
+    pub evicted: Eviction,
+}
+
+/// Tag-word bit: the way holds a line.
+const VALID: u64 = 1;
+/// Tag-word bit: the line is dirty.
+const DIRTY: u64 = 2;
+
 /// A set-associative, write-back, write-allocate cache tag array.
 ///
 /// This models *contents and replacement*, not timing — latencies live in
 /// [`crate::system::MemorySystem`], which also wires evictions into
 /// writebacks and inclusive back-invalidations.
 ///
+/// Each way is one tag word, the line address with [`VALID`] and [`DIRTY`]
+/// in its free low bits (0 is an invalid way), and the LRU stamps live in a
+/// parallel array, so a set's tags are contiguous. A way is named by its
+/// index in the whole array, `set * assoc + way`; it holds its line until
+/// the line is evicted or invalidated, so callers can keep per-line side
+/// state indexed by it. [`reference::ReferenceCache`] is the original
+/// layout, kept as the oracle these decisions must match.
+///
 /// ```
 /// use simnet_mem::{AccessClass, Cache, CacheConfig};
 /// let mut c = Cache::new("l1d", CacheConfig::new(32 * 1024, 4));
-/// assert!(!c.lookup(0x1000, AccessClass::Core, false));
-/// c.fill(0x1000, AccessClass::Core, false);
-/// assert!(c.lookup(0x1000, AccessClass::Core, false));
+/// assert_eq!(c.lookup(0x1000, AccessClass::Core, false), None);
+/// let way = c.fill(0x1000, AccessClass::Core, false).way;
+/// assert_eq!(c.lookup(0x1000, AccessClass::Core, false), Some(way));
 /// ```
 pub struct Cache {
     name: &'static str,
     cfg: CacheConfig,
-    sets: Vec<Line>,
+    /// `cfg.sets() - 1`.
+    set_mask: usize,
+    /// One word per way, set by set.
+    tags: Vec<u64>,
+    /// LRU stamps, parallel to `tags`. Higher = more recently used.
+    stamps: Vec<u32>,
     lru_clock: u32,
     stats: CacheStats,
 }
@@ -141,10 +161,13 @@ impl Cache {
     /// Creates an empty cache.
     pub fn new(name: &'static str, cfg: CacheConfig) -> Self {
         cfg.validate();
+        let ways = cfg.sets() * cfg.assoc;
         Self {
             name,
             cfg,
-            sets: vec![Line::default(); cfg.sets() * cfg.assoc],
+            set_mask: cfg.sets() - 1,
+            tags: vec![0; ways],
+            stamps: vec![0; ways],
             lru_clock: 0,
             stats: CacheStats::default(),
         }
@@ -170,155 +193,141 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    #[inline]
-    fn set_index(&self, addr: Addr) -> usize {
-        ((addr / CACHE_LINE) as usize) & (self.cfg.sets() - 1)
+    /// Sets the LRU clock, so that a test can reach its wrap without
+    /// four billion accesses.
+    #[doc(hidden)]
+    pub fn set_lru_clock(&mut self, clock: u32) {
+        self.lru_clock = clock;
     }
 
+    /// The index of the first way of `addr`'s set.
     #[inline]
-    fn set_range(&self, addr: Addr) -> std::ops::Range<usize> {
-        let set = self.set_index(addr);
-        let base = set * self.cfg.assoc;
-        base..base + self.cfg.assoc
+    fn set_base(&self, addr: Addr) -> usize {
+        (((addr / CACHE_LINE) as usize) & self.set_mask) * self.cfg.assoc
+    }
+
+    /// The way of `addr`'s set holding `want` (a line address with
+    /// [`VALID`]), if any.
+    #[inline]
+    fn find(&self, base: usize, want: u64) -> Option<usize> {
+        self.tags[base..base + self.cfg.assoc]
+            .iter()
+            .position(|&t| t & !DIRTY == want)
+            .map(|way| base + way)
     }
 
     fn touch_lru(&mut self, idx: usize) {
         self.lru_clock = self.lru_clock.wrapping_add(1);
         // On wrap, age everything to keep relative order sane.
         if self.lru_clock == 0 {
-            for line in &mut self.sets {
-                line.lru = 0;
-            }
+            self.stamps.fill(0);
             self.lru_clock = 1;
         }
-        self.sets[idx].lru = self.lru_clock;
+        self.stamps[idx] = self.lru_clock;
     }
 
     /// Looks up `addr`; on hit updates LRU (and the dirty bit if `write`)
-    /// and records a hit. On miss records a miss. Returns whether it hit.
-    pub fn lookup(&mut self, addr: Addr, class: AccessClass, write: bool) -> bool {
-        let tag = line_base(addr);
-        let range = self.set_range(addr);
-        for idx in range {
-            if self.sets[idx].valid && self.sets[idx].tag == tag {
+    /// and records a hit. On miss records a miss. Returns the way that hit.
+    pub fn lookup(&mut self, addr: Addr, class: AccessClass, write: bool) -> Option<usize> {
+        let hit = self.find(self.set_base(addr), line_base(addr) | VALID);
+        match hit {
+            Some(idx) => {
                 self.touch_lru(idx);
                 if write {
-                    self.sets[idx].dirty = true;
+                    self.tags[idx] |= DIRTY;
                 }
                 self.stats.record_hit(class);
-                return true;
             }
+            None => self.stats.record_miss(class),
         }
-        self.stats.record_miss(class);
-        false
+        hit
     }
 
-    /// Checks residency without updating LRU or statistics.
-    pub fn probe(&self, addr: Addr) -> bool {
-        let tag = line_base(addr);
-        self.set_range(addr)
-            .any(|idx| self.sets[idx].valid && self.sets[idx].tag == tag)
+    /// The way holding `addr`, without updating LRU or statistics.
+    pub fn probe(&self, addr: Addr) -> Option<usize> {
+        self.find(self.set_base(addr), line_base(addr) | VALID)
     }
 
     /// Inserts the line for `addr`, choosing a victim from the partition
-    /// belonging to `class`. Returns what was displaced.
+    /// belonging to `class`: its first invalid way, else its least recently
+    /// used way (the first of equals). Returns the way and what was
+    /// displaced.
     ///
-    /// If the line is already present this just updates LRU/dirty state.
-    pub fn fill(&mut self, addr: Addr, class: AccessClass, dirty: bool) -> Eviction {
-        let tag = line_base(addr);
-        let range = self.set_range(addr);
+    /// If the line is already present anywhere in the set, this just
+    /// updates LRU/dirty state.
+    pub fn fill(&mut self, addr: Addr, class: AccessClass, dirty: bool) -> Fill {
+        let want = line_base(addr) | VALID;
+        let base = self.set_base(addr);
 
         // Already present (e.g. raced by an earlier fill on this path).
-        for idx in range.clone() {
-            if self.sets[idx].valid && self.sets[idx].tag == tag {
-                self.touch_lru(idx);
-                if dirty {
-                    self.sets[idx].dirty = true;
-                }
-                return Eviction::None;
+        if let Some(idx) = self.find(base, want) {
+            self.touch_lru(idx);
+            if dirty {
+                self.tags[idx] |= DIRTY;
             }
+            return Fill {
+                way: idx,
+                evicted: Eviction::None,
+            };
         }
 
         // Partition: with dca_ways = d, ways [0, d) belong to DMA fills and
         // ways [d, assoc) to core fills. Unpartitioned caches use the whole
         // set for both classes.
-        let base = range.start;
-        let (lo, hi) = if self.cfg.dca_ways == 0 {
-            (0, self.cfg.assoc)
-        } else {
-            match class {
-                AccessClass::Dma => (0, self.cfg.dca_ways),
-                AccessClass::Core => (self.cfg.dca_ways, self.cfg.assoc),
-            }
+        let assoc = self.cfg.assoc;
+        let part = match (self.cfg.dca_ways, class) {
+            (0, _) => base..base + assoc,
+            (d, AccessClass::Dma) => base..base + d,
+            (d, AccessClass::Core) => base + d..base + assoc,
+        };
+        // Prefer an invalid way in the partition, else its LRU way.
+        let idx = match self.tags[part.clone()].iter().position(|&t| t == 0) {
+            Some(way) => part.start + way,
+            None => part
+                .min_by_key(|&idx| self.stamps[idx])
+                .expect("partition is non-empty"),
         };
 
-        // Prefer an invalid way in the partition.
-        let mut victim = None;
-        for way in lo..hi {
-            let idx = base + way;
-            if !self.sets[idx].valid {
-                victim = Some(idx);
-                break;
-            }
-        }
-        // Otherwise the LRU way in the partition.
-        let victim = victim.unwrap_or_else(|| {
-            (lo..hi)
-                .map(|way| base + way)
-                .min_by_key(|&idx| self.sets[idx].lru)
-                .expect("partition is non-empty")
-        });
-
-        let evicted = if self.sets[victim].valid {
-            self.stats.evictions.inc();
-            if self.sets[victim].dirty {
-                self.stats.writebacks.inc();
-                Eviction::Dirty(self.sets[victim].tag)
-            } else {
-                Eviction::Clean(self.sets[victim].tag)
-            }
-        } else {
+        let old = self.tags[idx];
+        let evicted = if old == 0 {
             Eviction::None
+        } else {
+            self.stats.evictions.inc();
+            let line = old & !(CACHE_LINE - 1);
+            if old & DIRTY != 0 {
+                self.stats.writebacks.inc();
+                Eviction::Dirty(line)
+            } else {
+                Eviction::Clean(line)
+            }
         };
-
-        self.sets[victim] = Line {
-            tag,
-            valid: true,
-            dirty,
-            lru: 0,
-        };
-        self.touch_lru(victim);
-        evicted
+        self.tags[idx] = want | if dirty { DIRTY } else { 0 };
+        self.touch_lru(idx);
+        Fill { way: idx, evicted }
     }
 
     /// Removes the line for `addr` if present. Returns whether the removed
     /// line was dirty (the caller owns the writeback).
     pub fn invalidate(&mut self, addr: Addr) -> Option<bool> {
-        let tag = line_base(addr);
-        let range = self.set_range(addr);
-        for idx in range {
-            if self.sets[idx].valid && self.sets[idx].tag == tag {
-                let dirty = self.sets[idx].dirty;
-                self.sets[idx] = Line::default();
-                self.stats.invalidations.inc();
-                return Some(dirty);
-            }
-        }
-        None
+        let idx = self.find(self.set_base(addr), line_base(addr) | VALID)?;
+        let dirty = self.tags[idx] & DIRTY != 0;
+        self.tags[idx] = 0;
+        self.stats.invalidations.inc();
+        Some(dirty)
     }
 
     /// Number of currently valid lines (test/diagnostic aid).
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().filter(|l| l.valid).count()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 
     /// Addresses of all resident lines (diagnostic aid for invariant
     /// checks, e.g. hierarchy inclusion).
     pub fn resident_lines(&self) -> Vec<Addr> {
-        self.sets
+        self.tags
             .iter()
-            .filter(|l| l.valid)
-            .map(|l| l.tag)
+            .filter(|&&t| t != 0)
+            .map(|&t| t & !(CACHE_LINE - 1))
             .collect()
     }
 }
@@ -347,9 +356,9 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let mut c = tiny();
-        assert!(!c.lookup(0x40, AccessClass::Core, false));
+        assert!(c.lookup(0x40, AccessClass::Core, false).is_none());
         c.fill(0x40, AccessClass::Core, false);
-        assert!(c.lookup(0x40, AccessClass::Core, false));
+        assert!(c.lookup(0x40, AccessClass::Core, false).is_some());
         assert_eq!(c.stats().core_hits.value(), 1);
         assert_eq!(c.stats().core_misses.value(), 1);
     }
@@ -358,9 +367,9 @@ mod tests {
     fn same_line_different_offsets_hit() {
         let mut c = tiny();
         c.fill(0x80, AccessClass::Core, false);
-        assert!(c.lookup(0x81, AccessClass::Core, false));
-        assert!(c.lookup(0xBF, AccessClass::Core, false));
-        assert!(!c.lookup(0xC0, AccessClass::Core, false));
+        assert!(c.lookup(0x81, AccessClass::Core, false).is_some());
+        assert!(c.lookup(0xBF, AccessClass::Core, false).is_some());
+        assert!(c.lookup(0xC0, AccessClass::Core, false).is_none());
     }
 
     #[test]
@@ -371,10 +380,10 @@ mod tests {
         c.fill(0x100, AccessClass::Core, false);
         // Touch 0x000 so 0x100 is LRU.
         c.lookup(0x000, AccessClass::Core, false);
-        let ev = c.fill(0x200, AccessClass::Core, false);
+        let ev = c.fill(0x200, AccessClass::Core, false).evicted;
         assert_eq!(ev, Eviction::Clean(0x100));
-        assert!(c.probe(0x000));
-        assert!(!c.probe(0x100));
+        assert!(c.probe(0x000).is_some());
+        assert!(c.probe(0x100).is_none());
     }
 
     #[test]
@@ -383,7 +392,7 @@ mod tests {
         c.fill(0x000, AccessClass::Core, true);
         c.fill(0x100, AccessClass::Core, false);
         c.lookup(0x100, AccessClass::Core, false);
-        let ev = c.fill(0x200, AccessClass::Core, false);
+        let ev = c.fill(0x200, AccessClass::Core, false).evicted;
         assert_eq!(ev, Eviction::Dirty(0x000));
         assert_eq!(c.stats().writebacks.value(), 1);
     }
@@ -397,7 +406,7 @@ mod tests {
         c.lookup(0x100, AccessClass::Core, false);
         // Force eviction of 0x000 (LRU after 0x100 was touched later).
         c.lookup(0x100, AccessClass::Core, false);
-        let ev = c.fill(0x200, AccessClass::Core, false);
+        let ev = c.fill(0x200, AccessClass::Core, false).evicted;
         assert_eq!(ev, Eviction::Dirty(0x000));
     }
 
@@ -407,14 +416,17 @@ mod tests {
         c.fill(0x40, AccessClass::Core, true);
         assert_eq!(c.invalidate(0x40), Some(true));
         assert_eq!(c.invalidate(0x40), None);
-        assert!(!c.probe(0x40));
+        assert!(c.probe(0x40).is_none());
     }
 
     #[test]
     fn refill_existing_line_does_not_evict() {
         let mut c = tiny();
         c.fill(0x40, AccessClass::Core, false);
-        assert_eq!(c.fill(0x40, AccessClass::Core, true), Eviction::None);
+        assert_eq!(
+            c.fill(0x40, AccessClass::Core, true).evicted,
+            Eviction::None
+        );
         assert_eq!(c.occupancy(), 1);
     }
 
@@ -430,12 +442,12 @@ mod tests {
         for i in 0..16 {
             c.fill(0x1000 + i * 0x80, AccessClass::Dma, true);
         }
-        assert!(c.probe(0x000));
-        assert!(c.probe(0x080));
-        assert!(c.probe(0x100));
+        assert!(c.probe(0x000).is_some());
+        assert!(c.probe(0x080).is_some());
+        assert!(c.probe(0x100).is_some());
         // Only the most recent DMA line of set 0 survives in the DCA way.
-        assert!(c.probe(0x1000 + 15 * 0x80));
-        assert!(!c.probe(0x1000));
+        assert!(c.probe(0x1000 + 15 * 0x80).is_some());
+        assert!(c.probe(0x1000).is_none());
     }
 
     #[test]
@@ -448,7 +460,7 @@ mod tests {
             c.fill(0x10000 + i * CACHE_LINE, AccessClass::Dma, true);
         }
         let resident = (0..lines)
-            .filter(|i| c.probe(0x10000 + i * CACHE_LINE))
+            .filter(|i| c.probe(0x10000 + i * CACHE_LINE).is_some())
             .count();
         assert_eq!(resident, 16, "only one DCA way per set survives");
     }

@@ -9,11 +9,12 @@
 //! simulation rather than being curve-fit.
 //!
 //! * [`cache`] — set-associative write-back caches with optional DCA way
-//!   partitions.
+//!   partitions, one packed tag word per way. [`cache::reference`] keeps
+//!   the original layout as the oracle of a differential test.
 //! * [`dram`] — multi-channel DRAM with open-page row-buffer policy.
 //! * [`bus`] — a bandwidth/occupancy resource (the PCIe stand-in).
 //! * [`system`] — [`MemorySystem`]: the wired L1I/L1D/L2/LLC/DRAM hierarchy
-//!   with core-side and DMA-side access ports.
+//!   with core-side and DMA-side access ports, and an LLC snoop filter.
 //! * [`layout`] — the simulated physical address map (rings, mbuf pool,
 //!   working-set regions).
 

@@ -12,6 +12,11 @@
 //! L1/L2 hit latencies are expressed in *core cycles* (they live in the
 //! core's clock domain, so they scale with the Fig. 15 frequency sweep);
 //! LLC and DRAM latencies are wall-clock ticks.
+//!
+//! The LLC carries a snoop filter: per LLC way, a mask of the cores whose
+//! private caches may hold its line. Coherence invalidations (LLC
+//! evictions, DMA writes) visit only those cores, and a line the LLC lacks
+//! needs none, because the hierarchy is inclusive.
 
 use simnet_sim::fault::{FaultInjector, FaultKind};
 use simnet_sim::tick::{ns, Bandwidth, Frequency, Tick};
@@ -142,6 +147,11 @@ impl CoreCaches {
     }
 }
 
+/// Most cores a [`MemorySystem`] can hold: the snoop filter keeps one bit
+/// per core in a `u8` (and the NIC has at most 8 queues, so at most 8
+/// lcores).
+pub const MAX_CORES: usize = 8;
+
 /// The complete memory system.
 ///
 /// ```
@@ -162,6 +172,14 @@ pub struct MemorySystem {
     /// Which core's private caches the next `core_*` access uses.
     active: usize,
     llc: Cache,
+    /// The snoop filter, indexed by LLC way: bit `c` set means core `c`'s
+    /// private caches may hold the way's line. Every private copy has its
+    /// bit; a bit may outlive its copy. An invalid way's mask is 0.
+    sharers: Vec<u8>,
+    /// L1I, L1D and L2 hit latencies at `core_freq`.
+    l1i_ticks: Tick,
+    l1d_ticks: Tick,
+    l2_ticks: Tick,
     dram: DramController,
     io_rx: Bus,
     io_tx: Bus,
@@ -172,10 +190,14 @@ pub struct MemorySystem {
 impl MemorySystem {
     /// Builds the hierarchy from a configuration.
     pub fn new(cfg: MemoryConfig) -> Self {
-        Self {
+        let mut mem = Self {
             cores: vec![CoreCaches::new(&cfg)],
             active: 0,
             llc: Cache::new("llc", cfg.llc),
+            sharers: vec![0; (cfg.llc.size / CACHE_LINE) as usize],
+            l1i_ticks: 0,
+            l1d_ticks: 0,
+            l2_ticks: 0,
             dram: DramController::new(cfg.dram),
             io_rx: Bus::new("io-rx", cfg.io_bandwidth, cfg.io_overhead),
             io_tx: Bus::new("io-tx", cfg.io_bandwidth, cfg.io_overhead),
@@ -183,15 +205,26 @@ impl MemorySystem {
             tracer: Tracer::disabled(),
             faults: FaultInjector::disabled(),
             cfg,
-        }
+        };
+        mem.set_core_frequency(Frequency::default());
+        mem
     }
 
     /// Rebuilds the private hierarchies for `n` cores (fresh, cold).
     /// Call once at construction, before any traffic; the shared LLC,
     /// DRAM, and I/O buses are untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= n <= MAX_CORES`.
     pub fn set_num_cores(&mut self, n: usize) {
         assert!(n > 0, "need at least one core");
+        assert!(
+            n <= MAX_CORES,
+            "{n} cores exceed the snoop filter's limit of {MAX_CORES}"
+        );
         self.cores = (0..n).map(|_| CoreCaches::new(&self.cfg)).collect();
+        self.sharers.fill(0);
         self.active = 0;
     }
 
@@ -262,6 +295,9 @@ impl MemorySystem {
     /// Sets the core clock (scales L1/L2 hit latencies).
     pub fn set_core_frequency(&mut self, freq: Frequency) {
         self.core_freq = freq;
+        self.l1i_ticks = freq.cycles_to_ticks(self.cfg.l1i_cycles);
+        self.l1d_ticks = freq.cycles_to_ticks(self.cfg.l1d_cycles);
+        self.l2_ticks = freq.cycles_to_ticks(self.cfg.l2_cycles);
     }
 
     /// The current core clock.
@@ -341,8 +377,9 @@ impl MemorySystem {
     }
 
     /// Verifies the inclusive-hierarchy invariant: every valid L1I/L1D
-    /// line is resident in L2, and every valid L2 line is resident in the
-    /// LLC (diagnostic; used by property tests).
+    /// line is resident in L2, every valid L2 line is resident in the
+    /// LLC, and the LLC's snoop filter marks the core as a sharer of it
+    /// (diagnostic; used by property tests).
     ///
     /// # Errors
     ///
@@ -351,16 +388,22 @@ impl MemorySystem {
         for (c, core) in self.cores.iter().enumerate() {
             for (upper_name, upper) in [("l1d", &core.l1d), ("l1i", &core.l1i)] {
                 for line in upper.resident_lines() {
-                    if !core.l2.probe(line) {
+                    if core.l2.probe(line).is_none() {
                         return Err(format!(
                             "core {c} {upper_name} line {line:#x} missing from l2"
                         ));
                     }
                 }
             }
+            // The L1 lines are L2 lines, so this covers them too.
             for line in core.l2.resident_lines() {
-                if !self.llc.probe(line) {
+                let Some(way) = self.llc.probe(line) else {
                     return Err(format!("core {c} l2 line {line:#x} missing from llc"));
+                };
+                if self.sharers[way] & (1 << c) == 0 {
+                    return Err(format!(
+                        "core {c} l2 line {line:#x} missing from the llc snoop filter"
+                    ));
                 }
             }
         }
@@ -378,11 +421,6 @@ impl MemorySystem {
         self.dram.reset_stats();
         self.io_rx.reset_stats();
         self.io_tx.reset_stats();
-    }
-
-    #[inline]
-    fn cycles(&self, n: u64) -> Tick {
-        self.core_freq.cycles_to_ticks(n)
     }
 
     /// Core data read of `size` bytes at `addr`. Returns `(latency, level)`
@@ -429,29 +467,27 @@ impl MemorySystem {
         write: bool,
         instr: bool,
     ) -> (Tick, HitLevel) {
-        let l1_cycles = if instr {
-            self.cfg.l1i_cycles
+        let l1_lat = if instr {
+            self.l1i_ticks
         } else {
-            self.cfg.l1d_cycles
+            self.l1d_ticks
         };
         let core = &mut self.cores[self.active];
         let l1 = if instr { &mut core.l1i } else { &mut core.l1d };
-        if l1.lookup(line, AccessClass::Core, write) {
-            return (self.cycles(l1_cycles), HitLevel::L1);
+        if l1.lookup(line, AccessClass::Core, write).is_some() {
+            return (l1_lat, HitLevel::L1);
         }
-        let l1_lat = self.cycles(l1_cycles);
-        let l2_lat = l1_lat + self.cycles(self.cfg.l2_cycles);
+        let l2_lat = l1_lat + self.l2_ticks;
 
-        if self.cores[self.active]
-            .l2
-            .lookup(line, AccessClass::Core, false)
-        {
+        if core.l2.lookup(line, AccessClass::Core, false).is_some() {
             self.fill_l1(line, instr, write);
             return (l2_lat, HitLevel::L2);
         }
 
-        if self.llc.lookup(line, AccessClass::Core, false) {
+        let sharer = 1 << self.active;
+        if let Some(way) = self.llc.lookup(line, AccessClass::Core, false) {
             self.fill_l2(line, false);
+            self.sharers[way] |= sharer;
             self.fill_l1(line, instr, write);
             return (l2_lat + self.cfg.llc_latency, HitLevel::Llc);
         }
@@ -460,8 +496,9 @@ impl MemorySystem {
         let issued = now + l2_lat + self.cfg.llc_latency;
         let done = self.dram.access_interleaved(issued, line, false);
         let dram_lat = done - now;
-        self.fill_llc_core(done, line);
+        let way = self.fill_llc_core(done, line);
         self.fill_l2(line, false);
+        self.sharers[way] = sharer;
         self.fill_l1(line, instr, write);
         (dram_lat, HitLevel::Dram)
     }
@@ -469,7 +506,7 @@ impl MemorySystem {
     fn fill_l1(&mut self, line: Addr, instr: bool, dirty: bool) {
         let core = &mut self.cores[self.active];
         let l1 = if instr { &mut core.l1i } else { &mut core.l1d };
-        match l1.fill(line, AccessClass::Core, dirty) {
+        match l1.fill(line, AccessClass::Core, dirty).evicted {
             Eviction::Dirty(victim) => {
                 // Inclusive hierarchy: the victim is in L2; propagate dirt.
                 core.l2.fill(victim, AccessClass::Core, true);
@@ -482,6 +519,7 @@ impl MemorySystem {
         match self.cores[self.active]
             .l2
             .fill(line, AccessClass::Core, dirty)
+            .evicted
         {
             Eviction::Dirty(victim) => {
                 self.back_invalidate_l1(victim);
@@ -494,17 +532,22 @@ impl MemorySystem {
         }
     }
 
-    fn fill_llc_core(&mut self, now: Tick, line: Addr) {
-        match self.llc.fill(line, AccessClass::Core, false) {
+    /// Fills `line` (absent from the LLC) into the core partition and
+    /// returns its way, whose sharer mask the caller then sets.
+    fn fill_llc_core(&mut self, now: Tick, line: Addr) -> usize {
+        let fill = self.llc.fill(line, AccessClass::Core, false);
+        let sharers = self.sharers[fill.way];
+        match fill.evicted {
             Eviction::Dirty(victim) => {
-                self.back_invalidate_l2(victim);
+                self.invalidate_private(sharers, victim);
                 self.dram.access_interleaved(now, victim, true);
             }
             Eviction::Clean(victim) => {
-                self.back_invalidate_l2(victim);
+                self.invalidate_private(sharers, victim);
             }
             Eviction::None => {}
         }
+        fill.way
     }
 
     /// Private-L2 eviction: only the evicting (active) core's L1s can
@@ -515,15 +558,52 @@ impl MemorySystem {
         core.l1i.invalidate(line);
     }
 
-    /// Shared-LLC eviction: the victim may be cached by *any* core —
-    /// coherence kills every private copy.
-    fn back_invalidate_l2(&mut self, line: Addr) {
-        for core in &mut self.cores {
-            if let Some(dirty) = core.l2.invalidate(line) {
-                let _ = dirty; // the LLC copy is being evicted with it
+    /// Coherence: kills `line` in the private caches of every core in
+    /// `sharers` (an LLC way's mask). No other core can hold it, and a core
+    /// whose L2 lacks it holds no L1 copy either (inclusion).
+    fn invalidate_private(&mut self, mut sharers: u8, line: Addr) {
+        while sharers != 0 {
+            let core = &mut self.cores[sharers.trailing_zeros() as usize];
+            if core.l2.invalidate(line).is_some() {
+                core.l1d.invalidate(line);
+                core.l1i.invalidate(line);
             }
-            core.l1d.invalidate(line);
-            core.l1i.invalidate(line);
+            sharers &= sharers - 1;
+        }
+    }
+
+    /// One line of a DMA write whose bus transfer finished at `t_bus`: it
+    /// lands in the LLC's DCA ways if `dca`, else in DRAM, and every
+    /// private copy dies. `interleaved` selects the DRAM port for control
+    /// writes. Returns when the line is at its destination.
+    fn dma_write_line(&mut self, t_bus: Tick, line: Addr, dca: bool, interleaved: bool) -> Tick {
+        let dram_write = if interleaved {
+            DramController::access_interleaved
+        } else {
+            DramController::access
+        };
+        if dca {
+            let fill = self.llc.fill(line, AccessClass::Dma, true);
+            // The way's mask goes with what it held: `line`'s sharers if it
+            // was resident, the victim's if one was evicted, none if the
+            // way was invalid. A line the LLC lacked has no private copy.
+            let sharers = std::mem::take(&mut self.sharers[fill.way]);
+            match fill.evicted {
+                Eviction::None => self.invalidate_private(sharers, line),
+                Eviction::Clean(victim) => self.invalidate_private(sharers, victim),
+                Eviction::Dirty(victim) => {
+                    self.invalidate_private(sharers, victim);
+                    dram_write(&mut self.dram, t_bus, victim, true);
+                }
+            }
+            t_bus + self.cfg.llc_latency
+        } else {
+            if let Some(way) = self.llc.probe(line) {
+                let sharers = std::mem::take(&mut self.sharers[way]);
+                self.invalidate_private(sharers, line);
+                self.llc.invalidate(line);
+            }
+            dram_write(&mut self.dram, t_bus, line, true)
         }
     }
 
@@ -548,26 +628,7 @@ impl MemorySystem {
         let mut done = t_bus;
         for i in 0..lines {
             let line = first + i * CACHE_LINE;
-            // Coherence: stale upper-level copies die in every core.
-            for core in &mut self.cores {
-                core.l1d.invalidate(line);
-                core.l1i.invalidate(line);
-                core.l2.invalidate(line);
-            }
-            if dca {
-                match self.llc.fill(line, AccessClass::Dma, true) {
-                    Eviction::Dirty(victim) => {
-                        self.back_invalidate_l2(victim);
-                        self.dram.access(t_bus, victim, true);
-                    }
-                    Eviction::Clean(victim) => self.back_invalidate_l2(victim),
-                    Eviction::None => {}
-                }
-                done = done.max(t_bus + self.cfg.llc_latency);
-            } else {
-                self.llc.invalidate(line);
-                done = done.max(self.dram.access(t_bus, line, true));
-            }
+            done = done.max(self.dma_write_line(t_bus, line, dca, false));
         }
         if dca {
             self.tracer.emit(
@@ -601,28 +662,11 @@ impl MemorySystem {
         let t_bus = grant.finish;
         let lines = lines_touched(addr, size.max(1));
         let first = line_base(addr);
+        let dca = self.cfg.dca_enabled;
         let mut done = t_bus;
         for i in 0..lines {
             let line = first + i * CACHE_LINE;
-            for core in &mut self.cores {
-                core.l1d.invalidate(line);
-                core.l1i.invalidate(line);
-                core.l2.invalidate(line);
-            }
-            if self.cfg.dca_enabled {
-                match self.llc.fill(line, AccessClass::Dma, true) {
-                    Eviction::Dirty(victim) => {
-                        self.back_invalidate_l2(victim);
-                        self.dram.access_interleaved(t_bus, victim, true);
-                    }
-                    Eviction::Clean(victim) => self.back_invalidate_l2(victim),
-                    Eviction::None => {}
-                }
-                done = done.max(t_bus + self.cfg.llc_latency);
-            } else {
-                self.llc.invalidate(line);
-                done = done.max(self.dram.access_interleaved(t_bus, line, true));
-            }
+            done = done.max(self.dma_write_line(t_bus, line, dca, true));
         }
         DmaTiming {
             next_issue: t_bus,
@@ -641,7 +685,7 @@ impl MemorySystem {
         let mut data_ready = now;
         for i in 0..lines {
             let line = first + i * CACHE_LINE;
-            if self.llc.lookup(line, AccessClass::Dma, false) {
+            if self.llc.lookup(line, AccessClass::Dma, false).is_some() {
                 data_ready = data_ready.max(now + self.cfg.llc_latency);
             } else {
                 data_ready = data_ready.max(self.dram.access(now, line, false));
@@ -665,7 +709,7 @@ impl MemorySystem {
             let line = first + i * CACHE_LINE;
             // DMA reads do not allocate: a hit sources from the LLC (the
             // DCA TX-side benefit), a miss goes to DRAM.
-            if self.llc.lookup(line, AccessClass::Dma, false) {
+            if self.llc.lookup(line, AccessClass::Dma, false).is_some() {
                 data_ready = data_ready.max(now + self.cfg.llc_latency);
             } else {
                 data_ready = data_ready.max(self.dram.access(now, line, false));

@@ -4,23 +4,38 @@ use proptest::prelude::*;
 use simnet_mem::{layout, MemoryConfig, MemorySystem, CACHE_LINE};
 
 /// A random access script: mixes core reads/writes/fetches with DMA
-/// writes/reads over a handful of address regions.
+/// writes/reads over a handful of address regions, and switches which
+/// core's private caches the core accesses use.
 #[derive(Debug, Clone)]
 enum Step {
     CoreRead(u64),
     CoreWrite(u64),
     Ifetch(u64),
     DmaWrite(usize, u16),
+    DmaWriteControl(usize, u16),
     DmaRead(usize, u16),
+    /// Taken modulo the core count.
+    SetActiveCore(usize),
 }
+
+/// Packet buffers the DMA steps write and read, and some core reads
+/// touch: 64 slots hold ~3× the small config's DCA partition.
+const SLOTS: usize = 64;
 
 fn step_strategy() -> impl Strategy<Value = Step> {
     prop_oneof![
         (0u64..1 << 22).prop_map(|off| Step::CoreRead(layout::WORKSET_BASE + off)),
+        // Packet data a DMA write may have stashed, or may overwrite next.
+        ((0..SLOTS), (0u64..1518))
+            .prop_map(|(slot, off)| Step::CoreRead(layout::mbuf_addr(slot) + off)),
         (0u64..1 << 22).prop_map(|off| Step::CoreWrite(layout::HEAP_BASE + off)),
+        // A small region every core writes, so lines have several sharers.
+        (0u64..1 << 14).prop_map(|off| Step::CoreWrite(layout::HEAP_BASE + off)),
         (0u64..1 << 20).prop_map(|off| Step::Ifetch(layout::WORKSET_BASE + (8 << 20) + off)),
-        ((0usize..512), (60u16..1518)).prop_map(|(slot, len)| Step::DmaWrite(slot, len)),
-        ((0usize..512), (60u16..1518)).prop_map(|(slot, len)| Step::DmaRead(slot, len)),
+        ((0..SLOTS), (60u16..1518)).prop_map(|(slot, len)| Step::DmaWrite(slot, len)),
+        ((0..SLOTS), (16u16..64)).prop_map(|(slot, len)| Step::DmaWriteControl(slot, len)),
+        ((0..SLOTS), (60u16..1518)).prop_map(|(slot, len)| Step::DmaRead(slot, len)),
+        (0usize..4).prop_map(Step::SetActiveCore),
     ]
 }
 
@@ -37,13 +52,22 @@ fn small_config() -> MemoryConfig {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// The inclusive-hierarchy invariant survives arbitrary interleavings
-    /// of core traffic, DCA fills and coherence invalidations.
+    /// The inclusive-hierarchy invariant, and the snoop filter's (every
+    /// private line has its core's bit in its LLC way's mask), survive
+    /// arbitrary interleavings of core traffic on 1–4 cores, DMA writes
+    /// with DCA on or off, and coherence invalidations. Checked after every
+    /// step.
     #[test]
-    fn hierarchy_stays_inclusive(steps in prop::collection::vec(step_strategy(), 1..400)) {
-        let mut mem = MemorySystem::new(small_config());
+    fn hierarchy_stays_inclusive(
+        cores in 1usize..=4,
+        dca in any::<bool>(),
+        steps in prop::collection::vec(step_strategy(), 1..400),
+    ) {
+        let cfg = if dca { small_config() } else { small_config().without_dca() };
+        let mut mem = MemorySystem::new(cfg);
+        mem.set_num_cores(cores);
         let mut now = 0u64;
-        for step in &steps {
+        for (i, step) in steps.iter().enumerate() {
             now += 10_000;
             match *step {
                 Step::CoreRead(a) => { mem.core_read(now, a, 8); }
@@ -52,12 +76,17 @@ proptest! {
                 Step::DmaWrite(slot, len) => {
                     mem.dma_write(now, layout::mbuf_addr(slot), len as u64);
                 }
+                Step::DmaWriteControl(slot, len) => {
+                    mem.dma_write_control(now, layout::mbuf_addr(slot), len as u64);
+                }
                 Step::DmaRead(slot, len) => {
                     mem.dma_read(now, layout::mbuf_addr(slot), len as u64);
                 }
+                Step::SetActiveCore(c) => mem.set_active_core(c % cores),
             }
+            mem.verify_inclusion()
+                .map_err(|e| TestCaseError::fail(format!("step {i} ({step:?}): {e}")))?;
         }
-        mem.verify_inclusion().map_err(TestCaseError::fail)?;
     }
 
     /// Completion times are monotone: an access issued later never
@@ -89,6 +118,12 @@ proptest! {
         prop_assert_eq!(level, simnet_mem::HitLevel::L1);
         prop_assert!(second >= 600, "at least ~2 cycles at 3 GHz: {}", second);
     }
+}
+
+#[test]
+#[should_panic(expected = "limit of 8")]
+fn more_cores_than_the_snoop_filter_holds_panics() {
+    MemorySystem::new(small_config()).set_num_cores(9);
 }
 
 #[test]

@@ -5,7 +5,6 @@
 //! gem5 resets stats after `m5 resetstats`).
 //!
 //! * [`Counter`] — a monotonically increasing event count.
-//! * [`Running`] — a constant-space running mean/stddev/min/max (Welford).
 //! * [`Histogram`] — fixed-width bins with under/overflow buckets.
 //! * [`SampleSet`] — a bounded sample store with exact quantiles, used for
 //!   the load generator's per-packet round-trip latency report
@@ -22,7 +21,6 @@ mod counter;
 mod histogram;
 mod profile;
 mod registry;
-mod running;
 mod samples;
 mod timeseries;
 
@@ -30,6 +28,5 @@ pub use counter::Counter;
 pub use histogram::Histogram;
 pub use profile::Profiler;
 pub use registry::{DumpLevel, StatEntry, StatValue, StatsRegistry};
-pub use running::Running;
 pub use samples::{LatencySummary, SampleSet};
 pub use timeseries::{ColumnKind, ColumnSpec, SampleValue, TimeSeries};
