@@ -29,7 +29,9 @@ pub mod tracerun;
 
 pub use client_app::SoftwareClient;
 pub use config::SystemConfig;
-pub use msb::{build_loadgen_sim, find_msb, run_point, AppSpec, MsbResult, RunConfig};
+pub use msb::{
+    build_dual_sim, build_loadgen_sim, find_msb, run_point, AppSpec, MsbResult, RunConfig,
+};
 pub use sim::Simulation;
 pub use stats_dump::{build_registry, stats_text, stats_text_all};
 pub use summary::RunSummary;

@@ -327,17 +327,12 @@ pub fn run_point(
     run_phases(&mut sim, rc.phases)
 }
 
-/// Runs one measurement point in **dual-mode** (Fig. 1a): the traffic
-/// source is a software load-generator application on a fully simulated
-/// Drive Node instead of the hardware `EtherLoadGen`. Used by the Fig. 20
-/// simulation-speed comparison.
-pub fn run_dual_point(
-    cfg: &SystemConfig,
-    spec: &AppSpec,
-    size: usize,
-    offered: f64,
-    rc: RunConfig,
-) -> RunSummary {
+/// Assembles a **dual-mode** simulation (Fig. 1a) without running it:
+/// the traffic source is a software load-generator application on a
+/// fully simulated Drive Node instead of the hardware `EtherLoadGen`.
+/// [`run_dual_point`] and the dual-mode golden trace both run this
+/// assembly.
+pub fn build_dual_sim(cfg: &SystemConfig, spec: &AppSpec, size: usize, offered: f64) -> Simulation {
     let (server_stack, server_app) =
         spec.instantiate_mq(cfg.seed, 0, cfg.num_lcores, cfg.nic.num_queues);
     // The Drive Node runs the matching client as a DPDK app (Pktgen-like).
@@ -362,6 +357,19 @@ pub fn run_dual_point(
         client_app,
     );
     add_workers(&mut sim, cfg, spec);
+    sim
+}
+
+/// Runs one measurement point in dual-mode ([`build_dual_sim`]). Used by
+/// the Fig. 20 simulation-speed comparison.
+pub fn run_dual_point(
+    cfg: &SystemConfig,
+    spec: &AppSpec,
+    size: usize,
+    offered: f64,
+    rc: RunConfig,
+) -> RunSummary {
+    let mut sim = build_dual_sim(cfg, spec, size, offered);
     run_phases(&mut sim, rc.phases)
 }
 

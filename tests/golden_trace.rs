@@ -1,6 +1,7 @@
 //! Golden-trace determinism: the packet-lifecycle trace of a fixed
 //! configuration must be byte-identical across runs and across freshly
-//! rebuilt nodes, and must match the committed golden file.
+//! rebuilt nodes, and must match the committed golden file. The incast
+//! and dual-mode goldens also pin the Full stats dump of every node.
 //!
 //! Regenerate the golden after an intentional behavior change with:
 //!
@@ -8,12 +9,16 @@
 //! SIMNET_UPDATE_GOLDEN=1 cargo test -q --test golden_trace
 //! ```
 
-use simnet::harness::summary::Phases;
+use simnet::harness::config::TopoConfig;
+use simnet::harness::summary::{run_phases, Phases};
 use simnet::harness::tracerun::TracedRun;
-use simnet::harness::{run_traced, run_traced_with, AppSpec, RunConfig, SystemConfig, TraceOpts};
+use simnet::harness::{
+    build_dual_sim, build_loadgen_sim, run_traced, run_traced_with, stats_text_all, AppSpec,
+    RunConfig, Simulation, SystemConfig, TraceOpts,
+};
 use simnet::sim::fault::{FaultInjector, FaultPlan};
 use simnet::sim::tick::us;
-use simnet::sim::trace::{trace_hash, Component};
+use simnet::sim::trace::{canonical_text, trace_hash, Component};
 
 /// A short, light TestPMD point: no warm-up, a 250 µs window (the link's
 /// one-way latency is 100 µs, so the window must cover inject → arrival →
@@ -148,6 +153,55 @@ fn mq_memcached_point() -> TracedRun {
     )
 }
 
+/// Compares `text` with the committed golden file `name` under
+/// `tests/golden/`, or rewrites that file when `SIMNET_UPDATE_GOLDEN` is
+/// set.
+fn assert_golden(name: &str, text: &str) {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("SIMNET_UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(std::path::Path::new(&path).parent().unwrap()).unwrap();
+        std::fs::write(&path, text).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("cannot read {path}: {e}; run with SIMNET_UPDATE_GOLDEN=1 to create it")
+    });
+    assert_eq!(
+        text, golden,
+        "{name} diverged from the golden file; if the change is intentional, \
+         regenerate with SIMNET_UPDATE_GOLDEN=1 cargo test --test golden_trace"
+    );
+}
+
+/// Runs an assembled simulation traced for 250 µs without warm-up and
+/// returns its canonical trace followed by the Full stats dump of every
+/// node.
+fn trace_and_dumps(mut sim: Simulation) -> String {
+    sim.enable_trace(1 << 16, Component::ALL_MASK);
+    run_phases(
+        &mut sim,
+        Phases {
+            warmup: 0,
+            measure: us(250),
+        },
+    );
+    assert_eq!(sim.tracer().evicted(), 0, "golden trace must fit the ring");
+    let mut text = canonical_text(&sim.take_trace());
+    for node in 0..sim.nodes.len() {
+        text.push_str(&stats_text_all(&sim, node));
+    }
+    text
+}
+
+/// The value of stats-dump line `key`.
+fn stat(dump: &str, key: &str) -> u64 {
+    dump.lines()
+        .find(|l| l.split_whitespace().next() == Some(key))
+        .and_then(|l| l.split_whitespace().nth(1))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no {key} in the dump"))
+}
+
 #[test]
 fn trace_is_deterministic_across_rebuilt_nodes() {
     // Each call assembles a brand-new node (NIC, memory, stack, loadgen)
@@ -167,27 +221,9 @@ fn trace_is_deterministic_across_rebuilt_nodes() {
 
 #[test]
 fn trace_matches_committed_golden_file() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/testpmd_small.trace"
-    );
     let run = golden_point();
     let text = run.canonical_text();
-
-    if std::env::var_os("SIMNET_UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(std::path::Path::new(path).parent().unwrap()).unwrap();
-        std::fs::write(path, &text).unwrap();
-        return;
-    }
-
-    let golden = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!("cannot read {path}: {e}; run with SIMNET_UPDATE_GOLDEN=1 to create it")
-    });
-    assert_eq!(
-        text, golden,
-        "trace diverged from the golden file; if the change is intentional, \
-         regenerate with SIMNET_UPDATE_GOLDEN=1 cargo test --test golden_trace"
-    );
+    assert_golden("testpmd_small.trace", &text);
 }
 
 /// Chaos determinism: the faulted event stream is a pure function of the
@@ -229,69 +265,29 @@ fn faulted_trace_is_deterministic_and_seed_sensitive() {
 /// regeneration.
 #[test]
 fn faulted_trace_matches_committed_golden_file() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/testpmd_faulted.trace"
-    );
     let run = faulted_point(11);
     let text = run.canonical_text();
     assert!(
         text.contains("stage=fault"),
         "faulted golden must contain fault events"
     );
-
-    if std::env::var_os("SIMNET_UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(std::path::Path::new(path).parent().unwrap()).unwrap();
-        std::fs::write(path, &text).unwrap();
-        return;
-    }
-
-    let golden = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!("cannot read {path}: {e}; run with SIMNET_UPDATE_GOLDEN=1 to create it")
-    });
-    assert_eq!(
-        text, golden,
-        "faulted trace diverged from the golden file; if the change is \
-         intentional, regenerate with SIMNET_UPDATE_GOLDEN=1 cargo test --test golden_trace"
-    );
+    assert_golden("testpmd_faulted.trace", &text);
 }
 
 /// The line-rate golden (`testpmd_burst.trace`, named for the 30 Gbps
 /// arrival bursts it pins): hundreds of frames in flight per direction.
 #[test]
 fn burst_trace_matches_committed_golden_file() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/testpmd_burst.trace"
-    );
     let run = line_rate_point(None);
     assert_eq!(run.evicted, 0, "line-rate golden trace must fit the ring");
     let text = run.canonical_text();
-
-    if std::env::var_os("SIMNET_UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(std::path::Path::new(path).parent().unwrap()).unwrap();
-        std::fs::write(path, &text).unwrap();
-        return;
-    }
-
-    let golden = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!("cannot read {path}: {e}; run with SIMNET_UPDATE_GOLDEN=1 to create it")
-    });
-    assert_eq!(
-        text, golden,
-        "burst trace diverged from the golden file; if the change is \
-         intentional, regenerate with SIMNET_UPDATE_GOLDEN=1 cargo test --test golden_trace"
-    );
+    assert_golden("testpmd_burst.trace", &text);
 }
 
 /// The faulted line-rate golden: the same hot point with the chaos plan
 /// installed, every `stage=fault` line included.
 #[test]
 fn faulted_burst_trace_matches_committed_golden_file() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/testpmd_burst_faulted.trace"
-    );
     let run = line_rate_point(Some(11));
     assert_eq!(run.evicted, 0, "faulted line-rate golden must fit the ring");
     let text = run.canonical_text();
@@ -304,21 +300,7 @@ fn faulted_burst_trace_matches_committed_golden_file() {
         "the plan must actually inject faults: {:?}",
         run.fault_counts
     );
-
-    if std::env::var_os("SIMNET_UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(std::path::Path::new(path).parent().unwrap()).unwrap();
-        std::fs::write(path, &text).unwrap();
-        return;
-    }
-
-    let golden = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!("cannot read {path}: {e}; run with SIMNET_UPDATE_GOLDEN=1 to create it")
-    });
-    assert_eq!(
-        text, golden,
-        "faulted burst trace diverged from the golden file; if the change is \
-         intentional, regenerate with SIMNET_UPDATE_GOLDEN=1 cargo test --test golden_trace"
-    );
+    assert_golden("testpmd_burst_faulted.trace", &text);
 }
 
 /// The multi-queue golden: the 2-queue/2-lcore TestPMD schedule may not
@@ -327,32 +309,17 @@ fn faulted_burst_trace_matches_committed_golden_file() {
 /// golden, or the multi-queue configuration is silently inert.
 #[test]
 fn mq_trace_matches_committed_golden_file() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/testpmd_mq.trace");
     let run = mq_point();
     assert_eq!(run.evicted, 0, "mq golden trace must fit the ring");
     let text = run.canonical_text();
-
-    if std::env::var_os("SIMNET_UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(std::path::Path::new(path).parent().unwrap()).unwrap();
-        std::fs::write(path, &text).unwrap();
-        return;
-    }
-
-    let golden = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!("cannot read {path}: {e}; run with SIMNET_UPDATE_GOLDEN=1 to create it")
-    });
-    assert_eq!(
-        text, golden,
-        "multi-queue trace diverged from the golden file; if the change is \
-         intentional, regenerate with SIMNET_UPDATE_GOLDEN=1 cargo test --test golden_trace"
-    );
+    assert_golden("testpmd_mq.trace", &text);
 
     // A second rebuilt node must reproduce it, and the single-queue
     // golden point must not (the queues change the schedule).
-    assert_eq!(mq_point().canonical_text(), golden);
+    assert_eq!(mq_point().canonical_text(), text);
     assert_ne!(
         golden_point().canonical_text(),
-        golden,
+        text,
         "the 2-queue schedule must differ from the single-queue golden"
     );
 }
@@ -361,30 +328,45 @@ fn mq_trace_matches_committed_golden_file() {
 /// RSS-spread request traffic, byte-for-byte reproducible.
 #[test]
 fn mq_memcached_trace_matches_committed_golden_file() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/memcached_mq.trace"
-    );
     let run = mq_memcached_point();
     assert_eq!(run.evicted, 0, "mq memcached golden must fit the ring");
     let text = run.canonical_text();
+    assert_golden("memcached_mq.trace", &text);
+    assert_eq!(mq_memcached_point().canonical_text(), text);
+}
 
-    if std::env::var_os("SIMNET_UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(std::path::Path::new(path).parent().unwrap()).unwrap();
-        std::fs::write(path, &text).unwrap();
-        return;
-    }
-
-    let golden = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!("cannot read {path}: {e}; run with SIMNET_UPDATE_GOLDEN=1 to create it")
-    });
-    assert_eq!(
-        text, golden,
-        "sharded-memcached multi-queue trace diverged from the golden file; if \
-         the change is intentional, regenerate with SIMNET_UPDATE_GOLDEN=1 \
-         cargo test --test golden_trace"
+/// The incast golden: 4 fleet clients with 5 µs of latency spread
+/// behind a switch whose trunk queue holds one frame, 20,000 ppm of
+/// uplink loss, and 12 Gbps of 1518 B frames in aggregate. It pins the
+/// fleet, switch and trunk schedule with every fabric drop path taken.
+#[test]
+fn incast_small_matches_committed_golden_file() {
+    let cfg = SystemConfig::gem5().with_topo(
+        TopoConfig::incast(4)
+            .with_latency_spread(us(5))
+            .with_trunk_queue(1)
+            .with_loss_ppm(20_000),
     );
-    assert_eq!(mq_memcached_point().canonical_text(), golden);
+    let text = trace_and_dumps(build_loadgen_sim(&cfg, &AppSpec::TestPmd, 1518, 12.0));
+    assert!(
+        stat(&text, "system.topo.trunk.tailDrops") > 0,
+        "trunk never tail-dropped"
+    );
+    assert!(
+        stat(&text, "system.topo.uplinks.lossDrops") > 0,
+        "uplinks never lost a frame"
+    );
+    assert_golden("incast_small.trace", &text);
+}
+
+/// The dual-mode golden (Fig. 20's assembly): a Drive Node running the
+/// software client sends 2 Gbps of 1518 B frames to the test node over
+/// the node-to-node wires; both nodes' dumps are pinned.
+#[test]
+fn dual_small_matches_committed_golden_file() {
+    let cfg = SystemConfig::gem5();
+    let text = trace_and_dumps(build_dual_sim(&cfg, &AppSpec::TestPmd, 1518, 2.0));
+    assert_golden("dual_small.trace", &text);
 }
 
 #[test]
