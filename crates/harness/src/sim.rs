@@ -1,9 +1,13 @@
 //! The event-driven node simulation.
 //!
 //! A [`Simulation`] holds one node under test (NIC, memory system, core,
-//! software stack, application) and a traffic source: either the hardware
-//! [`EtherLoadGen`] (Fig. 1b) or a second, fully simulated Drive Node
-//! running a software load-generator application (dual-mode, Fig. 1a).
+//! software stack, application) and a traffic source: the hardware
+//! [`EtherLoadGen`] (Fig. 1b), a second, fully simulated Drive Node
+//! running a software load-generator application (dual-mode, Fig. 1a),
+//! or a [`ClientFleet`] of endpoints behind a MAC [`Switch`] (incast).
+//! In every mode the ports are joined by one table of directed
+//! [`TopoLink`]s, and every frame enters a link through one function,
+//! `Simulation::transmit`.
 //!
 //! Booting a node follows Listing 2: bind `uio_pci_generic` through the
 //! PCI registry, then initialize the DPDK EAL (vendor-check skip and PMD
@@ -13,7 +17,7 @@ use simnet_cpu::Core;
 use simnet_loadgen::{ClientFleet, EtherLoadGen};
 use simnet_mem::MemorySystem;
 use simnet_net::pcap::PcapWriter;
-use simnet_net::topo::{LinkPolicy, Switch, TopoLink, Topology, Verdict};
+use simnet_net::topo::{LinkPolicy, Switch, TopoLink, Verdict};
 use simnet_net::Packet;
 use simnet_nic::Nic;
 use simnet_pci::devbind::DevBind;
@@ -91,135 +95,30 @@ fn kind_index(ev: &Ev) -> usize {
     }
 }
 
-/// The instantiated network fabric between the traffic source(s) and the
-/// test node: executable [`TopoLink`]s plus, for fan-in topologies, a
-/// MAC-forwarding [`Switch`]. The degenerate point-to-point fabric is
-/// exactly one pure wire per direction — the legacy schedule is the
-/// 2-node/1-link special case, byte for byte.
-struct Fabric {
-    /// Per-client uplinks toward the switch — or, degenerate, the single
-    /// loadgen→host wire at index 0.
-    uplinks: Vec<TopoLink>,
-    /// Per-client downlinks from the switch (degenerate: host→loadgen).
-    downlinks: Vec<TopoLink>,
-    /// Switch→host trunk (fan-in topologies only).
-    trunk_up: Option<TopoLink>,
-    /// Host→switch trunk (fan-in topologies only).
-    trunk_down: Option<TopoLink>,
-    /// Destination-MAC forwarding table. Port 0 is the trunk toward the
-    /// host; port `i + 1` is client `i`'s downlink.
-    switch: Switch,
-    /// Frames whose destination MAC had no switch route (counted and
-    /// dropped — no flooding in this model).
-    unroutable: Counter,
+/// One end of a directed link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Port {
+    /// The NIC of node `i`.
+    Nic(usize),
+    /// The hardware load generator.
+    LoadGen,
+    /// The MAC-forwarding switch.
+    Switch,
+    /// Fleet client `i`.
+    Client(usize),
 }
 
-impl Fabric {
-    /// Deterministic per-link loss-stream seed: the workload seed mixed
-    /// with the link index (splitmix64 odd constant), so links draw
-    /// independent streams and runs replay exactly.
-    fn link_seed(seed: u64, index: usize) -> u64 {
-        seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
+/// The switch→host trunk: the link whose congestion queue the
+/// `topo_queue` gauge and the `system.topo.trunk` stats read.
+const TRUNK: (Port, Port) = (Port::Switch, Port::Nic(0));
 
-    /// The degenerate two-node topology: one pure wire per direction.
-    fn point_to_point(cfg: &SystemConfig) -> Self {
-        let topo = Topology::point_to_point(cfg.link_bandwidth, cfg.link_latency);
-        let links = topo.links();
-        Fabric {
-            uplinks: vec![TopoLink::new(links[0].policy, Self::link_seed(cfg.seed, 0))],
-            downlinks: vec![TopoLink::new(links[1].policy, Self::link_seed(cfg.seed, 1))],
-            trunk_up: None,
-            trunk_down: None,
-            switch: Switch::new(),
-            unroutable: Counter::new(),
-        }
-    }
-
-    /// The incast fan-in described by `cfg.topo`: per-client access-link
-    /// pairs into a switch whose trunk (optionally carrying a bounded
-    /// congestion queue) feeds the host. Link order follows
-    /// [`Topology::incast`]: trunk pair first, then per-client pairs.
-    fn incast(cfg: &SystemConfig, fleet: &ClientFleet) -> Self {
-        let t = &cfg.topo;
-        let topo = Topology::incast(
-            t.clients,
-            cfg.link_bandwidth,
-            t.client_latency,
-            t.latency_spread,
-            t.trunk_latency,
-            t.trunk_queue_frames,
-            t.loss_ppm,
-        );
-        let links = topo.links();
-        let mut switch = Switch::new();
-        switch.add_route(cfg.nic.mac, 0);
-        let mut uplinks = Vec::with_capacity(t.clients);
-        let mut downlinks = Vec::with_capacity(t.clients);
-        for i in 0..t.clients {
-            switch.add_route(fleet.client_mac(i), i + 1);
-            let up = 2 + 2 * i;
-            uplinks.push(TopoLink::new(
-                links[up].policy,
-                Self::link_seed(cfg.seed, up),
-            ));
-            downlinks.push(TopoLink::new(
-                links[up + 1].policy,
-                Self::link_seed(cfg.seed, up + 1),
-            ));
-        }
-        Fabric {
-            uplinks,
-            downlinks,
-            trunk_up: Some(TopoLink::new(links[0].policy, Self::link_seed(cfg.seed, 0))),
-            trunk_down: Some(TopoLink::new(links[1].policy, Self::link_seed(cfg.seed, 1))),
-            switch,
-            unroutable: Counter::new(),
-        }
-    }
-
-    /// Whether this is the 2-node/1-link special case (no switch).
-    fn is_degenerate(&self) -> bool {
-        self.trunk_up.is_none()
-    }
-
-    fn links(&self) -> impl Iterator<Item = &TopoLink> {
-        self.uplinks
-            .iter()
-            .chain(self.downlinks.iter())
-            .chain(self.trunk_up.iter())
-            .chain(self.trunk_down.iter())
-    }
-
-    fn links_mut(&mut self) -> impl Iterator<Item = &mut TopoLink> {
-        self.uplinks
-            .iter_mut()
-            .chain(self.downlinks.iter_mut())
-            .chain(self.trunk_up.iter_mut())
-            .chain(self.trunk_down.iter_mut())
-    }
-
-    /// Cumulative drops across the whole fabric: tail-drops and loss
-    /// draws on every link, plus unroutable frames at the switch.
-    fn drops_total(&self) -> u64 {
-        self.links()
-            .map(|l| l.tail_drops.value() + l.loss_drops.value())
-            .sum::<u64>()
-            + self.unroutable.value()
-    }
-
-    /// Current switch→host trunk congestion-queue occupancy (0 when
-    /// degenerate or unbounded).
-    fn trunk_occupancy(&mut self, now: Tick) -> usize {
-        self.trunk_up.as_mut().map_or(0, |l| l.occupancy(now))
-    }
-
-    fn reset_stats(&mut self) {
-        for link in self.links_mut() {
-            link.reset_stats();
-        }
-        self.unroutable.reset();
-    }
+/// One directed link of the simulation's link table.
+struct Link {
+    /// The port that transmits onto the link.
+    from: Port,
+    /// The port the link delivers to.
+    to: Port,
+    wire: TopoLink,
 }
 
 /// Cumulative counter values at the previous interval sample, for the
@@ -433,6 +332,9 @@ impl Node {
     }
 }
 
+/// What [`Simulation::new`] builds a node from.
+type NodeParts<'a> = (&'a SystemConfig, Box<dyn NetworkStack>, Box<dyn PacketApp>);
+
 /// The full simulation.
 pub struct Simulation {
     queue: EventQueue<Ev>,
@@ -442,15 +344,16 @@ pub struct Simulation {
     /// The hardware load generator (absent in dual-mode and topology
     /// mode).
     pub loadgen: Option<EtherLoadGen>,
-    /// The instantiated topology between traffic sources and the test
-    /// node (present in loadgen mode — degenerate — and topology mode;
-    /// absent in dual-mode).
-    fabric: Option<Fabric>,
-    /// Dual-mode's node-to-node pure wires, indexed by sending node
-    /// (empty in the other modes).
-    wires: Vec<TopoLink>,
     /// The client fleet driving a fan-in topology (topology mode only).
     fleet: Option<ClientFleet>,
+    /// Every directed link between two ports, in link-seed order.
+    links: Vec<Link>,
+    /// Destination-MAC forwarding table; each route names the index of
+    /// the link the switch forwards onto. Empty without a switch.
+    switch: Switch,
+    /// Frames whose destination MAC had no switch route (counted and
+    /// dropped — no flooding in this model).
+    unroutable: Counter,
     loadgen_tx_scheduled: bool,
     /// Optional pdump-style capture tap at the test node's port (both
     /// directions), producing a PCAP byte stream.
@@ -472,24 +375,44 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Builds a load-generator-mode simulation (Fig. 1b): `EtherLoadGen`
-    /// wired straight to the test node's NIC port.
-    pub fn loadgen_mode(
-        cfg: &SystemConfig,
-        stack: Box<dyn NetworkStack>,
-        app: Box<dyn PacketApp>,
-        loadgen: EtherLoadGen,
+    /// Assembles a simulation from one node per `(config, stack, app)`,
+    /// the traffic source (generator or fleet), the link table as
+    /// `(from, to, policy, seed)` rows, and the switch.
+    fn new(
+        nodes: Vec<NodeParts>,
+        loadgen: Option<EtherLoadGen>,
+        fleet: Option<ClientFleet>,
+        links: Vec<(Port, Port, LinkPolicy, u64)>,
+        switch: Switch,
     ) -> Self {
         // Packet-pool counters describe one simulation; earlier runs on
         // this worker thread must not leak into this run's stats.
         simnet_net::pool::reset_stats();
         Self {
             queue: EventQueue::new(),
-            nodes: vec![Node::new(cfg, stack, app)],
-            loadgen: Some(loadgen),
-            fabric: Some(Fabric::point_to_point(cfg)),
-            wires: Vec::new(),
-            fleet: None,
+            nodes: nodes
+                .into_iter()
+                .map(|(cfg, stack, app)| Node::new(cfg, stack, app))
+                .collect(),
+            loadgen,
+            fleet,
+            // A link's loss stream is its seed mixed with its table index
+            // (splitmix64 odd constant), so links draw independent
+            // streams and runs replay exactly.
+            links: links
+                .into_iter()
+                .enumerate()
+                .map(|(i, (from, to, policy, seed))| Link {
+                    from,
+                    to,
+                    wire: TopoLink::new(
+                        policy,
+                        seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    ),
+                })
+                .collect(),
+            switch,
+            unroutable: Counter::new(),
             loadgen_tx_scheduled: false,
             capture: None,
             started: false,
@@ -501,8 +424,32 @@ impl Simulation {
         }
     }
 
+    /// Builds a load-generator-mode simulation (Fig. 1b): `EtherLoadGen`
+    /// wired straight to the test node's NIC port by one pure wire per
+    /// direction.
+    pub fn loadgen_mode(
+        cfg: &SystemConfig,
+        stack: Box<dyn NetworkStack>,
+        app: Box<dyn PacketApp>,
+        loadgen: EtherLoadGen,
+    ) -> Self {
+        let wire = LinkPolicy::wire(cfg.link_bandwidth, cfg.link_latency);
+        let links = vec![
+            (Port::LoadGen, Port::Nic(0), wire, cfg.seed),
+            (Port::Nic(0), Port::LoadGen, wire, cfg.seed),
+        ];
+        Self::new(
+            vec![(cfg, stack, app)],
+            Some(loadgen),
+            None,
+            links,
+            Switch::new(),
+        )
+    }
+
     /// Builds a dual-mode simulation (Fig. 1a): a Drive Node running a
-    /// software load-generator application, linked to the test node.
+    /// software load-generator application, linked to the test node by
+    /// one pure wire per direction, each set by its sending node's config.
     pub fn dual_mode(
         test_cfg: &SystemConfig,
         test_stack: Box<dyn NetworkStack>,
@@ -511,40 +458,33 @@ impl Simulation {
         drive_stack: Box<dyn NetworkStack>,
         drive_app: Box<dyn PacketApp>,
     ) -> Self {
-        simnet_net::pool::reset_stats();
-        Self {
-            queue: EventQueue::new(),
-            nodes: vec![
-                Node::new(test_cfg, test_stack, test_app),
-                Node::new(drive_cfg, drive_stack, drive_app),
+        let links = [test_cfg, drive_cfg]
+            .iter()
+            .enumerate()
+            .map(|(node, cfg)| {
+                let wire = LinkPolicy::wire(cfg.link_bandwidth, cfg.link_latency);
+                (Port::Nic(node), Port::Nic(1 - node), wire, cfg.seed)
+            })
+            .collect();
+        Self::new(
+            vec![
+                (test_cfg, test_stack, test_app),
+                (drive_cfg, drive_stack, drive_app),
             ],
-            loadgen: None,
-            fabric: None,
-            wires: [test_cfg, drive_cfg]
-                .iter()
-                .enumerate()
-                .map(|(node, cfg)| {
-                    TopoLink::new(
-                        LinkPolicy::wire(cfg.link_bandwidth, cfg.link_latency),
-                        Fabric::link_seed(cfg.seed, node),
-                    )
-                })
-                .collect(),
-            fleet: None,
-            loadgen_tx_scheduled: false,
-            capture: None,
-            started: false,
-            tracer: Tracer::disabled(),
-            faults: FaultInjector::disabled(),
-            probe_interval: tick::us(10),
-            sampler: None,
-            profiler: None,
-        }
+            None,
+            None,
+            links,
+            Switch::new(),
+        )
     }
 
     /// Builds a topology-mode simulation: a [`ClientFleet`] of endpoints
-    /// behind a MAC switch feeding the test node over a (optionally
-    /// congestible) trunk — the fan-in described by `cfg.topo`.
+    /// behind a MAC switch feeding the test node over a trunk — the
+    /// fan-in described by `cfg.topo`. The switch→host trunk carries the
+    /// bounded congestion queue (a pure wire at 0 frames), the return
+    /// trunk is a pure wire, client `c`'s access links have latency
+    /// `client_latency + c × latency_spread`, and only uplinks lose
+    /// frames.
     ///
     /// # Panics
     ///
@@ -560,24 +500,28 @@ impl Simulation {
             cfg.topo.clients,
             "fleet size must match the configured topology"
         );
-        simnet_net::pool::reset_stats();
-        let fabric = Fabric::incast(cfg, &fleet);
-        Self {
-            queue: EventQueue::new(),
-            nodes: vec![Node::new(cfg, stack, app)],
-            loadgen: None,
-            fabric: Some(fabric),
-            wires: Vec::new(),
-            fleet: Some(fleet),
-            loadgen_tx_scheduled: false,
-            capture: None,
-            started: false,
-            tracer: Tracer::disabled(),
-            faults: FaultInjector::disabled(),
-            probe_interval: tick::us(10),
-            sampler: None,
-            profiler: None,
+        let t = &cfg.topo;
+        let bw = cfg.link_bandwidth;
+        let trunk = match t.trunk_queue_frames {
+            0 => LinkPolicy::wire(bw, t.trunk_latency),
+            frames => LinkPolicy::bounded(bw, t.trunk_latency, frames),
+        };
+        let back = LinkPolicy::wire(bw, t.trunk_latency);
+        let seed = cfg.seed;
+        let mut links = vec![
+            (Port::Switch, Port::Nic(0), trunk, seed),
+            (Port::Nic(0), Port::Switch, back, seed),
+        ];
+        let mut switch = Switch::new();
+        switch.add_route(cfg.nic.mac, 0);
+        for c in 0..t.clients {
+            let access = LinkPolicy::wire(bw, t.client_latency + t.latency_spread * c as Tick);
+            let uplink = access.with_loss(t.loss_ppm);
+            links.push((Port::Client(c), Port::Switch, uplink, seed));
+            switch.add_route(fleet.client_mac(c), links.len());
+            links.push((Port::Switch, Port::Client(c), access, seed));
         }
+        Self::new(vec![(cfg, stack, app)], None, Some(fleet), links, switch)
     }
 
     /// Enables packet-lifecycle tracing into a ring buffer of `capacity`
@@ -770,10 +714,37 @@ impl Simulation {
         self.queue.executed_count()
     }
 
-    fn tap(capture: &mut Option<PcapWriter<Vec<u8>>>, now: Tick, packet: &Packet) {
-        if let Some(writer) = capture {
-            let _ = writer.write_packet(now, packet.bytes());
+    /// The index of the link `port` transmits on.
+    fn egress(&self, port: Port) -> usize {
+        self.links
+            .iter()
+            .position(|l| l.from == port)
+            .expect("every sender has an egress link")
+    }
+
+    /// Offers `packet` to link `link` at `now`: the one wire hop of every
+    /// mode. The capture tap records every frame that a link to or from
+    /// the test node accepts, at its departure tick. An accepted frame
+    /// arrives at the link's far port; a dropped one is counted by the
+    /// link and goes no further.
+    fn transmit(&mut self, now: Tick, link: usize, packet: Packet) {
+        let Link { from, to, wire } = &mut self.links[link];
+        let Verdict::Deliver(arrival) = wire.transmit(now, packet.len()) else {
+            return;
+        };
+        if let Some(writer) = &mut self.capture {
+            if *from == Port::Nic(0) || *to == Port::Nic(0) {
+                let _ = writer.write_packet(now, packet.bytes());
+            }
         }
+        let event = match *to {
+            Port::Nic(node) => Ev::NicRx { node, packet },
+            Port::LoadGen => Ev::LoadGenRx { packet },
+            Port::Switch => Ev::SwitchRx { packet },
+            Port::Client(client) => Ev::FleetRx { client, packet },
+        };
+        self.queue
+            .schedule_with_priority(arrival, Priority::LINK, event);
     }
 
     fn start(&mut self) {
@@ -878,14 +849,12 @@ impl Simulation {
                 w.stack.reset_stats();
             }
         }
-        for wire in &mut self.wires {
-            wire.reset_stats();
+        for link in &mut self.links {
+            link.wire.reset_stats();
         }
+        self.unroutable.reset();
         if let Some(lg) = &mut self.loadgen {
             lg.reset_stats();
-        }
-        if let Some(fabric) = &mut self.fabric {
-            fabric.reset_stats();
         }
         if let Some(fleet) = &mut self.fleet {
             fleet.reset_stats();
@@ -915,7 +884,6 @@ impl Simulation {
         let Some(packet) = lg.take_packet(now) else {
             return;
         };
-        Self::tap(&mut self.capture, now, &packet);
         self.tracer.emit(
             now,
             packet.id(),
@@ -924,12 +892,8 @@ impl Simulation {
                 len: packet.len() as u32,
             },
         );
-        let fabric = self.fabric.as_mut().expect("loadgen mode has a fabric");
-        // The degenerate uplink is statically a pure wire (no queue, no
-        // loss), so the Verdict fast path skips the policy dispatch.
-        let arrival = fabric.uplinks[0].transmit_wire(now, packet.len());
-        self.queue
-            .schedule_with_priority(arrival, Priority::LINK, Ev::NicRx { node: 0, packet });
+        let link = self.egress(Port::LoadGen);
+        self.transmit(now, link, packet);
         let lg = self.loadgen.as_mut().expect("checked above");
         if let Some(next) = lg.next_departure(now) {
             self.queue.schedule(next.max(now), Ev::LoadGenTx);
@@ -947,7 +911,6 @@ impl Simulation {
     fn handle_loadgen_rx(&mut self, now: Tick, packet: Packet) {
         self.tracer
             .emit(now, packet.id(), Component::Link, Stage::WireRx);
-        Self::tap(&mut self.capture, now, &packet);
         let Some(lg) = &mut self.loadgen else { return };
         lg.on_rx(now, &packet);
         // A response can open a closed-loop window (or TCP's send window)
@@ -1111,11 +1074,20 @@ impl Simulation {
         if self.sampler.is_none() {
             return;
         }
-        // Fabric gauges come first: trunk occupancy needs `&mut` (it
+        // Link gauges come first: trunk occupancy needs `&mut` (it
         // retires serialized frames), which must not overlap the sampler
         // borrow below.
-        let topo_queue = self.fabric.as_mut().map_or(0, |f| f.trunk_occupancy(now)) as u64;
-        let topo_drops_cum = self.fabric.as_ref().map_or(0, |f| f.drops_total());
+        let topo_queue = self
+            .links
+            .iter_mut()
+            .find(|l| (l.from, l.to) == TRUNK)
+            .map_or(0, |l| l.wire.occupancy(now)) as u64;
+        let topo_drops_cum = self
+            .links
+            .iter()
+            .map(|l| l.wire.tail_drops.value() + l.wire.loss_drops.value())
+            .sum::<u64>()
+            + self.unroutable.value();
         let Some(sampler) = &mut self.sampler else {
             return;
         };
@@ -1212,6 +1184,7 @@ impl Simulation {
 
     fn handle_tx_wire(&mut self, now: Tick, node: usize) {
         self.nodes[node].tx_wire_scheduled = false;
+        let link = self.egress(Port::Nic(node));
         while let Some((_, packet)) = self.nodes[node].nic.tx_take_wire_packet(now) {
             self.tracer.emit(
                 now,
@@ -1221,41 +1194,7 @@ impl Simulation {
                     len: packet.len() as u32,
                 },
             );
-            if self.loadgen.is_some() && node == 0 {
-                // Degenerate topology: the host→loadgen pure wire takes
-                // the same policy-free fast path as the uplink.
-                Self::tap(&mut self.capture, now, &packet);
-                let fabric = self.fabric.as_mut().expect("loadgen mode has a fabric");
-                let arrival = fabric.downlinks[0].transmit_wire(now, packet.len());
-                self.queue.schedule_with_priority(
-                    arrival,
-                    Priority::LINK,
-                    Ev::LoadGenRx { packet },
-                );
-            } else if self.fleet.is_some() && node == 0 {
-                // Fan-in topology: host→switch trunk, then MAC forwarding.
-                Self::tap(&mut self.capture, now, &packet);
-                let fabric = self.fabric.as_mut().expect("topology mode has a fabric");
-                let trunk = fabric.trunk_down.as_mut().expect("fan-in has a trunk");
-                if let Verdict::Deliver(arrival) = trunk.transmit(now, packet.len()) {
-                    self.queue.schedule_with_priority(
-                        arrival,
-                        Priority::LINK,
-                        Ev::SwitchRx { packet },
-                    );
-                }
-            } else {
-                // Dual mode: the node-to-node pure wire.
-                let arrival = self.wires[node].transmit_wire(now, packet.len());
-                self.queue.schedule_with_priority(
-                    arrival,
-                    Priority::LINK,
-                    Ev::NicRx {
-                        node: 1 - node,
-                        packet,
-                    },
-                );
-            }
+            self.transmit(now, link, packet);
         }
         let n = &mut self.nodes[node];
         if let Some(ready) = n.nic.tx_next_wire_ready() {
@@ -1283,11 +1222,8 @@ impl Simulation {
                 len: packet.len() as u32,
             },
         );
-        let fabric = self.fabric.as_mut().expect("topology mode has a fabric");
-        if let Verdict::Deliver(arrival) = fabric.uplinks[client].transmit(now, packet.len()) {
-            self.queue
-                .schedule_with_priority(arrival, Priority::LINK, Ev::SwitchRx { packet });
-        }
+        let link = self.egress(Port::Client(client));
+        self.transmit(now, link, packet);
         let fleet = self.fleet.as_ref().expect("checked above");
         self.queue.schedule(
             fleet.next_departure(client).max(now),
@@ -1296,38 +1232,11 @@ impl Simulation {
     }
 
     /// A frame reaches the switch: forward by destination MAC onto the
-    /// trunk (toward the host) or a client downlink. Unroutable frames
-    /// are counted and dropped.
+    /// link its route names. Unroutable frames are counted and dropped.
     fn handle_switch_rx(&mut self, now: Tick, packet: Packet) {
-        let fabric = self.fabric.as_mut().expect("switch events imply a fabric");
-        let port = packet
-            .ethernet()
-            .and_then(|eth| fabric.switch.route(eth.dst));
-        match port {
-            None => fabric.unroutable.inc(),
-            Some(0) => {
-                let trunk = fabric.trunk_up.as_mut().expect("port 0 is the trunk");
-                if let Verdict::Deliver(arrival) = trunk.transmit(now, packet.len()) {
-                    Self::tap(&mut self.capture, now, &packet);
-                    self.queue.schedule_with_priority(
-                        arrival,
-                        Priority::LINK,
-                        Ev::NicRx { node: 0, packet },
-                    );
-                }
-            }
-            Some(port) => {
-                let client = port - 1;
-                if let Verdict::Deliver(arrival) =
-                    fabric.downlinks[client].transmit(now, packet.len())
-                {
-                    self.queue.schedule_with_priority(
-                        arrival,
-                        Priority::LINK,
-                        Ev::FleetRx { client, packet },
-                    );
-                }
-            }
+        match packet.ethernet().and_then(|eth| self.switch.route(eth.dst)) {
+            Some(link) => self.transmit(now, link, packet),
+            None => self.unroutable.inc(),
         }
     }
 
@@ -1347,26 +1256,38 @@ impl Simulation {
 
     /// Registers the `system.topo` fabric statistics: switch and
     /// per-direction link counters, with per-link breakdowns behind the
-    /// `full` gate. A no-op for the degenerate point-to-point fabric,
-    /// whose wire belongs to the frozen legacy stats surface and must
+    /// `full` gate. A no-op without a switch: the point-to-point and
+    /// dual-mode wires belong to the frozen legacy stats surface and must
     /// not grow new keys.
     pub fn register_topo_stats(&self, reg: &mut StatsRegistry) {
-        let Some(fabric) = &self.fabric else { return };
-        if fabric.is_degenerate() {
+        if self.switch.is_empty() {
             return;
         }
+        let uplinks: Vec<&TopoLink> = self
+            .links
+            .iter()
+            .filter(|l| matches!(l.from, Port::Client(_)))
+            .map(|l| &l.wire)
+            .collect();
+        let downlinks: Vec<&TopoLink> = self
+            .links
+            .iter()
+            .filter(|l| matches!(l.to, Port::Client(_)))
+            .map(|l| &l.wire)
+            .collect();
         reg.scoped("system.topo", |reg| {
             reg.scalar(
                 "clients",
-                fabric.uplinks.len() as u64,
+                uplinks.len() as u64,
                 "fleet endpoints behind the switch",
             );
             reg.scalar(
                 "unroutable",
-                fabric.unroutable.value(),
+                self.unroutable.value(),
                 "frames with no switch route",
             );
-            if let Some(trunk) = &fabric.trunk_up {
+            if let Some(trunk) = self.links.iter().find(|l| (l.from, l.to) == TRUNK) {
+                let trunk = &trunk.wire;
                 reg.scalar(
                     "trunk.txFrames",
                     trunk.frames.value(),
@@ -1393,9 +1314,9 @@ impl Simulation {
                     "trunk congestion-queue high-water mark",
                 );
             }
-            let up_frames: u64 = fabric.uplinks.iter().map(|l| l.frames.value()).sum();
-            let up_loss: u64 = fabric.uplinks.iter().map(|l| l.loss_drops.value()).sum();
-            let down_frames: u64 = fabric.downlinks.iter().map(|l| l.frames.value()).sum();
+            let up_frames: u64 = uplinks.iter().map(|l| l.frames.value()).sum();
+            let up_loss: u64 = uplinks.iter().map(|l| l.loss_drops.value()).sum();
+            let down_frames: u64 = downlinks.iter().map(|l| l.frames.value()).sum();
             reg.scalar(
                 "uplinks.txFrames",
                 up_frames,
@@ -1412,7 +1333,7 @@ impl Simulation {
                 "client downlink frames (all clients)",
             );
             if reg.full() {
-                for (i, l) in fabric.uplinks.iter().enumerate() {
+                for (i, l) in uplinks.iter().enumerate() {
                     reg.scalar(
                         &format!("uplink{i}.txFrames"),
                         l.frames.value(),
@@ -1424,7 +1345,7 @@ impl Simulation {
                         "client uplink loss drops",
                     );
                 }
-                for (i, l) in fabric.downlinks.iter().enumerate() {
+                for (i, l) in downlinks.iter().enumerate() {
                     reg.scalar(
                         &format!("downlink{i}.txFrames"),
                         l.frames.value(),
@@ -1441,7 +1362,7 @@ impl std::fmt::Debug for Simulation {
         f.debug_struct("Simulation")
             .field("now", &self.queue.now())
             .field("nodes", &self.nodes.len())
-            .field("dual_mode", &self.loadgen.is_none())
+            .field("links", &self.links.len())
             .finish()
     }
 }
@@ -1457,5 +1378,65 @@ mod tests {
     fn events_stay_four_words() {
         let size = std::mem::size_of::<Ev>();
         assert!(size <= 32, "Ev is {size} bytes");
+    }
+
+    /// The built link tables: loadgen mode is a pair of pure wires with
+    /// no switch; incast has a bounded trunk, client `c`'s access
+    /// latency of base + `c` × spread, loss on uplinks only, and a route
+    /// from each MAC to the link toward its owner.
+    #[test]
+    fn link_tables_have_the_configured_shape() {
+        use crate::config::TopoConfig;
+        use crate::msb::{build_loadgen_sim, AppSpec};
+
+        let sim = build_loadgen_sim(&SystemConfig::gem5(), &AppSpec::TestPmd, 1518, 10.0);
+        let ends: Vec<_> = sim.links.iter().map(|l| (l.from, l.to)).collect();
+        assert_eq!(
+            ends,
+            [(Port::LoadGen, Port::Nic(0)), (Port::Nic(0), Port::LoadGen)]
+        );
+        for l in &sim.links {
+            assert_eq!(l.wire.policy().queue_frames, None);
+            assert_eq!(l.wire.policy().loss_ppm, 0);
+        }
+        assert!(sim.switch.is_empty());
+
+        let topo = TopoConfig::incast(8)
+            .with_latency_spread(tick::us(10))
+            .with_trunk_queue(64)
+            .with_loss_ppm(100);
+        let cfg = SystemConfig::gem5().with_topo(topo);
+        let sim = build_loadgen_sim(&cfg, &AppSpec::TestPmd, 1518, 10.0);
+        // The trunk pair, then an uplink and a downlink per client.
+        assert_eq!(sim.links.len(), 18);
+        assert_eq!((sim.links[0].from, sim.links[0].to), TRUNK);
+        assert_eq!(sim.links[0].wire.policy().queue_frames, Some(64));
+        let up7 = sim
+            .links
+            .iter()
+            .find(|l| l.from == Port::Client(7))
+            .unwrap();
+        assert_eq!(
+            up7.wire.policy().latency,
+            topo.client_latency + tick::us(10) * 7
+        );
+        for l in &sim.links {
+            let loss = if matches!(l.from, Port::Client(_)) {
+                100
+            } else {
+                0
+            };
+            assert_eq!(l.wire.policy().loss_ppm, loss, "{:?} -> {:?}", l.from, l.to);
+        }
+        assert_eq!(sim.switch.route(cfg.nic.mac), Some(0));
+        assert!(format!("{sim:?}").ends_with("nodes: 1, links: 18 }"));
+        let fleet = sim.fleet().unwrap();
+        for c in 0..8 {
+            let link = sim.switch.route(fleet.client_mac(c)).unwrap();
+            assert_eq!(
+                (sim.links[link].from, sim.links[link].to),
+                (Port::Switch, Port::Client(c))
+            );
+        }
     }
 }

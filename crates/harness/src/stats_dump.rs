@@ -77,10 +77,10 @@ pub fn build_registry(sim: &Simulation, node: usize, level: DumpLevel) -> StatsR
     if let Some(lg) = &sim.loadgen {
         lg.register_stats(now, &mut reg);
     }
-    // Topology mode: the fleet reports the same `loadgen.*` shape the
+    // Incast mode: the fleet reports the same `loadgen.*` shape the
     // single generator does, plus the `system.topo.*` fabric section.
-    // Both are absent in legacy runs (the degenerate fabric registers
-    // nothing), so the frozen compat dump stays byte-identical.
+    // Both are absent in runs without a switch, so the frozen compat
+    // dump stays byte-identical.
     if let Some(fleet) = sim.fleet() {
         fleet.register_stats(now, &mut reg);
     }

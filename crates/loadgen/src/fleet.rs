@@ -1,7 +1,7 @@
 //! A fleet of synthetic client endpoints driven from compact per-flow
 //! state.
 //!
-//! Topology runs put N clients behind a switch (incast). Materializing N
+//! Incast runs put N clients behind a switch. Materializing N
 //! full [`EtherLoadGen`](crate::EtherLoadGen) objects would cost N RNGs,
 //! N sample sets, and N outstanding maps for what is structurally one
 //! workload; the fleet instead keeps **one** builder, **one** RNG, and

@@ -1,25 +1,20 @@
-//! Network topologies: named nodes joined by policy-carrying links.
+//! Network links and the switch that joins them.
 //!
 //! The paper's harness drives one load generator into one host over a
 //! single full-duplex wire. This module generalizes that wire into a
-//! small topology graph (the SimBricks/ce-netsim shape): **nodes**
-//! (load-generator fleets, switches, hosts) joined by **directed links**,
-//! where every link carries a [`LinkPolicy`] — propagation latency,
+//! directed link that carries a [`LinkPolicy`]: propagation latency,
 //! serialization bandwidth, an optional bounded congestion queue with
-//! tail-drop, and optional seeded random loss — and a [`Switch`] forwards
-//! frames by destination MAC onto per-port egress links.
+//! tail-drop, and optional seeded random loss.
 //!
-//! Two layers live here:
+//! * [`TopoLink`] executes a policy. Its pure-wire arithmetic is `start =
+//!   max(now, busy_until); done = start + bytes_to_ticks(len + 20);
+//!   arrival = done + latency`, the one link model every wire in the
+//!   simulator uses.
+//! * [`Switch`] forwards frames by destination MAC onto egress links.
 //!
-//! * the *description*: [`Topology`], a validated graph of named
-//!   [`NodeKind`]s and [`LinkPolicy`]-annotated edges that a harness
-//!   instantiates into an event schedule;
-//! * the *mechanism*: [`TopoLink`], the executable link whose pure-wire
-//!   arithmetic is `start = max(now, busy_until); done = start +
-//!   bytes_to_ticks(len + 20); arrival = done + latency` — the one link
-//!   model every wire in the simulator uses, so the degenerate
-//!   two-node/one-link topology is the legacy point-to-point schedule —
-//!   and [`Switch`], the MAC-table forwarder.
+//! The harness joins its ports with one table of these links: a load
+//! generator and a host on a pair of pure wires, two hosts on a pair
+//! (dual mode), or a client fleet, a switch and a host (incast).
 //!
 //! Drops never vanish: every [`TopoLink::transmit`] outcome is counted
 //! (`offered == frames + tail_drops + loss_drops`), which is the
@@ -139,35 +134,6 @@ impl TopoLink {
         self.policy
     }
 
-    /// Whether this link can never drop a frame: no bounded congestion
-    /// queue and no random loss. Pure wires take the branch-free
-    /// [`TopoLink::transmit_wire`] fast path.
-    pub fn is_pure_wire(&self) -> bool {
-        self.policy.queue_frames.is_none() && self.policy.loss_ppm == 0
-    }
-
-    /// Fast-path transmit for links [`TopoLink::is_pure_wire`] proves
-    /// can never drop: same serialization arithmetic and counters as
-    /// [`TopoLink::transmit`], minus the admission branches and the
-    /// `Verdict` wrap. Returns the arrival tick directly.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts the link really is a pure wire; calling this on a
-    /// dropping link would silently skip its queue/loss policy.
-    #[inline]
-    pub fn transmit_wire(&mut self, now: Tick, frame_len: usize) -> Tick {
-        debug_assert!(self.is_pure_wire(), "transmit_wire on a dropping link");
-        self.offered.inc();
-        let start = now.max(self.busy_until);
-        let wire_bytes = frame_len as u64 + WIRE_OVERHEAD as u64;
-        let done = start + self.policy.bandwidth.bytes_to_ticks(wire_bytes);
-        self.busy_until = done;
-        self.frames.inc();
-        self.bytes.add(frame_len as u64);
-        done + self.policy.latency
-    }
-
     /// Offers a frame of `frame_len` bytes at `now`. Queue admission is
     /// checked first (tail-drop), then the loss draw, then the frame
     /// serializes behind the busy horizon.
@@ -235,9 +201,9 @@ impl TopoLink {
 }
 
 /// A MAC-learning-free switch: a static destination-MAC → egress-port
-/// table. Ports are indices the owning harness maps to egress
-/// [`TopoLink`]s; forwarding is a deterministic linear scan (tables here
-/// are a handful of entries).
+/// table. A port is the index of an egress [`TopoLink`] in the owning
+/// harness's link table; forwarding is a deterministic linear scan
+/// (tables here are a handful of entries).
 #[derive(Debug, Default)]
 pub struct Switch {
     routes: Vec<(MacAddr, usize)>,
@@ -279,140 +245,6 @@ impl Switch {
     }
 }
 
-/// What a topology node is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeKind {
-    /// A simulated host (NIC + stack + app).
-    Host,
-    /// A MAC-forwarding switch with per-port egress queues.
-    Switch,
-    /// A load-generator endpoint (one client of a fleet).
-    LoadGen,
-}
-
-/// A named node in a [`Topology`].
-#[derive(Debug, Clone)]
-pub struct NodeSpec {
-    /// Human-readable name (unique within the topology).
-    pub name: String,
-    /// Role of the node.
-    pub kind: NodeKind,
-}
-
-/// A directed edge in a [`Topology`].
-#[derive(Debug, Clone, Copy)]
-pub struct LinkSpec {
-    /// Source node index.
-    pub from: usize,
-    /// Destination node index.
-    pub to: usize,
-    /// The policy frames experience on this edge.
-    pub policy: LinkPolicy,
-}
-
-/// A validated description of a network: named nodes plus directed,
-/// policy-carrying links. The harness instantiates this into executable
-/// [`TopoLink`]s and a [`Switch`] table; the description itself carries
-/// no simulation state.
-#[derive(Debug, Default)]
-pub struct Topology {
-    nodes: Vec<NodeSpec>,
-    links: Vec<LinkSpec>,
-}
-
-impl Topology {
-    /// An empty graph.
-    pub fn new() -> Self {
-        Topology::default()
-    }
-
-    /// Adds a node; returns its index. Panics on duplicate names.
-    pub fn add_node(&mut self, name: impl Into<String>, kind: NodeKind) -> usize {
-        let name = name.into();
-        assert!(
-            !self.nodes.iter().any(|n| n.name == name),
-            "duplicate topology node name {name:?}"
-        );
-        self.nodes.push(NodeSpec { name, kind });
-        self.nodes.len() - 1
-    }
-
-    /// Adds a directed link; returns its index. Panics if an endpoint
-    /// does not exist or on a self-loop.
-    pub fn connect(&mut self, from: usize, to: usize, policy: LinkPolicy) -> usize {
-        assert!(from < self.nodes.len(), "link source {from} out of range");
-        assert!(to < self.nodes.len(), "link target {to} out of range");
-        assert_ne!(from, to, "self-loop on node {from}");
-        self.links.push(LinkSpec { from, to, policy });
-        self.links.len() - 1
-    }
-
-    /// The nodes, in insertion order.
-    pub fn nodes(&self) -> &[NodeSpec] {
-        &self.nodes
-    }
-
-    /// The links, in insertion order.
-    pub fn links(&self) -> &[LinkSpec] {
-        &self.links
-    }
-
-    /// Index of the node called `name`.
-    pub fn find(&self, name: &str) -> Option<usize> {
-        self.nodes.iter().position(|n| n.name == name)
-    }
-
-    /// The canonical degenerate topology: one load generator, one host,
-    /// one full-duplex pure wire (two directed links). Instantiating
-    /// this graph reproduces the legacy point-to-point harness schedule
-    /// byte for byte.
-    pub fn point_to_point(bandwidth: Bandwidth, latency: Tick) -> Self {
-        let mut t = Topology::new();
-        let lg = t.add_node("loadgen", NodeKind::LoadGen);
-        let host = t.add_node("host", NodeKind::Host);
-        let wire = LinkPolicy::wire(bandwidth, latency);
-        t.connect(lg, host, wire);
-        t.connect(host, lg, wire);
-        t
-    }
-
-    /// An incast fan-in: `clients` load generators behind one switch
-    /// feeding one host. Client access links are pure wires whose
-    /// latency grows by `latency_spread` per client (heterogeneous RTT);
-    /// the switch↔host trunk carries a bounded congestion queue of
-    /// `trunk_queue_frames` (0 = unbounded) and client uplinks carry
-    /// `loss_ppm` seeded loss.
-    #[allow(clippy::too_many_arguments)]
-    pub fn incast(
-        clients: usize,
-        bandwidth: Bandwidth,
-        client_latency: Tick,
-        latency_spread: Tick,
-        trunk_latency: Tick,
-        trunk_queue_frames: usize,
-        loss_ppm: u32,
-    ) -> Self {
-        assert!(clients >= 1, "incast needs at least one client");
-        let mut t = Topology::new();
-        let sw = t.add_node("switch", NodeKind::Switch);
-        let host = t.add_node("host", NodeKind::Host);
-        let trunk = if trunk_queue_frames == 0 {
-            LinkPolicy::wire(bandwidth, trunk_latency)
-        } else {
-            LinkPolicy::bounded(bandwidth, trunk_latency, trunk_queue_frames)
-        };
-        t.connect(sw, host, trunk);
-        t.connect(host, sw, LinkPolicy::wire(bandwidth, trunk_latency));
-        for i in 0..clients {
-            let c = t.add_node(format!("client{i}"), NodeKind::LoadGen);
-            let access = LinkPolicy::wire(bandwidth, client_latency + latency_spread * i as Tick);
-            t.connect(c, sw, access.with_loss(loss_ppm));
-            t.connect(sw, c, access);
-        }
-        t
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,36 +280,15 @@ mod tests {
     }
 
     #[test]
-    fn transmit_wire_fast_path_matches_transmit() {
-        let mut slow = wire(100.0, us(100));
-        let mut fast = wire(100.0, us(100));
-        assert!(fast.is_pure_wire());
-        for t in 0..64u64 {
-            let len = 64 + (t as usize * 37) % 1400;
-            let Verdict::Deliver(expect) = slow.transmit(t * 400, len) else {
-                panic!("pure wire dropped")
-            };
-            assert_eq!(fast.transmit_wire(t * 400, len), expect);
-        }
-        assert_eq!(fast.offered.value(), slow.offered.value());
-        assert_eq!(fast.frames.value(), slow.frames.value());
-        assert_eq!(fast.bytes.value(), slow.bytes.value());
-        assert_eq!(fast.next_free(), slow.next_free());
-        // Dropping policies are excluded from the fast path.
-        assert!(!TopoLink::new(LinkPolicy::bounded(Bandwidth::gbps(10.0), 0, 2), 7).is_pure_wire());
-        assert!(
-            !TopoLink::new(LinkPolicy::wire(Bandwidth::gbps(10.0), 0).with_loss(1), 7)
-                .is_pure_wire()
-        );
-    }
-
-    #[test]
     fn line_rate_caps_throughput() {
         let mut link = wire(100.0, 0);
         let n = 1000u64;
         let mut last = 0;
         for _ in 0..n {
-            last = link.transmit_wire(0, 1518);
+            let Verdict::Deliver(arrival) = link.transmit(0, 1518) else {
+                panic!("pure wire dropped")
+            };
+            last = arrival;
         }
         let gbps = Bandwidth::measured_gbps(1518 * n, last);
         assert!(gbps < 100.0);
@@ -581,43 +392,5 @@ mod tests {
         let mut sw = Switch::new();
         sw.add_route(MacAddr::simulated(1), 0);
         sw.add_route(MacAddr::simulated(1), 1);
-    }
-
-    #[test]
-    fn point_to_point_graph_shape() {
-        let t = Topology::point_to_point(Bandwidth::gbps(100.0), us(100));
-        assert_eq!(t.nodes().len(), 2);
-        assert_eq!(t.links().len(), 2);
-        assert_eq!(t.find("host"), Some(1));
-        for l in t.links() {
-            assert_eq!(l.policy.queue_frames, None);
-            assert_eq!(l.policy.loss_ppm, 0);
-        }
-    }
-
-    #[test]
-    fn incast_graph_shape() {
-        let t = Topology::incast(8, Bandwidth::gbps(100.0), us(50), us(10), ns(500), 64, 100);
-        // switch + host + 8 clients; trunk pair + 8 access pairs.
-        assert_eq!(t.nodes().len(), 10);
-        assert_eq!(t.links().len(), 18);
-        let trunk = t.links()[0];
-        assert_eq!(trunk.policy.queue_frames, Some(64));
-        // Heterogeneous RTT: client 7's access latency is 50 + 7×10 µs.
-        let c7 = t.find("client7").unwrap();
-        let up = t.links().iter().find(|l| l.from == c7).unwrap();
-        assert_eq!(up.policy.latency, us(50) + us(10) * 7);
-        assert_eq!(up.policy.loss_ppm, 100);
-        // Downlinks carry no loss (loss is an uplink policy here).
-        let down = t.links().iter().find(|l| l.to == c7).unwrap();
-        assert_eq!(down.policy.loss_ppm, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate topology node name")]
-    fn topology_rejects_duplicate_names() {
-        let mut t = Topology::new();
-        t.add_node("a", NodeKind::Host);
-        t.add_node("a", NodeKind::Switch);
     }
 }

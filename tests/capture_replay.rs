@@ -1,19 +1,18 @@
 //! Cross-crate integration: PCAP capture at the simulated port, on-disk
 //! round-trip, and trace-mode replay (§IV's dpdk-pdump workflow).
 
+use simnet::harness::config::TopoConfig;
 use simnet::harness::summary::{run_phases, Phases};
-use simnet::harness::{AppSpec, Simulation, SystemConfig};
+use simnet::harness::{build_loadgen_sim, stats_text, AppSpec, Simulation, SystemConfig};
 use simnet::loadgen::trace::Pacing;
 use simnet::loadgen::{EtherLoadGen, LoadGenMode, TraceConfig};
 use simnet::net::pcap::PcapReader;
 use simnet::sim::tick::us;
 
-fn capture_run() -> Vec<u8> {
-    let cfg = SystemConfig::gem5();
-    let spec = AppSpec::TestPmd;
-    let (stack, app) = spec.instantiate(cfg.seed);
-    let loadgen = spec.loadgen(&cfg, 256, 5.0);
-    let mut sim = Simulation::loadgen_mode(&cfg, stack, app, loadgen);
+/// Runs 500 µs of TestPMD at 256 B and 5 Gbps with the tap on; returns
+/// the PCAP bytes and the finished simulation.
+fn capture_run(cfg: &SystemConfig) -> (Vec<u8>, Simulation) {
+    let mut sim = build_loadgen_sim(cfg, &AppSpec::TestPmd, 256, 5.0);
     sim.enable_capture();
     run_phases(
         &mut sim,
@@ -22,12 +21,19 @@ fn capture_run() -> Vec<u8> {
             measure: us(500),
         },
     );
-    sim.take_capture().expect("capture enabled")
+    (sim.take_capture().expect("capture enabled"), sim)
 }
 
 #[test]
 fn capture_is_valid_pcap_with_both_directions() {
-    let bytes = capture_run();
+    let incast = SystemConfig::gem5().with_topo(TopoConfig::incast(4));
+    for cfg in [SystemConfig::gem5(), incast] {
+        check_capture(&cfg);
+    }
+}
+
+fn check_capture(cfg: &SystemConfig) {
+    let (bytes, sim) = capture_run(cfg);
     let mut reader = PcapReader::new(&bytes[..]).expect("valid pcap header");
     let records = reader.read_all().expect("all records parse");
     assert!(records.len() > 100, "captured {} frames", records.len());
@@ -39,7 +45,7 @@ fn capture_is_valid_pcap_with_both_directions() {
     );
 
     // Both requests (to the NIC) and echoes (from it) appear.
-    let nic_mac = SystemConfig::gem5().nic.mac.octets();
+    let nic_mac = cfg.nic.mac.octets();
     let to_nic = records
         .iter()
         .filter(|r| r.data.get(0..6) == Some(&nic_mac[..]))
@@ -48,13 +54,28 @@ fn capture_is_valid_pcap_with_both_directions() {
         .iter()
         .filter(|r| r.data.get(6..12) == Some(&nic_mac[..]))
         .count();
+    // The tap records each frame once, as a link to or from the NIC
+    // accepts it: every departure toward the NIC (the generator's, or
+    // the trunk's behind a switch) and every NIC transmission, never an
+    // echo a second time on its arrival.
+    let sent = match &sim.loadgen {
+        Some(lg) => lg.tx_packets(),
+        None => stats_text(&sim, 0)
+            .lines()
+            .find_map(|l| l.strip_prefix("system.topo.trunk.txFrames"))
+            .and_then(|v| v.split_whitespace().next()?.parse().ok())
+            .expect("incast dumps the trunk"),
+    };
     assert!(to_nic > 0, "requests captured");
+    assert_eq!(to_nic as u64, sent, "one record per frame sent to the NIC");
+    let nic_tx = sim.nodes[0].nic.stats().tx_frames.value();
     assert!(from_nic > 0, "echoes captured");
+    assert_eq!(from_nic as u64, nic_tx, "one record per NIC transmission");
 }
 
 #[test]
 fn replaying_a_capture_reproduces_the_load() {
-    let bytes = capture_run();
+    let (bytes, _) = capture_run(&SystemConfig::gem5());
     let mut reader = PcapReader::new(&bytes[..]).expect("valid pcap");
     let records = reader.read_all().expect("parses");
     let cfg = SystemConfig::gem5();
