@@ -213,11 +213,6 @@ impl Core {
         self.stats = CoreStats::default();
     }
 
-    /// Changes the clock frequency (Fig. 15 sweeps this).
-    pub fn set_frequency(&mut self, freq: Frequency) {
-        self.cfg.frequency = freq;
-    }
-
     /// Executes `ops` starting at `now`; returns the completion tick.
     /// The pipeline drains at the end of the stream (a run-to-completion
     /// loop iteration boundary).

@@ -11,11 +11,13 @@
 //! ```
 //!
 //! Results print as tables and are written as CSVs under `--out`
-//! (default `results/`).
+//! (default `results/`). Every argument is checked first: an unknown
+//! flag or experiment name exits 1 before any experiment runs.
 //!
 //! Any of `--trace`, `--stats-out`, or `--profile` switches the binary to
 //! single-point mode: one short, deliberately overloaded TestPMD run with
-//! the selected observability layers attached.
+//! the selected observability layers attached. It takes no experiment
+//! names.
 //!
 //! * `--trace PATH` writes the packet-lifecycle trace to `PATH` —
 //!   canonical text, or JSON when `PATH` ends in `.json`. `--trace-filter`
@@ -51,7 +53,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use simnet_harness::config::TopoConfig;
-use simnet_harness::experiments::{self, Effort, ExperimentOutput};
+use simnet_harness::experiments::{self, ablations, Effort, ExperimentOutput};
 use simnet_harness::{run_observed, AppSpec, ObserveOpts, RunConfig, SystemConfig};
 use simnet_net::{MAX_FRAME_LEN, MIN_FRAME_LEN};
 use simnet_sim::fault::FaultInjector;
@@ -59,70 +61,45 @@ use simnet_sim::fault::FaultPlan;
 use simnet_sim::tick;
 use simnet_sim::trace::{self, Component, Stage};
 
-const EXPERIMENTS: &[&str] = &[
-    "table1",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig19",
-    "fig20",
-    "headline",
-    "ablation-wb",
-    "ablation-dca-ways",
-    "ablation-open-closed",
-    "ablation-hugepages",
-    "ablation-itr",
-    "tcp",
-    "latency-hist",
-    "fault-matrix",
-    "mq-sweep",
-    "topo-sweep",
+/// One experiment `repro` can run: its name and its entry point.
+type Experiment = (&'static str, fn(Effort) -> ExperimentOutput);
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: &[Experiment] = &[
+    ("table1", |_| experiments::table1::run()),
+    ("fig5", experiments::fig05::run),
+    ("fig6", experiments::curves::fig06),
+    ("fig7", experiments::curves::fig07),
+    ("fig8", experiments::curves::fig08),
+    ("fig9", experiments::curves::fig09),
+    ("fig10", experiments::cache::fig10),
+    ("fig11", experiments::cache::fig11),
+    ("fig12", experiments::cache::fig12),
+    ("fig13", experiments::dca::fig13),
+    ("fig14", experiments::dca::fig14),
+    ("fig15", experiments::core_sens::fig15),
+    ("fig16", experiments::core_sens::fig16),
+    ("fig17", experiments::core_sens::fig17),
+    ("fig18", experiments::memcached::fig18),
+    ("fig19", experiments::memcached::fig19),
+    ("fig20", experiments::speedup::run),
+    ("headline", experiments::headline::run),
+    ("ablation-wb", ablations::writeback_threshold),
+    ("ablation-dca-ways", ablations::dca_ways),
+    ("ablation-open-closed", ablations::open_vs_closed),
+    ("ablation-hugepages", ablations::hugepages),
+    ("ablation-itr", ablations::interrupt_coalescing),
+    ("tcp", experiments::tcp_ext::run),
+    ("latency-hist", experiments::latency_hist::run),
+    ("fault-matrix", experiments::fault_matrix::run),
+    ("mq-sweep", experiments::mq_sweep::run),
+    ("topo-sweep", experiments::topo_sweep::run),
 ];
 
-fn run_one(name: &str, effort: Effort) -> Option<ExperimentOutput> {
-    let out = match name {
-        "table1" => experiments::table1::run(),
-        "fig5" => experiments::fig05::run(effort),
-        "fig6" => experiments::curves::fig06(effort),
-        "fig7" => experiments::curves::fig07(effort),
-        "fig8" => experiments::curves::fig08(effort),
-        "fig9" => experiments::curves::fig09(effort),
-        "fig10" => experiments::cache::fig10(effort),
-        "fig11" => experiments::cache::fig11(effort),
-        "fig12" => experiments::cache::fig12(effort),
-        "fig13" => experiments::dca::fig13(effort),
-        "fig14" => experiments::dca::fig14(effort),
-        "fig15" => experiments::core_sens::fig15(effort),
-        "fig16" => experiments::core_sens::fig16(effort),
-        "fig17" => experiments::core_sens::fig17(effort),
-        "fig18" => experiments::memcached::fig18(effort),
-        "fig19" => experiments::memcached::fig19(effort),
-        "fig20" => experiments::speedup::run(effort),
-        "headline" => experiments::headline::run(effort),
-        "ablation-wb" => experiments::ablations::writeback_threshold(effort),
-        "ablation-dca-ways" => experiments::ablations::dca_ways(effort),
-        "ablation-open-closed" => experiments::ablations::open_vs_closed(effort),
-        "ablation-hugepages" => experiments::ablations::hugepages(effort),
-        "ablation-itr" => experiments::ablations::interrupt_coalescing(effort),
-        "tcp" => experiments::tcp_ext::run(effort),
-        "latency-hist" => experiments::latency_hist::run(effort),
-        "fault-matrix" => experiments::fault_matrix::run(effort),
-        "mq-sweep" => experiments::mq_sweep::run(effort),
-        "topo-sweep" => experiments::topo_sweep::run(effort),
-        _ => return None,
-    };
-    Some(out)
+/// The experiment names joined by `sep`.
+fn experiment_names(sep: &str) -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+    names.join(sep)
 }
 
 /// The single-point observed run: which layers `--trace`, `--stats-out`
@@ -322,7 +299,8 @@ fn run_point_mode(mode: &PointMode, offered_gbps: f64, faults: FaultInjector) ->
 fn main() -> ExitCode {
     let mut effort = Effort::Full;
     let mut out_dir = PathBuf::from("results");
-    let mut targets: Vec<String> = Vec::new();
+    let mut targets: Vec<&Experiment> = Vec::new();
+    let mut all = false;
     let mut trace_path: Option<PathBuf> = None;
     let mut trace_mask = Component::ALL_MASK;
     let mut trace_gbps = 60.0;
@@ -443,11 +421,25 @@ fn main() -> ExitCode {
                      \x20            [--stats-out FILE] [--stats-interval US] [--profile]\n\
                      \x20            [--faults PLAN] [--fault-seed N] [--frame BYTES]\n\
                      \x20            [--nqueues N] [--lcores N] [--topo CLIENTS]",
-                    EXPERIMENTS.join("|")
+                    experiment_names("|")
                 );
                 return ExitCode::SUCCESS;
             }
-            other => targets.push(other.to_string()),
+            "all" => all = true,
+            flag if flag.starts_with('-') => {
+                eprintln!("unknown flag {flag:?}; see repro --help");
+                return ExitCode::FAILURE;
+            }
+            name => match EXPERIMENTS.iter().find(|&&(known, _)| known == name) {
+                Some(experiment) => targets.push(experiment),
+                None => {
+                    eprintln!(
+                        "unknown experiment {name:?}; known: all, {}",
+                        experiment_names(", ")
+                    );
+                    return ExitCode::FAILURE;
+                }
+            },
         }
     }
 
@@ -464,6 +456,12 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if trace_path.is_some() || stats_path.is_some() || profile {
+        if all || !targets.is_empty() {
+            eprintln!(
+                "experiments do not run in single-point mode (--trace/--stats-out/--profile)"
+            );
+            return ExitCode::FAILURE;
+        }
         let mode = PointMode {
             trace_path,
             trace_mask,
@@ -489,26 +487,15 @@ fn main() -> ExitCode {
         eprintln!("--faults/--fault-seed only apply to single-point runs");
         return ExitCode::FAILURE;
     }
-    if targets.is_empty() || targets.iter().any(|t| t == "all") {
-        targets = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+    if targets.is_empty() || all {
+        targets = EXPERIMENTS.iter().collect();
     }
 
-    for target in &targets {
+    for (name, run) in targets {
         let started = std::time::Instant::now();
-        println!("\n########## {target} ##########");
-        match run_one(target, effort) {
-            Some(output) => {
-                output.emit(&out_dir);
-                println!("[{target} done in {:.1}s]", started.elapsed().as_secs_f64());
-            }
-            None => {
-                eprintln!(
-                    "unknown experiment {target:?}; known: {}",
-                    EXPERIMENTS.join(", ")
-                );
-                return ExitCode::FAILURE;
-            }
-        }
+        println!("\n########## {name} ##########");
+        run(effort).emit(&out_dir);
+        println!("[{name} done in {:.1}s]", started.elapsed().as_secs_f64());
     }
     ExitCode::SUCCESS
 }

@@ -39,11 +39,6 @@ impl SoftwareClient {
     pub fn generator(&self) -> &EtherLoadGen {
         &self.gen
     }
-
-    /// Mutable access (e.g. to reset stats between phases).
-    pub fn generator_mut(&mut self) -> &mut EtherLoadGen {
-        &mut self.gen
-    }
 }
 
 impl PacketApp for SoftwareClient {

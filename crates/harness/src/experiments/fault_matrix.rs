@@ -17,7 +17,7 @@ use simnet_sim::fault::{FaultInjector, FaultPlan};
 use crate::config::SystemConfig;
 use crate::msb::{AppSpec, RunConfig};
 use crate::table::{fmt_pct, Table};
-use crate::tracerun::{run_traced_with, TraceOpts};
+use crate::tracerun::{run_observed, ObserveOpts};
 
 use super::{par_map, Effort, ExperimentOutput};
 
@@ -38,18 +38,12 @@ fn run_cell(cfg: &SystemConfig, label: &str, plan: FaultPlan, offered: f64) -> C
     let spec = AppSpec::TestPmd;
     // No trace consumers here: mask 0 keeps the ring empty so the sweep
     // measures fault impact, not tracing overhead.
-    let run = run_traced_with(
-        cfg,
-        &spec,
-        1518,
-        offered,
-        RunConfig::fast(),
-        TraceOpts {
-            capacity: 1024,
-            mask: 0,
-            faults: FaultInjector::new(plan, FAULT_SEED),
-        },
-    );
+    let opts = ObserveOpts {
+        trace: Some((1024, 0)),
+        faults: FaultInjector::new(plan, FAULT_SEED),
+        ..Default::default()
+    };
+    let run = run_observed(cfg, &spec, 1518, offered, RunConfig::fast(), opts);
     Cell {
         label: label.to_string(),
         achieved_gbps: run.summary.achieved_gbps(),

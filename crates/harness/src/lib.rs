@@ -13,8 +13,9 @@
 //!   Drive Node in dual-mode runs.
 //! * [`msb`] — maximum-sustainable-bandwidth search and per-point runs.
 //! * [`table`] — plain-text/CSV result rendering.
-//! * [`tracerun`] — single-point runs with the packet-lifecycle trace
-//!   layer attached (`--trace` in the `repro` binary).
+//! * [`tracerun`] — single-point runs with tracing, interval stats or
+//!   the self-profiler attached (`--trace`, `--stats-out` and `--profile`
+//!   in the `repro` binary).
 //! * [`experiments`] — one module per paper table/figure.
 
 pub mod client_app;
@@ -35,7 +36,4 @@ pub use msb::{
 pub use sim::Simulation;
 pub use stats_dump::{build_registry, stats_text, stats_text_all};
 pub use summary::RunSummary;
-pub use tracerun::{
-    run_observed, run_traced, run_traced_all, run_traced_with, ObserveOpts, ObservedRun, TraceOpts,
-    TracedRun,
-};
+pub use tracerun::{run_observed, ObserveOpts, ObservedRun};

@@ -112,6 +112,9 @@ enum Port {
 /// `topo_queue` gauge and the `system.topo.trunk` stats read.
 const TRUNK: (Port, Port) = (Port::Switch, Port::Nic(0));
 
+/// The period of the stat-sampling probe rows a traced run emits.
+const PROBE_INTERVAL: Tick = tick::us(10);
+
 /// One directed link of the simulation's link table.
 struct Link {
     /// The port that transmits onto the link.
@@ -365,7 +368,6 @@ pub struct Simulation {
     /// The fault injector (disabled unless [`Simulation::install_faults`]
     /// ran before the first event).
     faults: FaultInjector,
-    probe_interval: Tick,
     /// The interval time-series sampler (absent unless
     /// [`Simulation::enable_interval_stats`] ran before the first event).
     sampler: Option<IntervalSampler>,
@@ -418,7 +420,6 @@ impl Simulation {
             started: false,
             tracer: Tracer::disabled(),
             faults: FaultInjector::disabled(),
-            probe_interval: tick::us(10),
             sampler: None,
             profiler: None,
         }
@@ -619,11 +620,6 @@ impl Simulation {
         &self.faults
     }
 
-    /// Sets the period of the stat-sampling probe rows (default 10 µs).
-    pub fn set_probe_interval(&mut self, interval: Tick) {
-        self.probe_interval = interval.max(1);
-    }
-
     /// Enables the interval time-series sampler with the given period.
     /// The test node's counters and queue gauges are snapshotted every
     /// `interval` ticks into a [`TimeSeries`] (see
@@ -775,7 +771,7 @@ impl Simulation {
             // MAXIMUM priority: sample queue state after every other
             // same-tick event has settled.
             self.queue
-                .schedule_with_priority(self.probe_interval, Priority::MAXIMUM, Ev::Probe);
+                .schedule_with_priority(PROBE_INTERVAL, Priority::MAXIMUM, Ev::Probe);
         }
         if let Some(sampler) = &self.sampler {
             self.queue
@@ -1066,7 +1062,7 @@ impl Simulation {
             );
         }
         self.queue
-            .schedule_with_priority(now + self.probe_interval, Priority::MAXIMUM, Ev::Probe);
+            .schedule_with_priority(now + PROBE_INTERVAL, Priority::MAXIMUM, Ev::Probe);
     }
 
     /// Appends one time-series row for the test node.

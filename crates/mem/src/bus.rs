@@ -115,11 +115,6 @@ impl Bus {
         self.busy_until
     }
 
-    /// Whether a transfer requested at `now` would start immediately.
-    pub fn is_idle_at(&self, now: Tick) -> bool {
-        self.busy_until <= now
-    }
-
     /// Fraction of `[0, now]` the bus spent busy.
     pub fn utilization(&self, now: Tick) -> f64 {
         if now == 0 {

@@ -129,7 +129,7 @@ const DIRTY: u64 = 2;
 /// [`crate::system::MemorySystem`], which also wires evictions into
 /// writebacks and inclusive back-invalidations.
 ///
-/// Each way is one tag word, the line address with [`VALID`] and [`DIRTY`]
+/// Each way is one tag word, the line address with `VALID` and `DIRTY`
 /// in its free low bits (0 is an invalid way), and the LRU stamps live in a
 /// parallel array, so a set's tags are contiguous. A way is named by its
 /// index in the whole array, `set * assoc + way`; it holds its line until

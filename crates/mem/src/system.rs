@@ -320,11 +320,6 @@ impl MemorySystem {
         self.cores[0].l1d.stats()
     }
 
-    /// L2 statistics of a specific core.
-    pub fn l2_stats_of(&self, core: usize) -> &crate::cache::CacheStats {
-        self.cores[core].l2.stats()
-    }
-
     /// L1D statistics of a specific core.
     pub fn l1d_stats_of(&self, core: usize) -> &crate::cache::CacheStats {
         self.cores[core].l1d.stats()

@@ -73,12 +73,6 @@ impl Packet {
         }
     }
 
-    /// Wraps raw frame bytes as a packet (copies them into pooled
-    /// storage).
-    pub fn from_bytes(id: u64, data: Vec<u8>) -> Self {
-        Self::copy_from_slice(id, &data)
-    }
-
     /// The packet's unique id.
     pub fn id(&self) -> u64 {
         self.id
@@ -104,12 +98,6 @@ impl Packet {
     /// (clone-on-write); a uniquely owned frame mutates in place.
     pub fn bytes_mut(&mut self) -> &mut [u8] {
         self.buf.bytes_mut()
-    }
-
-    /// Whether this packet shares its buffer with another handle (COW
-    /// would copy on the next mutation).
-    pub fn is_shared(&self) -> bool {
-        self.buf.ref_count() > 1
     }
 
     /// Consumes the packet, returning the frame bytes.

@@ -249,11 +249,6 @@ impl Nic {
         &mut self.regs
     }
 
-    /// The PCI configuration space.
-    pub fn pci_config_mut(&mut self) -> &mut ConfigSpace {
-        &mut self.pci
-    }
-
     /// Read-only PCI configuration space.
     pub fn pci_config(&self) -> &ConfigSpace {
         &self.pci
@@ -570,17 +565,6 @@ impl Nic {
         rxq.inflight.is_none() && !rxq.fifo.is_empty() && (rxq.desc_cache > 0 || rxq.avail > 0)
     }
 
-    /// [`Nic::rx_dma_needs_kick_q`] over all queues.
-    pub fn rx_dma_needs_kick(&mut self, now: Tick) -> bool {
-        // Deliberately eager (no short-circuit): the per-queue check
-        // settles that queue's lazy state as a side effect.
-        let mut any = false;
-        for q in 0..self.cfg.num_queues {
-            any |= self.rx_dma_needs_kick_q(q, now);
-        }
-        any
-    }
-
     /// Starts DMA for the packet at queue `queue`'s FIFO head, if that
     /// engine is idle and a descriptor is available. Returns the tick at
     /// which the engine pipeline can accept the next packet (schedule
@@ -651,12 +635,6 @@ impl Nic {
         Some(timing.next_issue)
     }
 
-    /// [`Nic::rx_dma_start_q`] on queue 0 — the single-queue device's RX
-    /// engine.
-    pub fn rx_dma_start(&mut self, now: Tick, mem: &mut MemorySystem) -> Option<Tick> {
-        self.rx_dma_start_q(0, now, mem)
-    }
-
     /// Advances queue `queue`'s RX engine at a pipeline-ready tick:
     /// retires the in-flight packet (moving it toward descriptor
     /// writeback) and starts the next one. Returns the next advance tick,
@@ -687,11 +665,6 @@ impl Nic {
             self.flush_rx_writeback(queue, now, mem);
         }
         next
-    }
-
-    /// [`Nic::rx_dma_advance_q`] on queue 0.
-    pub fn rx_dma_advance(&mut self, now: Tick, mem: &mut MemorySystem) -> Option<Tick> {
-        self.rx_dma_advance_q(0, now, mem)
     }
 
     fn flush_rx_writeback(&mut self, queue: usize, now: Tick, mem: &mut MemorySystem) {
@@ -792,11 +765,6 @@ impl Nic {
         }
     }
 
-    /// [`Nic::rx_ring_post_q_at`] on queue 0.
-    pub fn rx_ring_post_at(&mut self, at: Tick, count: usize) {
-        self.rx_ring_post_q_at(0, at, count);
-    }
-
     /// Diagnostic: descriptors currently available to the DMA engines
     /// (all queues).
     pub fn rx_descriptors_available(&self) -> usize {
@@ -822,14 +790,6 @@ impl Nic {
         self.rxq[queue].visible.front().map(|c| c.visible_at)
     }
 
-    /// Earliest visible tick across all queues.
-    pub fn rx_next_visible_at(&self) -> Option<Tick> {
-        self.rxq
-            .iter()
-            .filter_map(|q| q.visible.front().map(|c| c.visible_at))
-            .min()
-    }
-
     /// Number of packets visible to a poll at `now` (all queues).
     pub fn rx_visible_count(&self, now: Tick) -> usize {
         self.rxq
@@ -844,11 +804,6 @@ impl Nic {
         let mut out = Vec::new();
         self.rx_poll_q_into(0, now, max, &mut out);
         out
-    }
-
-    /// [`Nic::rx_poll`] into a caller-owned buffer on queue 0.
-    pub fn rx_poll_into(&mut self, now: Tick, max: usize, out: &mut Vec<RxCompletion>) {
-        self.rx_poll_q_into(0, now, max, out);
     }
 
     /// Polls queue `queue` into a caller-owned buffer: appends up to
@@ -908,19 +863,9 @@ impl Nic {
         (take, rejected)
     }
 
-    /// [`Nic::tx_submit_q`] on queue 0.
-    pub fn tx_submit(&mut self, now: Tick, requests: Vec<TxRequest>) -> (usize, Vec<TxRequest>) {
-        self.tx_submit_q(0, now, requests)
-    }
-
     /// Whether queue `queue`'s TX DMA engine is idle but has work.
     pub fn tx_dma_needs_kick_q(&self, queue: usize) -> bool {
         self.txq[queue].inflight.is_none() && !self.txq[queue].queue.is_empty()
-    }
-
-    /// [`Nic::tx_dma_needs_kick_q`] over all queues.
-    pub fn tx_dma_needs_kick(&self) -> bool {
-        (0..self.cfg.num_queues).any(|q| self.tx_dma_needs_kick_q(q))
     }
 
     /// Advances queue `queue`'s TX engine: fetches the next queued
@@ -1011,11 +956,6 @@ impl Nic {
         Some(payload.next_issue)
     }
 
-    /// [`Nic::tx_dma_advance_q`] on queue 0.
-    pub fn tx_dma_advance(&mut self, now: Tick, mem: &mut MemorySystem) -> Option<Tick> {
-        self.tx_dma_advance_q(0, now, mem)
-    }
-
     /// Takes the next packet ready for the wire at or before `now`,
     /// arbitrating across queues: the earliest-ready head wins, ties to
     /// the lowest queue index (round-robin-free, deterministic). The node
@@ -1101,18 +1041,8 @@ mod tests {
             .build(id)
     }
 
-    /// Drives the RX engine until idle, like the node's event loop.
-    fn pump_rx(nic: &mut Nic, mut now: Tick, mem: &mut MemorySystem) -> Tick {
-        if let Some(t) = nic.rx_dma_start(now, mem) {
-            now = t;
-        }
-        while let Some(t) = nic.rx_dma_advance(now, mem) {
-            now = t.max(now + 1);
-        }
-        now
-    }
-
-    /// Drives one queue's RX engine until idle.
+    /// Drives one queue's RX engine until idle, like the node's event
+    /// loop.
     fn pump_rx_q(nic: &mut Nic, queue: usize, mut now: Tick, mem: &mut MemorySystem) -> Tick {
         if let Some(t) = nic.rx_dma_start_q(queue, now, mem) {
             now = t;
@@ -1129,8 +1059,8 @@ mod tests {
         let mut n = nic();
         n.rx_ring_post(1024);
         assert!(n.wire_rx(0, packet(1, 256)).is_none());
-        assert!(n.rx_dma_needs_kick(0));
-        let end = pump_rx(&mut n, 0, &mut m);
+        assert!(n.rx_dma_needs_kick_q(0, 0));
+        let end = pump_rx_q(&mut n, 0, 0, &mut m);
         let got = n.rx_poll(end + 1_000_000, 32);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].packet.id(), 1);
@@ -1143,7 +1073,7 @@ mod tests {
         let mut n = nic();
         n.rx_ring_post(1024);
         n.wire_rx(0, packet(1, 256));
-        pump_rx(&mut n, 0, &mut m);
+        pump_rx_q(&mut n, 0, 0, &mut m);
         assert_eq!(n.rx_visible_count(0), 0);
         assert_eq!(n.rx_poll(0, 32), vec![]);
     }
@@ -1154,8 +1084,8 @@ mod tests {
         let mut n = nic();
         // No rx_ring_post: ring is empty.
         n.wire_rx(0, packet(1, 64));
-        assert!(!n.rx_dma_needs_kick(0));
-        assert_eq!(n.rx_dma_start(0, &mut m), None);
+        assert!(!n.rx_dma_needs_kick_q(0, 0));
+        assert_eq!(n.rx_dma_start_q(0, 0, &mut m), None);
         // Posting descriptors reports the stall so the node can kick.
         assert!(n.rx_ring_post(64));
     }
@@ -1201,7 +1131,7 @@ mod tests {
         for i in 0..8 {
             n.wire_rx(0, packet(i, 64));
         }
-        pump_rx(&mut n, 0, &mut m);
+        pump_rx_q(&mut n, 0, 0, &mut m);
         let got = n.rx_poll(simnet_sim::tick::ms(1), 32);
         assert_eq!(got.len(), 8);
         // All eight became visible at the same writeback tick.
@@ -1218,7 +1148,7 @@ mod tests {
         for i in 0..4 {
             n.wire_rx(0, packet(i, 64));
         }
-        pump_rx(&mut n, 0, &mut m);
+        pump_rx_q(&mut n, 0, 0, &mut m);
         assert!(n.stats().desc_writebacks.value() >= 4);
     }
 
@@ -1230,12 +1160,12 @@ mod tests {
             packet: packet(7, 512),
             mbuf: 3,
         };
-        let (accepted, rejected) = n.tx_submit(0, vec![req]);
+        let (accepted, rejected) = n.tx_submit_q(0, 0, vec![req]);
         assert_eq!(accepted, 1);
         assert!(rejected.is_empty());
-        assert!(n.tx_dma_needs_kick());
+        assert!(n.tx_dma_needs_kick_q(0));
         let mut now = 0;
-        while let Some(t) = n.tx_dma_advance(now, &mut m) {
+        while let Some(t) = n.tx_dma_advance_q(0, now, &mut m) {
             now = t.max(now + 1);
         }
         let ready = n.tx_next_wire_ready().expect("one packet pending");
@@ -1258,7 +1188,7 @@ mod tests {
                 mbuf: i as usize,
             })
             .collect();
-        let (accepted, rejected) = n.tx_submit(0, reqs);
+        let (accepted, rejected) = n.tx_submit_q(0, 0, reqs);
         assert_eq!(accepted, 4);
         assert_eq!(rejected.len(), 2);
         assert_eq!(n.tx_free_slots(0), 0);
@@ -1277,9 +1207,9 @@ mod tests {
                 mbuf: i as usize,
             })
             .collect();
-        n.tx_submit(0, reqs);
+        n.tx_submit_q(0, 0, reqs);
         let mut now = 0;
-        while let Some(t) = n.tx_dma_advance(now, &mut m) {
+        while let Some(t) = n.tx_dma_advance_q(0, now, &mut m) {
             now = t.max(now + 1);
         }
         // After enough time the writeback lands and slots free up.
@@ -1292,7 +1222,7 @@ mod tests {
         let mut n = nic();
         n.rx_ring_post(1024);
         n.wire_rx(0, packet(1, 1518));
-        pump_rx(&mut n, 0, &mut m);
+        pump_rx_q(&mut n, 0, 0, &mut m);
         let got = n.rx_poll(simnet_sim::tick::ms(1), 1);
         let addr = layout::mbuf_addr(got[0].slot);
         let (_, level) = m.core_read(simnet_sim::tick::ms(2), addr, 8);
@@ -1305,7 +1235,7 @@ mod tests {
         let mut n = nic();
         n.rx_ring_post(1024);
         n.wire_rx(0, packet(1, 64));
-        pump_rx(&mut n, 0, &mut m);
+        pump_rx_q(&mut n, 0, 0, &mut m);
         n.reset_stats();
         assert_eq!(n.stats().rx_frames.value(), 0);
         assert_eq!(n.drop_fsm().total_drops(), 0);

@@ -129,7 +129,7 @@ fn tx_drop_when_everything_backed_up() {
             mbuf: i as usize,
         })
         .collect();
-    let (accepted, rejected) = nic.tx_submit(0, reqs);
+    let (accepted, rejected) = nic.tx_submit_q(0, 0, reqs);
     assert_eq!((accepted, rejected.len()), (2, 0));
     assert_eq!(nic.tx_free_slots(0), 0);
 
@@ -172,7 +172,7 @@ fn mixed_sequence_trace_agrees_with_fsm_counters() {
             mbuf: 1,
         },
     ];
-    nic.tx_submit(20, reqs);
+    nic.tx_submit_q(0, 20, reqs);
     fill_fifo_until_drop(&mut nic, 30, 20);
 
     nic.rx_ring_post(8);

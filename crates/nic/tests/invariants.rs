@@ -68,11 +68,11 @@ proptest! {
                 }
                 Step::PumpRx => {
                     let mut t = now;
-                    if let Some(n) = nic.rx_dma_start(t, &mut mem) {
+                    if let Some(n) = nic.rx_dma_start_q(0, t, &mut mem) {
                         t = n;
                     }
                     for _ in 0..64 {
-                        match nic.rx_dma_advance(t, &mut mem) {
+                        match nic.rx_dma_advance_q(0, t, &mut mem) {
                             Some(n) => t = n.max(t + 1),
                             None => break,
                         }
@@ -100,13 +100,13 @@ proptest! {
                         })
                         .collect();
                     next_id += count as u64;
-                    let (accepted, _) = nic.tx_submit(now, reqs);
+                    let (accepted, _) = nic.tx_submit_q(0, now, reqs);
                     submitted_tx += accepted as u64;
                 }
                 Step::PumpTx => {
                     let mut t = now;
                     for _ in 0..64 {
-                        match nic.tx_dma_advance(t, &mut mem) {
+                        match nic.tx_dma_advance_q(0, t, &mut mem) {
                             Some(n) => t = n.max(t + 1),
                             None => break,
                         }
@@ -138,16 +138,16 @@ proptest! {
         for (i, len) in lens.iter().enumerate() {
             now += 200_000; // 200 ns spacing: no overload
             prop_assert!(nic.wire_rx(now, frame(i as u64, *len as usize)).is_none());
-            if let Some(t) = nic.rx_dma_start(now, &mut mem) {
+            if let Some(t) = nic.rx_dma_start_q(0, now, &mut mem) {
                 let mut t = t;
-                while let Some(n) = nic.rx_dma_advance(t, &mut mem) {
+                while let Some(n) = nic.rx_dma_advance_q(0, t, &mut mem) {
                     t = n.max(t + 1);
                 }
             }
         }
         // Drain any residue and poll far in the future.
         let mut t = now + 1_000_000;
-        while let Some(n) = nic.rx_dma_advance(t, &mut mem) {
+        while let Some(n) = nic.rx_dma_advance_q(0, t, &mut mem) {
             t = n.max(t + 1);
         }
         let got = nic.rx_poll(t + 10_000_000, lens.len() + 8);

@@ -160,11 +160,6 @@ impl DevBind {
     pub fn config(&self, bdf: Bdf) -> Option<&ConfigSpace> {
         self.slots.get(&bdf).map(|s| &s.config)
     }
-
-    /// Mutable config-space access for a bound device.
-    pub fn config_mut(&mut self, bdf: Bdf) -> Option<&mut ConfigSpace> {
-        self.slots.get_mut(&bdf).map(|s| &mut s.config)
-    }
 }
 
 #[cfg(test)]

@@ -5,10 +5,10 @@
 //! first, mirroring gem5's event priorities) and then by insertion order, so
 //! simulations are reproducible regardless of allocator or hash-map state.
 //!
-//! The implementation is a gem5-style two-level ladder ([`ladder`]): a
+//! The implementation is a gem5-style two-level ladder (`ladder`): a
 //! bucketed near-future window drained cohort-at-a-time plus an overflow
 //! heap for far-future timers. The original single-`BinaryHeap` queue
-//! survives as [`BinaryHeapQueue`] ([`heap`]) — the reference model for
+//! survives as [`BinaryHeapQueue`] (`heap`) — the reference model for
 //! differential tests and the baseline for `BENCH_event_queue.json`.
 
 mod heap;
@@ -70,7 +70,7 @@ pub struct Event<E> {
 /// bug and panics, as is scheduling past the `u64` tick horizon.
 ///
 /// Internally this is a two-level ladder (near-future bucket ring +
-/// far-future overflow heap; see [`ladder`]); the observable behaviour is
+/// far-future overflow heap; see `ladder`); the observable behaviour is
 /// the strict `(tick, priority, seq)` total order.
 ///
 /// # Example

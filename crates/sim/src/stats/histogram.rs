@@ -76,11 +76,6 @@ impl Histogram {
         self.bins[idx]
     }
 
-    /// Number of bins.
-    pub fn bin_len(&self) -> usize {
-        self.bins.len()
-    }
-
     /// The `[lo, hi)` span of bin `idx`.
     pub fn bin_range(&self, idx: usize) -> (f64, f64) {
         let width = (self.hi - self.lo) / self.bins.len() as f64;

@@ -131,11 +131,6 @@ impl Frequency {
         Self::hz(ghz * 1e9)
     }
 
-    /// Returns the frequency in hertz.
-    pub fn as_hz(&self) -> f64 {
-        self.hz
-    }
-
     /// Returns the frequency in gigahertz.
     pub fn as_ghz(&self) -> f64 {
         self.hz / 1e9
@@ -207,11 +202,6 @@ impl Bandwidth {
     /// Returns the bandwidth in gigabits per second.
     pub fn as_gbps(&self) -> f64 {
         self.bits_per_sec / 1e9
-    }
-
-    /// Returns the bandwidth in bits per second.
-    pub fn as_bps(&self) -> f64 {
-        self.bits_per_sec
     }
 
     /// Serialization delay in ticks for `bytes` bytes (rounded, minimum 0).

@@ -438,10 +438,10 @@ mod tests {
             assert!(nic.wire_rx(0, packet(i)).is_none());
         }
         let mut now = 0;
-        if let Some(t) = nic.rx_dma_start(now, mem) {
+        if let Some(t) = nic.rx_dma_start_q(0, now, mem) {
             now = t;
         }
-        while let Some(t) = nic.rx_dma_advance(now, mem) {
+        while let Some(t) = nic.rx_dma_advance_q(0, now, mem) {
             now = t.max(now + 1);
         }
         now
@@ -473,7 +473,7 @@ mod tests {
         assert!(!it.idle);
         assert_eq!(it.rx, 8);
         assert_eq!(it.tx, 8);
-        assert!(nic.tx_dma_needs_kick());
+        assert!(nic.tx_dma_needs_kick_q(0));
     }
 
     #[test]

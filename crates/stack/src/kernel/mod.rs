@@ -450,10 +450,10 @@ mod tests {
             assert!(nic.wire_rx(0, pkt).is_none());
         }
         let mut now = 0;
-        if let Some(t) = nic.rx_dma_start(now, mem) {
+        if let Some(t) = nic.rx_dma_start_q(0, now, mem) {
             now = t;
         }
-        while let Some(t) = nic.rx_dma_advance(now, mem) {
+        while let Some(t) = nic.rx_dma_advance_q(0, now, mem) {
             now = t.max(now + 1);
         }
         now
@@ -529,7 +529,7 @@ mod tests {
         );
         assert_eq!(it.rx, 4);
         assert_eq!(it.tx, 4);
-        assert!(nic.tx_dma_needs_kick());
+        assert!(nic.tx_dma_needs_kick_q(0));
     }
 
     #[test]

@@ -11,35 +11,54 @@
 
 use simnet::harness::config::TopoConfig;
 use simnet::harness::summary::{run_phases, Phases};
-use simnet::harness::tracerun::TracedRun;
 use simnet::harness::{
-    build_dual_sim, build_loadgen_sim, run_traced, run_traced_with, stats_text_all, AppSpec,
-    RunConfig, Simulation, SystemConfig, TraceOpts,
+    build_dual_sim, build_loadgen_sim, run_observed, stats_text_all, AppSpec, ObserveOpts,
+    ObservedRun, RunConfig, Simulation, SystemConfig,
 };
 use simnet::sim::fault::{FaultInjector, FaultPlan};
 use simnet::sim::tick::us;
 use simnet::sim::trace::{canonical_text, trace_hash, Component};
 
+/// A loadgen-mode point run for `measure_us` µs without warm-up, every
+/// component traced into a ring of `capacity` events, with `faults`
+/// installed before the first event.
+fn traced(
+    cfg: &SystemConfig,
+    spec: &AppSpec,
+    size: usize,
+    offered: f64,
+    measure_us: u64,
+    capacity: usize,
+    faults: FaultInjector,
+) -> ObservedRun {
+    let rc = RunConfig {
+        phases: Phases {
+            warmup: 0,
+            measure: us(measure_us),
+        },
+    };
+    let opts = ObserveOpts {
+        trace: Some((capacity, Component::ALL_MASK)),
+        faults,
+        ..Default::default()
+    };
+    run_observed(cfg, spec, size, offered, rc, opts)
+}
+
 /// A short, light TestPMD point: no warm-up, a 250 µs window (the link's
 /// one-way latency is 100 µs, so the window must cover inject → arrival →
 /// echo) at 2 Gbps of 1518 B frames — a few hundred trace lines, small
 /// enough to commit.
-fn golden_point() -> TracedRun {
+fn golden_point() -> ObservedRun {
     let cfg = SystemConfig::gem5();
-    let rc = RunConfig {
-        phases: Phases {
-            warmup: 0,
-            measure: us(250),
-        },
-    };
-    run_traced(
+    traced(
         &cfg,
         &AppSpec::TestPmd,
         1518,
         2.0,
-        rc,
+        250,
         1 << 16,
-        Component::ALL_MASK,
+        FaultInjector::disabled(),
     )
 }
 
@@ -47,26 +66,17 @@ fn golden_point() -> TracedRun {
 /// [`golden_point`] plus a BER high enough to corrupt a few frames and a
 /// periodic DMA latency burst — chaos that must still be byte-for-byte
 /// reproducible from the fault seed.
-fn faulted_point(fault_seed: u64) -> TracedRun {
+fn faulted_point(fault_seed: u64) -> ObservedRun {
     let cfg = SystemConfig::gem5();
-    let rc = RunConfig {
-        phases: Phases {
-            warmup: 0,
-            measure: us(250),
-        },
-    };
     let plan = FaultPlan::parse("link.ber=3e-5;dma.burst=+500ns/2us@20us").unwrap();
-    run_traced_with(
+    traced(
         &cfg,
         &AppSpec::TestPmd,
         1518,
         2.0,
-        rc,
-        TraceOpts {
-            capacity: 1 << 16,
-            mask: Component::ALL_MASK,
-            faults: FaultInjector::new(plan, fault_seed),
-        },
+        250,
+        1 << 16,
+        FaultInjector::new(plan, fault_seed),
     )
 }
 
@@ -74,14 +84,8 @@ fn faulted_point(fault_seed: u64) -> TracedRun {
 /// 250 µs window, so hundreds of frames are in flight per direction.
 /// `fault_seed` optionally installs the same chaos plan as
 /// [`faulted_point`].
-fn line_rate_point(fault_seed: Option<u64>) -> TracedRun {
+fn line_rate_point(fault_seed: Option<u64>) -> ObservedRun {
     let cfg = SystemConfig::gem5();
-    let rc = RunConfig {
-        phases: Phases {
-            warmup: 0,
-            measure: us(250),
-        },
-    };
     let faults = match fault_seed {
         Some(seed) => {
             let plan = FaultPlan::parse("link.ber=3e-5;dma.burst=+500ns/2us@20us").unwrap();
@@ -89,18 +93,7 @@ fn line_rate_point(fault_seed: Option<u64>) -> TracedRun {
         }
         None => FaultInjector::disabled(),
     };
-    run_traced_with(
-        &cfg,
-        &AppSpec::TestPmd,
-        1518,
-        30.0,
-        rc,
-        TraceOpts {
-            capacity: 1 << 20,
-            mask: Component::ALL_MASK,
-            faults,
-        },
-    )
+    traced(&cfg, &AppSpec::TestPmd, 1518, 30.0, 250, 1 << 20, faults)
 }
 
 /// The multi-queue golden point: the same light TestPMD workload as
@@ -111,22 +104,16 @@ fn line_rate_point(fault_seed: Option<u64>) -> TracedRun {
 /// full multi-queue event schedule: per-queue DMA kicks, both lcores'
 /// software wakeups, partitioned FIFOs, and the interleaved echo
 /// stream.
-fn mq_point() -> TracedRun {
+fn mq_point() -> ObservedRun {
     let cfg = SystemConfig::gem5().with_queues(2).with_lcores(2);
-    let rc = RunConfig {
-        phases: Phases {
-            warmup: 0,
-            measure: us(250),
-        },
-    };
-    run_traced(
+    traced(
         &cfg,
         &AppSpec::TestPmd,
         1518,
         2.0,
-        rc,
+        250,
         1 << 16,
-        Component::ALL_MASK,
+        FaultInjector::disabled(),
     )
 }
 
@@ -134,22 +121,16 @@ fn mq_point() -> TracedRun {
 /// lcores, the client steering each request's source port onto the
 /// queue owning its key's shard — real cross-queue traffic, committed
 /// byte-for-byte.
-fn mq_memcached_point() -> TracedRun {
+fn mq_memcached_point() -> ObservedRun {
     let cfg = SystemConfig::gem5().with_queues(4).with_lcores(4);
-    let rc = RunConfig {
-        phases: Phases {
-            warmup: 0,
-            measure: us(400),
-        },
-    };
-    run_traced(
+    traced(
         &cfg,
         &AppSpec::MemcachedDpdk,
         0,
         200.0,
-        rc,
+        400,
         1 << 18,
-        Component::ALL_MASK,
+        FaultInjector::disabled(),
     )
 }
 
@@ -211,18 +192,17 @@ fn trace_is_deterministic_across_rebuilt_nodes() {
     assert!(!a.events.is_empty(), "trace captured events");
     assert_eq!(a.evicted, 0, "golden trace must fit the ring");
     assert_eq!(
-        a.canonical_text(),
-        b.canonical_text(),
+        canonical_text(&a.events),
+        canonical_text(&b.events),
         "canonical traces of identical configs must be byte-identical"
     );
-    assert_eq!(a.hash(), b.hash());
-    assert_eq!(trace_hash(&a.events), a.hash());
+    assert_eq!(trace_hash(&a.events), trace_hash(&b.events));
 }
 
 #[test]
 fn trace_matches_committed_golden_file() {
     let run = golden_point();
-    let text = run.canonical_text();
+    let text = canonical_text(&run.events);
     assert_golden("testpmd_small.trace", &text);
 }
 
@@ -236,11 +216,11 @@ fn faulted_trace_is_deterministic_and_seed_sensitive() {
     assert!(!a.events.is_empty());
     assert_eq!(a.evicted, 0, "faulted golden trace must fit the ring");
     assert_eq!(
-        a.canonical_text(),
-        b.canonical_text(),
+        canonical_text(&a.events),
+        canonical_text(&b.events),
         "same fault seed must reproduce the chaos byte-for-byte"
     );
-    assert_eq!(a.hash(), b.hash());
+    assert_eq!(trace_hash(&a.events), trace_hash(&b.events));
     assert!(
         a.fault_counts.total() > 0,
         "the faulted plan must actually inject faults: {:?}",
@@ -254,8 +234,8 @@ fn faulted_trace_is_deterministic_and_seed_sensitive() {
 
     let c = faulted_point(12);
     assert_ne!(
-        a.hash(),
-        c.hash(),
+        trace_hash(&a.events),
+        trace_hash(&c.events),
         "a different fault seed must produce a different trace"
     );
 }
@@ -266,7 +246,7 @@ fn faulted_trace_is_deterministic_and_seed_sensitive() {
 #[test]
 fn faulted_trace_matches_committed_golden_file() {
     let run = faulted_point(11);
-    let text = run.canonical_text();
+    let text = canonical_text(&run.events);
     assert!(
         text.contains("stage=fault"),
         "faulted golden must contain fault events"
@@ -280,7 +260,7 @@ fn faulted_trace_matches_committed_golden_file() {
 fn burst_trace_matches_committed_golden_file() {
     let run = line_rate_point(None);
     assert_eq!(run.evicted, 0, "line-rate golden trace must fit the ring");
-    let text = run.canonical_text();
+    let text = canonical_text(&run.events);
     assert_golden("testpmd_burst.trace", &text);
 }
 
@@ -290,7 +270,7 @@ fn burst_trace_matches_committed_golden_file() {
 fn faulted_burst_trace_matches_committed_golden_file() {
     let run = line_rate_point(Some(11));
     assert_eq!(run.evicted, 0, "faulted line-rate golden must fit the ring");
-    let text = run.canonical_text();
+    let text = canonical_text(&run.events);
     assert!(
         text.contains("stage=fault"),
         "faulted burst golden must contain fault events"
@@ -311,14 +291,14 @@ fn faulted_burst_trace_matches_committed_golden_file() {
 fn mq_trace_matches_committed_golden_file() {
     let run = mq_point();
     assert_eq!(run.evicted, 0, "mq golden trace must fit the ring");
-    let text = run.canonical_text();
+    let text = canonical_text(&run.events);
     assert_golden("testpmd_mq.trace", &text);
 
     // A second rebuilt node must reproduce it, and the single-queue
     // golden point must not (the queues change the schedule).
-    assert_eq!(mq_point().canonical_text(), text);
+    assert_eq!(canonical_text(&mq_point().events), text);
     assert_ne!(
-        golden_point().canonical_text(),
+        canonical_text(&golden_point().events),
         text,
         "the 2-queue schedule must differ from the single-queue golden"
     );
@@ -330,9 +310,9 @@ fn mq_trace_matches_committed_golden_file() {
 fn mq_memcached_trace_matches_committed_golden_file() {
     let run = mq_memcached_point();
     assert_eq!(run.evicted, 0, "mq memcached golden must fit the ring");
-    let text = run.canonical_text();
+    let text = canonical_text(&run.events);
     assert_golden("memcached_mq.trace", &text);
-    assert_eq!(mq_memcached_point().canonical_text(), text);
+    assert_eq!(canonical_text(&mq_memcached_point().events), text);
 }
 
 /// The incast golden: 4 fleet clients with 5 µs of latency spread
@@ -378,8 +358,11 @@ fn trace_filter_restricts_components() {
             measure: us(250),
         },
     };
-    let mask = Component::Nic.bit();
-    let run = run_traced(&cfg, &AppSpec::TestPmd, 1518, 2.0, rc, 1 << 16, mask);
+    let opts = ObserveOpts {
+        trace: Some((1 << 16, Component::Nic.bit())),
+        ..Default::default()
+    };
+    let run = run_observed(&cfg, &AppSpec::TestPmd, 1518, 2.0, rc, opts);
     assert!(!run.events.is_empty());
     assert!(run.events.iter().all(|e| e.component == Component::Nic));
 }

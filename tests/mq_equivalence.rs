@@ -10,11 +10,15 @@
 //!
 //! Multi-queue runs themselves (`nqueues > 1`) are covered by replay
 //! determinism and conservation checks: the per-queue
-//! FIFOs and per-lcore schedules are a pure function of the seed.
+//! FIFOs and per-lcore schedules are a pure function of the seed. A
+//! scaling gate pins what they buy: memcached past its knee must keep
+//! its measured 2- and 4-lcore speedups.
 
 use proptest::prelude::*;
 use simnet::harness::summary::{run_phases, Phases};
-use simnet::harness::{build_loadgen_sim, stats_text_all, AppSpec, Simulation, SystemConfig};
+use simnet::harness::{
+    build_loadgen_sim, run_point, stats_text_all, AppSpec, RunConfig, Simulation, SystemConfig,
+};
 use simnet::net::pool;
 use simnet::sim::fault::{FaultInjector, FaultPlan};
 use simnet::sim::tick::us;
@@ -184,6 +188,30 @@ fn sharded_memcached_uses_every_queue_and_replays_identically() {
         assert!(
             a.stats.contains(&needle),
             "stats dump missing per-lcore block {needle}"
+        );
+    }
+}
+
+/// Multi-queue memcached must scale: driven past the 4-lcore knee at
+/// 3,200 kRPS over `RunConfig::long()`, `(nqueues, lcores)` of (2,2) and
+/// (4,4) must each reach its measured speedup over (1,1) (2.006 and
+/// 3.589, from 889.6, 1784.8 and 3193.2 kRPS) within a 20% tolerance,
+/// which also covers a 1.5× floor for 4 lcores. The achieved rate is a
+/// pure function of seed and config, so only a model change moves it.
+#[test]
+fn memcached_scales_with_queues_and_lcores() {
+    let krps = |n: usize| {
+        let cfg = SystemConfig::gem5().with_queues(n).with_lcores(n);
+        run_point(&cfg, &AppSpec::MemcachedDpdk, 0, 3200.0, RunConfig::long()).achieved_rps() / 1e3
+    };
+    let base = krps(1);
+    for (n, measured) in [(2, 2.006), (4, 3.589)] {
+        let speedup = krps(n) / base;
+        let floor = measured / 1.2;
+        assert!(
+            speedup >= floor,
+            "{n} queues x {n} lcores reach {speedup:.3}x the 1-lcore {base:.1} kRPS, \
+             below the {floor:.3}x floor"
         );
     }
 }

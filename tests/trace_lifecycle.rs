@@ -11,13 +11,13 @@
 use std::collections::HashMap;
 
 use simnet::harness::summary::Phases;
-use simnet::harness::{run_traced, run_traced_with, AppSpec, RunConfig, SystemConfig, TraceOpts};
+use simnet::harness::{run_observed, AppSpec, ObserveOpts, RunConfig, SystemConfig};
 use simnet::net::MIN_FRAME_LEN;
 use simnet::sim::fault::{FaultInjector, FaultPlan};
 use simnet::sim::tick::us;
 use simnet::sim::trace::{Component, DropClass, Stage, TraceEvent};
 
-fn overloaded_run() -> (Vec<TraceEvent>, simnet::harness::RunSummary, u64) {
+fn overloaded_run() -> (Vec<TraceEvent>, simnet::harness::RunSummary) {
     let cfg = SystemConfig::gem5();
     // No warm-up so the FSM counters in the summary cover exactly the
     // traced window, making trace/counter agreement an equality.
@@ -27,18 +27,13 @@ fn overloaded_run() -> (Vec<TraceEvent>, simnet::harness::RunSummary, u64) {
             measure: us(800),
         },
     };
-    let run = run_traced(
-        &cfg,
-        &AppSpec::TestPmd,
-        1518,
-        60.0,
-        rc,
-        1 << 22,
-        Component::ALL_MASK,
-    );
+    let opts = ObserveOpts {
+        trace: Some((1 << 22, Component::ALL_MASK)),
+        ..Default::default()
+    };
+    let run = run_observed(&cfg, &AppSpec::TestPmd, 1518, 60.0, rc, opts);
     assert_eq!(run.evicted, 0, "trace ring must hold the whole run");
-    let hash = run.hash();
-    (run.events, run.summary, hash)
+    (run.events, run.summary)
 }
 
 /// Per-class totals of `Stage::Drop` events: `(dma, core, tx, fault)`.
@@ -59,7 +54,7 @@ fn trace_drop_counts(events: &[TraceEvent]) -> (u64, u64, u64, u64) {
 
 #[test]
 fn overload_drops_are_classified_and_match_fsm_counters() {
-    let (events, summary, _) = overloaded_run();
+    let (events, summary) = overloaded_run();
 
     let (dma, core, tx, fault) = trace_drop_counts(&events);
     assert!(
@@ -76,7 +71,7 @@ fn overload_drops_are_classified_and_match_fsm_counters() {
 
 #[test]
 fn dropped_packet_has_complete_lifecycle_ending_in_drop() {
-    let (events, _, _) = overloaded_run();
+    let (events, _) = overloaded_run();
 
     // Group stage names by packet id, in emission order.
     let mut by_packet: HashMap<u64, Vec<&'static str>> = HashMap::new();
@@ -173,18 +168,12 @@ fn packet_conservation_holds_across_fault_matrix() {
             } else {
                 FaultInjector::new(FaultPlan::parse(plan_text).unwrap(), 7)
             };
-            let run = run_traced_with(
-                &cfg,
-                spec,
-                1518,
-                55.0,
-                rc,
-                TraceOpts {
-                    capacity: 1 << 22,
-                    mask: Component::ALL_MASK,
-                    faults,
-                },
-            );
+            let opts = ObserveOpts {
+                trace: Some((1 << 22, Component::ALL_MASK)),
+                faults,
+                ..Default::default()
+            };
+            let run = run_observed(&cfg, spec, 1518, 55.0, rc, opts);
             let cell = format!("{}/{plan_text:?}", spec.label());
             assert_eq!(run.evicted, 0, "{cell}: trace ring too small");
 
@@ -238,7 +227,7 @@ fn packet_conservation_holds_across_fault_matrix() {
 
 #[test]
 fn drop_events_carry_queue_occupancies() {
-    let (events, _, _) = overloaded_run();
+    let (events, _) = overloaded_run();
     let mut saw_full_fifo = false;
     for ev in &events {
         if let Stage::Drop { fifo_used, .. } = ev.stage {
