@@ -1,7 +1,8 @@
 //! Golden-trace determinism: the packet-lifecycle trace of a fixed
 //! configuration must be byte-identical across runs and across freshly
-//! rebuilt nodes, and must match the committed golden file. The incast
-//! and dual-mode goldens also pin the Full stats dump of every node.
+//! rebuilt nodes, and must match the committed golden file. The incast,
+//! dual-mode, kernel-stack and small-TX-ring goldens also pin the Full
+//! stats dump of every node.
 //!
 //! Regenerate the golden after an intentional behavior change with:
 //!
@@ -154,16 +155,16 @@ fn assert_golden(name: &str, text: &str) {
     );
 }
 
-/// Runs an assembled simulation traced for 250 µs without warm-up and
-/// returns its canonical trace followed by the Full stats dump of every
-/// node.
-fn trace_and_dumps(mut sim: Simulation) -> String {
+/// Runs an assembled simulation traced for `measure_us` µs without
+/// warm-up and returns its canonical trace followed by the Full stats
+/// dump of every node.
+fn trace_and_dumps(mut sim: Simulation, measure_us: u64) -> String {
     sim.enable_trace(1 << 16, Component::ALL_MASK);
     run_phases(
         &mut sim,
         Phases {
             warmup: 0,
-            measure: us(250),
+            measure: us(measure_us),
         },
     );
     assert_eq!(sim.tracer().evicted(), 0, "golden trace must fit the ring");
@@ -327,7 +328,7 @@ fn incast_small_matches_committed_golden_file() {
             .with_trunk_queue(1)
             .with_loss_ppm(20_000),
     );
-    let text = trace_and_dumps(build_loadgen_sim(&cfg, &AppSpec::TestPmd, 1518, 12.0));
+    let text = trace_and_dumps(build_loadgen_sim(&cfg, &AppSpec::TestPmd, 1518, 12.0), 250);
     assert!(
         stat(&text, "system.topo.trunk.tailDrops") > 0,
         "trunk never tail-dropped"
@@ -345,8 +346,57 @@ fn incast_small_matches_committed_golden_file() {
 #[test]
 fn dual_small_matches_committed_golden_file() {
     let cfg = SystemConfig::gem5();
-    let text = trace_and_dumps(build_dual_sim(&cfg, &AppSpec::TestPmd, 1518, 2.0));
+    let text = trace_and_dumps(build_dual_sim(&cfg, &AppSpec::TestPmd, 1518, 2.0), 250);
     assert_golden("dual_small.trace", &text);
+}
+
+/// The kernel-stack golden: memcached on the kernel stack at 200 kRPS.
+/// Every GET and SET is answered, so it pins the kernel's Respond path
+/// (send syscall, user-to-skb copy, TX mbuf ring, TX descriptor stores).
+#[test]
+fn memcached_kernel_matches_committed_golden_file() {
+    let cfg = SystemConfig::gem5();
+    let text = trace_and_dumps(
+        build_loadgen_sim(&cfg, &AppSpec::MemcachedKernel, 0, 200.0),
+        250,
+    );
+    assert!(
+        stat(&text, "system.stack.txPackets") > 0,
+        "the kernel stack never answered"
+    );
+    assert_golden("memcached_kernel.trace", &text);
+}
+
+/// An 8-slot TX ring with the paper's 1024-slot RX ring, so bursts
+/// outrun TX and each stack parks rejected requests in its backlog and
+/// retries them before polling again.
+fn small_tx_ring() -> SystemConfig {
+    let mut cfg = SystemConfig::gem5();
+    cfg.nic.tx_ring_size = 8;
+    cfg
+}
+
+/// The DPDK backlog golden: TestPMD past its 64 B knee (20 Gbps) on the
+/// 8-slot TX ring. A 1 µs wire and a 5 µs window keep the file small
+/// while the backlog retry runs dozens of times.
+#[test]
+fn testpmd_small_tx_ring_matches_committed_golden_file() {
+    let mut cfg = small_tx_ring();
+    cfg.link_latency = us(1);
+    let text = trace_and_dumps(build_loadgen_sim(&cfg, &AppSpec::TestPmd, 64, 20.0), 5);
+    assert_golden("testpmd_tx8.trace", &text);
+}
+
+/// The kernel backlog golden: MemcachedKernel at 600 kRPS on the 8-slot
+/// TX ring, where NAPI cycles answer more requests than the ring holds.
+#[test]
+fn memcached_kernel_small_tx_ring_matches_committed_golden_file() {
+    let cfg = small_tx_ring();
+    let text = trace_and_dumps(
+        build_loadgen_sim(&cfg, &AppSpec::MemcachedKernel, 0, 600.0),
+        250,
+    );
+    assert_golden("memcached_kernel_tx8.trace", &text);
 }
 
 #[test]
