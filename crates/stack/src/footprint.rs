@@ -40,11 +40,6 @@ impl FootprintStream {
         }
     }
 
-    /// Size of the region in bytes.
-    pub fn size(&self) -> u64 {
-        self.lines * CACHE_LINE
-    }
-
     fn next_addr(&mut self) -> Addr {
         let hot = self.rng.chance(self.hot_fraction);
         let span = if hot {
@@ -76,14 +71,6 @@ impl FootprintStream {
         for _ in 0..n {
             let addr = self.next_addr();
             ops.push(Op::Ifetch(addr));
-        }
-    }
-
-    /// Emits `n` store touches.
-    pub fn emit_stores(&mut self, ops: &mut Vec<Op>, n: usize) {
-        for _ in 0..n {
-            let addr = self.next_addr();
-            ops.push(Op::Store(addr));
         }
     }
 }
@@ -135,10 +122,8 @@ mod tests {
         let mut ops = Vec::new();
         fs.emit_dependent_loads(&mut ops, 2);
         fs.emit_ifetches(&mut ops, 2);
-        fs.emit_stores(&mut ops, 2);
         assert!(matches!(ops[0], Op::DependentLoad(_)));
         assert!(matches!(ops[2], Op::Ifetch(_)));
-        assert!(matches!(ops[4], Op::Store(_)));
     }
 
     #[test]
