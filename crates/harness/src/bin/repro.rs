@@ -12,7 +12,10 @@
 //!
 //! Results print as tables and are written as CSVs under `--out`
 //! (default `results/`). Every argument is checked first: an unknown
-//! flag or experiment name exits 1 before any experiment runs.
+//! flag or experiment name exits 1 before any experiment runs. When the
+//! reader of stdout goes away (`repro ... | head`), `repro` stops
+//! quietly with exit 0; any other failed write to stdout exits 1 with
+//! one line on stderr.
 //!
 //! Any of `--trace`, `--stats-out`, or `--profile` switches the binary to
 //! single-point mode: one short, deliberately overloaded TestPMD run with
@@ -49,6 +52,7 @@
 //! `simnet_sim::fault::FaultPlan`). `--fault-seed N` picks the fault RNG
 //! seed (default 42); the workload RNG is untouched either way.
 
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -132,7 +136,12 @@ fn write_file(path: &PathBuf, contents: &str) -> Result<(), ExitCode> {
 }
 
 /// Runs one observed TestPMD point and writes the requested outputs.
-fn run_point_mode(mode: &PointMode, offered_gbps: f64, faults: FaultInjector) -> ExitCode {
+fn run_point_mode(
+    mode: &PointMode,
+    offered_gbps: f64,
+    faults: FaultInjector,
+    out: &mut impl Write,
+) -> io::Result<ExitCode> {
     let mut cfg = SystemConfig::gem5()
         .with_queues(mode.nqueues)
         .with_lcores(mode.lcores);
@@ -143,28 +152,32 @@ fn run_point_mode(mode: &PointMode, offered_gbps: f64, faults: FaultInjector) ->
     let rc = RunConfig::fast();
     let faulted = faults.is_enabled();
     if faulted {
-        println!(
+        writeln!(
+            out,
             "fault plan: {} (seed {})",
             faults.plan().map(|p| p.to_string()).unwrap_or_default(),
             faults.seed().unwrap_or(0)
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "observing {} @ {offered_gbps:.1} Gbps ({} B frames, fast phases)",
         spec.label(),
         mode.frame
-    );
+    )?;
     if mode.nqueues != 1 || mode.lcores != 1 {
-        println!(
+        writeln!(
+            out,
             "multi-queue: {} RX/TX queue pairs, {} worker lcores",
             mode.nqueues, mode.lcores
-        );
+        )?;
     }
     if mode.topo > 1 {
-        println!(
+        writeln!(
+            out,
             "topology: {} clients -> switch -> host (incast fan-in)",
             mode.topo
-        );
+        )?;
     }
     let opts = ObserveOpts {
         trace: mode.trace_path.as_ref().map(|_| (1 << 22, mode.trace_mask)),
@@ -210,28 +223,31 @@ fn run_point_mode(mode: &PointMode, offered_gbps: f64, faults: FaultInjector) ->
             trace::canonical_text(&run.events)
         };
         if let Err(code) = write_file(path, &serialized) {
-            return code;
+            return Ok(code);
         }
-        println!(
+        writeln!(
+            out,
             "wrote {} events to {} (evicted {}, hash {:016x})",
             run.events.len(),
             path.display(),
             run.evicted,
             trace::trace_hash(&run.events)
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "trace drops (measure window): dma={dma} core={core} tx={tx} fault={fault}; \
              fsm counters: dma={} core={} tx={} fault={}",
             run.summary.drop_counts.0,
             run.summary.drop_counts.1,
             run.summary.drop_counts.2,
             run.summary.fault_drops
-        );
+        )?;
         let in_flight = injected.saturating_sub(delivered + dropped);
-        println!(
+        writeln!(
+            out,
             "conservation: injected={injected} delivered={delivered} dropped={dropped} \
              in_flight={in_flight}"
-        );
+        )?;
     }
 
     if let Some(path) = &mode.stats_path {
@@ -242,14 +258,15 @@ fn run_point_mode(mode: &PointMode, offered_gbps: f64, faults: FaultInjector) ->
             ts.to_ndjson()
         };
         if let Err(code) = write_file(path, &serialized) {
-            return code;
+            return Ok(code);
         }
-        println!(
+        writeln!(
+            out,
             "wrote {} interval samples ({} µs apart) to {}",
             ts.len(),
             mode.stats_interval_us,
             path.display()
-        );
+        )?;
         // Drop onset: the first interval losing packets to a behind DMA
         // engine, and the FIFO fill level on the way there.
         let drop_dma = ts.int_column("drop_dma");
@@ -258,20 +275,25 @@ fn run_point_mode(mode: &PointMode, offered_gbps: f64, faults: FaultInjector) ->
         match drop_dma.iter().position(|&d| d > 0) {
             Some(i) => {
                 let peak_before = fifo_frac[..i].iter().copied().fold(0.0f64, f64::max);
-                println!(
+                writeln!(
+                    out,
                     "drop onset: first class=dma drop interval at t={:.0} µs \
                      (FIFO peaked at {:.0}% of capacity before onset)",
                     t_us[i],
                     peak_before * 100.0
-                );
+                )?;
             }
-            None => println!("drop onset: no DMA-behind drops in the measurement window"),
+            None => writeln!(
+                out,
+                "drop onset: no DMA-behind drops in the measurement window"
+            )?,
         }
     }
 
     if faulted {
         let fc = &run.fault_counts;
-        println!(
+        writeln!(
+            out,
             "fault counts: link_ber={} fifo_stuck={} wb_delay={} wb_corrupt={} \
              pci_stall={} master_clear={} dma_burst={} dca_miss={} total={}",
             fc.link_bit_errors,
@@ -283,20 +305,35 @@ fn run_point_mode(mode: &PointMode, offered_gbps: f64, faults: FaultInjector) ->
             fc.dma_bursts,
             fc.dca_forced_misses,
             fc.total()
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "achieved {:.2} Gbps, drop rate {:.4}",
         run.summary.achieved_gbps(),
         run.summary.drop_rate
-    );
+    )?;
     if let Some(profile) = &run.profile {
-        println!("\n{}", profile.render());
+        writeln!(out, "\n{}", profile.render())?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
+    let mut out = io::stdout().lock();
+    match run(&mut out).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        // A reader that stopped early (`repro ... | head`) wants no more.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("repro: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Checks the arguments, then runs what they ask for, printing to `out`.
+fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     let mut effort = Effort::Full;
     let mut out_dir = PathBuf::from("results");
     let mut targets: Vec<&Experiment> = Vec::new();
@@ -322,46 +359,46 @@ fn main() -> ExitCode {
                 Some(dir) => out_dir = PathBuf::from(dir),
                 None => {
                     eprintln!("--out requires a directory");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
             "--trace" => match args.next() {
                 Some(p) => trace_path = Some(PathBuf::from(p)),
                 None => {
                     eprintln!("--trace requires a file path");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
             "--trace-filter" => match args.next().as_deref().map(trace::parse_filter) {
                 Some(Ok(mask)) => trace_mask = mask,
                 Some(Err(e)) => {
                     eprintln!("--trace-filter: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
                 None => {
                     eprintln!("--trace-filter requires a component list");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
             "--trace-gbps" => match args.next().and_then(|g| g.parse::<f64>().ok()) {
                 Some(g) if g.is_finite() && g > 0.0 => trace_gbps = g,
                 _ => {
                     eprintln!("--trace-gbps requires a finite rate above 0 (Gbps)");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
             "--stats-out" => match args.next() {
                 Some(p) => stats_path = Some(PathBuf::from(p)),
                 None => {
                     eprintln!("--stats-out requires a file path");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
             "--stats-interval" => match args.next().and_then(|s| s.parse::<u64>().ok()) {
                 Some(us) if us > 0 => stats_interval_us = us,
                 _ => {
                     eprintln!("--stats-interval requires a positive integer (microseconds)");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
             "--profile" => profile = true,
@@ -372,63 +409,64 @@ fn main() -> ExitCode {
                         "--frame requires a frame size in bytes \
                          ({MIN_FRAME_LEN}..={MAX_FRAME_LEN})"
                     );
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
             "--nqueues" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
                 Some(n) if (1..=8).contains(&n) => nqueues = n,
                 _ => {
                     eprintln!("--nqueues requires a queue-pair count (1..=8)");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
             "--lcores" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
                 Some(n) if (1..=8).contains(&n) => lcores = n,
                 _ => {
                     eprintln!("--lcores requires a worker-core count (1..=8)");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
             "--topo" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
                 Some(n) if (1..=64).contains(&n) => topo = n,
                 _ => {
                     eprintln!("--topo requires a client fan-in count (1..=64)");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
             "--faults" => match args.next().as_deref().map(FaultPlan::parse) {
                 Some(Ok(plan)) => fault_plan = Some(plan),
                 Some(Err(e)) => {
                     eprintln!("--faults: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
                 None => {
                     eprintln!("--faults requires a plan (e.g. 'link.ber=1e-6')");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
             "--fault-seed" => match args.next().and_then(|s| s.parse::<u64>().ok()) {
                 Some(s) => fault_seed = s,
                 None => {
                     eprintln!("--fault-seed requires an integer");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
             "--help" | "-h" => {
-                println!(
+                writeln!(
+                    out,
                     "usage: repro [--quick] [--out DIR] [all|{}]\n\
                      \x20      repro [--trace PATH] [--trace-filter COMPONENTS] [--trace-gbps G]\n\
                      \x20            [--stats-out FILE] [--stats-interval US] [--profile]\n\
                      \x20            [--faults PLAN] [--fault-seed N] [--frame BYTES]\n\
                      \x20            [--nqueues N] [--lcores N] [--topo CLIENTS]",
                     experiment_names("|")
-                );
-                return ExitCode::SUCCESS;
+                )?;
+                return Ok(ExitCode::SUCCESS);
             }
             "all" => all = true,
             flag if flag.starts_with('-') => {
                 eprintln!("unknown flag {flag:?}; see repro --help");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             name => match EXPERIMENTS.iter().find(|&&(known, _)| known == name) {
                 Some(experiment) => targets.push(experiment),
@@ -437,7 +475,7 @@ fn main() -> ExitCode {
                         "unknown experiment {name:?}; known: all, {}",
                         experiment_names(", ")
                     );
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             },
         }
@@ -449,18 +487,18 @@ fn main() -> ExitCode {
     };
     if lcores > nqueues {
         eprintln!("--lcores {lcores} needs at least as many --nqueues (have {nqueues})");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     if topo > 1 && nqueues != 1 {
         eprintln!("--topo incast runs drive a single-queue NIC (drop --nqueues)");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     if trace_path.is_some() || stats_path.is_some() || profile {
         if all || !targets.is_empty() {
             eprintln!(
                 "experiments do not run in single-point mode (--trace/--stats-out/--profile)"
             );
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         let mode = PointMode {
             trace_path,
@@ -473,19 +511,19 @@ fn main() -> ExitCode {
             lcores,
             topo,
         };
-        return run_point_mode(&mode, trace_gbps, faults);
+        return run_point_mode(&mode, trace_gbps, faults, out);
     }
     if nqueues != 1 || lcores != 1 {
         eprintln!("--nqueues/--lcores only apply to single-point runs (see mq-sweep)");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     if topo != 1 {
         eprintln!("--topo only applies to single-point runs (see topo-sweep)");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     if faults.is_enabled() {
         eprintln!("--faults/--fault-seed only apply to single-point runs");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     if targets.is_empty() || all {
         targets = EXPERIMENTS.iter().collect();
@@ -493,9 +531,13 @@ fn main() -> ExitCode {
 
     for (name, run) in targets {
         let started = std::time::Instant::now();
-        println!("\n########## {name} ##########");
-        run(effort).emit(&out_dir);
-        println!("[{name} done in {:.1}s]", started.elapsed().as_secs_f64());
+        writeln!(out, "\n########## {name} ##########")?;
+        run(effort).emit(out, &out_dir)?;
+        writeln!(
+            out,
+            "[{name} done in {:.1}s]",
+            started.elapsed().as_secs_f64()
+        )?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -173,10 +173,16 @@ impl ExperimentOutput {
         self.artifacts.push((filename.into(), contents.into()));
     }
 
-    /// Prints everything and writes CSVs plus artifacts under `dir`.
-    pub fn emit(&self, dir: &std::path::Path) {
+    /// Prints everything to `out` and writes CSVs plus artifacts under
+    /// `dir`. A file that cannot be written is a warning on stderr; only
+    /// a failed write to `out` is an error.
+    pub fn emit(
+        &self,
+        out: &mut impl std::io::Write,
+        dir: &std::path::Path,
+    ) -> std::io::Result<()> {
         for (name, table) in &self.tables {
-            println!("{}", table.render());
+            writeln!(out, "{}", table.render())?;
             if let Err(e) = table.write_csv(dir, name) {
                 eprintln!("warning: could not write {name}.csv: {e}");
             }
@@ -185,13 +191,14 @@ impl ExperimentOutput {
             let path = dir.join(filename);
             let write = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, contents));
             match write {
-                Ok(()) => println!("wrote {}", path.display()),
+                Ok(()) => writeln!(out, "wrote {}", path.display())?,
                 Err(e) => eprintln!("warning: could not write {filename}: {e}"),
             }
         }
         for note in &self.notes {
-            println!("note: {note}");
+            writeln!(out, "note: {note}")?;
         }
+        Ok(())
     }
 }
 
