@@ -31,11 +31,6 @@ pub struct TopoConfig {
     pub trunk_latency: Tick,
     /// Seeded random loss on client uplinks, parts per million.
     pub loss_ppm: u32,
-    /// Zipf skew for flow popularity across each client's source-port
-    /// flows (0.0 = round-robin over flows; the compact per-flow state).
-    pub zipf_skew: f64,
-    /// Distinct flows (source ports) per client endpoint.
-    pub flows_per_client: u16,
 }
 
 impl TopoConfig {
@@ -48,8 +43,6 @@ impl TopoConfig {
             trunk_queue_frames: 0,
             trunk_latency: 0,
             loss_ppm: 0,
-            zipf_skew: 0.0,
-            flows_per_client: 1,
         }
     }
 
@@ -66,8 +59,6 @@ impl TopoConfig {
             trunk_queue_frames: 512,
             trunk_latency: ns(500),
             loss_ppm: 0,
-            zipf_skew: 0.0,
-            flows_per_client: 1,
         }
     }
 
@@ -86,15 +77,6 @@ impl TopoConfig {
     /// Sets seeded uplink loss in parts per million.
     pub fn with_loss_ppm(mut self, ppm: u32) -> Self {
         self.loss_ppm = ppm;
-        self
-    }
-
-    /// Sets Zipf-skewed flow popularity over `flows` source-port flows
-    /// per client (skew 0.0 keeps the round-robin default).
-    pub fn with_zipf_flows(mut self, flows: u16, skew: f64) -> Self {
-        assert!(flows >= 1, "need at least one flow per client");
-        self.flows_per_client = flows;
-        self.zipf_skew = skew;
         self
     }
 
@@ -350,15 +332,13 @@ mod tests {
             TopoConfig::incast(8)
                 .with_latency_spread(us(10))
                 .with_trunk_queue(64)
-                .with_loss_ppm(250)
-                .with_zipf_flows(4, 1.2),
+                .with_loss_ppm(250),
         );
         assert_eq!(cfg.topo.clients, 8);
         assert!(!cfg.topo.is_point_to_point());
         assert_eq!(cfg.topo.latency_spread, us(10));
         assert_eq!(cfg.topo.trunk_queue_frames, 64);
         assert_eq!(cfg.topo.loss_ppm, 250);
-        assert_eq!(cfg.topo.flows_per_client, 4);
         // The whole config stays Copy for the sweep drivers.
         let copied = cfg;
         assert_eq!(copied.topo.clients, cfg.topo.clients);

@@ -304,9 +304,7 @@ pub fn build_topo_sim(cfg: &SystemConfig, spec: &AppSpec, size: usize, offered: 
         size,
         Bandwidth::gbps(offered),
         cfg.nic.mac,
-        cfg.seed ^ 0x10AD,
-    )
-    .with_flows(cfg.topo.flows_per_client, cfg.topo.zipf_skew);
+    );
     let mut sim = Simulation::topo_mode(cfg, stack, app, fleet);
     add_workers(&mut sim, cfg, spec);
     sim

@@ -1,15 +1,14 @@
-//! A fleet of synthetic client endpoints driven from compact per-flow
+//! A fleet of synthetic client endpoints driven from compact per-client
 //! state.
 //!
 //! Incast runs put N clients behind a switch. Materializing N
 //! full [`EtherLoadGen`](crate::EtherLoadGen) objects would cost N RNGs,
 //! N sample sets, and N outstanding maps for what is structurally one
-//! workload; the fleet instead keeps **one** builder, **one** RNG, and
-//! **one** latency aggregate, plus a few words of per-flow state per
-//! client (next departure tick, tx/rx counters). Client *i*'s identity is
-//! derived, not stored: MAC `simulated(CLIENT_MAC_BASE + i)`, source IP
-//! `10.0.1.i`, and a source port chosen per frame from the client's flow
-//! set — round-robin by default, Zipf-skewed popularity when configured.
+//! workload; the fleet instead keeps **one** builder and **one** latency
+//! aggregate, plus a few words of state per client (next departure
+//! tick, tx/rx counters). Client *i*'s identity is derived, not stored:
+//! MAC `simulated(CLIENT_MAC_BASE + i)`, source IP `10.0.1.i`, and
+//! source port [`FLEET_PORT_BASE`].
 //!
 //! Frames are RSS-hashable UDP tuples with the departure timestamp in
 //! the payload (written pre-checksum, see `simnet_net::timestamp`), so a
@@ -17,7 +16,6 @@
 //! echoes carry the RTT back.
 
 use simnet_net::{timestamp, MacAddr, Packet, PacketBuilder};
-use simnet_sim::random::{SimRng, Zipf};
 use simnet_sim::stats::{Counter, SampleSet, StatsRegistry};
 use simnet_sim::tick::{Bandwidth, Tick};
 use simnet_sim::trace::{Component, Stage, Tracer};
@@ -28,10 +26,10 @@ use crate::report::LoadGenReport;
 /// and the legacy single loadgen use low indices).
 pub const CLIENT_MAC_BASE: u32 = 100;
 
-/// First source port of each client's flow set.
+/// Every client's UDP source port.
 pub const FLEET_PORT_BASE: u16 = 40_000;
 
-/// A fleet of synthetic clients sharing one builder and one RNG.
+/// A fleet of synthetic clients sharing one builder.
 pub struct ClientFleet {
     clients: usize,
     frame_len: usize,
@@ -40,10 +38,7 @@ pub struct ClientFleet {
     server: MacAddr,
     dst_ip: [u8; 4],
     dst_port: u16,
-    flows_per_client: u16,
-    zipf: Option<Zipf>,
-    rng: SimRng,
-    /// Compact per-flow state: the next departure tick per client.
+    /// Compact per-client state: the next departure tick per client.
     next_departure: Vec<Tick>,
     /// Per-client tx/rx frame counts (fleet-level stats keep one
     /// aggregate latency set; these stay for per-client drop accounting).
@@ -69,7 +64,6 @@ impl ClientFleet {
         frame_len: usize,
         aggregate: Bandwidth,
         server: MacAddr,
-        seed: u64,
     ) -> Self {
         assert!(clients >= 1, "a fleet needs at least one client");
         assert!(
@@ -89,9 +83,6 @@ impl ClientFleet {
             server,
             dst_ip: [10, 0, 0, 1],
             dst_port: 9, // discard/echo
-            flows_per_client: 1,
-            zipf: None,
-            rng: SimRng::seed_from(seed),
             next_departure: (0..clients as Tick).map(|i| i * agg_interval).collect(),
             client_tx: vec![0; clients],
             client_rx: vec![0; clients],
@@ -103,16 +94,6 @@ impl ClientFleet {
             latency: SampleSet::with_capacity(1 << 18),
             tracer: Tracer::disabled(),
         }
-    }
-
-    /// Gives every client `flows` source-port flows; `skew > 0` draws
-    /// each frame's flow from a Zipf distribution over them (popular
-    /// flows dominate), `skew == 0` round-robins.
-    pub fn with_flows(mut self, flows: u16, skew: f64) -> Self {
-        assert!(flows >= 1, "need at least one flow per client");
-        self.flows_per_client = flows;
-        self.zipf = (skew > 0.0 && flows > 1).then(|| Zipf::new(0, u64::from(flows) - 1, skew));
-        self
     }
 
     /// Attaches a packet-lifecycle tracer (injections + echo receipts).
@@ -141,19 +122,11 @@ impl ClientFleet {
     pub fn take_packet(&mut self, client: usize, now: Tick) -> Packet {
         let id = self.next_id;
         self.next_id += 1;
-        let flow = if self.flows_per_client <= 1 {
-            0
-        } else if let Some(zipf) = &self.zipf {
-            zipf.sample(&mut self.rng) as u16
-        } else {
-            (id % u64::from(self.flows_per_client)) as u16
-        };
         let src_ip = [10, 0, 1, client as u8];
-        let src_port = FLEET_PORT_BASE + flow;
         let packet = PacketBuilder::new()
             .dst(self.server)
             .src(self.client_mac(client))
-            .udp(src_ip, self.dst_ip, src_port, self.dst_port)
+            .udp(src_ip, self.dst_ip, FLEET_PORT_BASE, self.dst_port)
             .frame_len(self.frame_len)
             .build_with(id, self.frame_len - timestamp::UDP_OFFSET, |buf| {
                 timestamp::write_timestamp_slice(buf, 0, now);
@@ -269,13 +242,7 @@ mod tests {
     use simnet_net::rss::queue_for;
 
     fn fleet(clients: usize) -> ClientFleet {
-        ClientFleet::fixed_rate(
-            clients,
-            256,
-            Bandwidth::gbps(10.0),
-            MacAddr::simulated(1),
-            7,
-        )
+        ClientFleet::fixed_rate(clients, 256, Bandwidth::gbps(10.0), MacAddr::simulated(1))
     }
 
     #[test]
@@ -342,33 +309,9 @@ mod tests {
     }
 
     #[test]
-    fn zipf_flows_skew_port_popularity() {
-        let mut f = fleet(1).with_flows(8, 1.4);
-        let mut counts = [0u32; 8];
-        for i in 0..400 {
-            let pkt = f.take_packet(0, i * 1000);
-            let (_, udp, _) = pkt.udp().unwrap();
-            counts[(udp.src_port - FLEET_PORT_BASE) as usize] += 1;
-        }
-        let max = *counts.iter().max().unwrap();
-        let min = *counts.iter().min().unwrap();
-        assert!(max > 2 * min.max(1), "Zipf must skew: {counts:?}");
-        // Round-robin control: perfectly flat.
-        let mut rr = fleet(1).with_flows(8, 0.0);
-        assert!(rr.zipf.is_none());
-        let mut rr_counts = [0u32; 8];
-        for i in 0..400 {
-            let pkt = rr.take_packet(0, i * 1000);
-            let (_, udp, _) = pkt.udp().unwrap();
-            rr_counts[(udp.src_port - FLEET_PORT_BASE) as usize] += 1;
-        }
-        assert_eq!(rr_counts, [50; 8]);
-    }
-
-    #[test]
     fn replay_is_deterministic() {
         let run = || {
-            let mut f = fleet(4).with_flows(4, 1.2);
+            let mut f = fleet(4);
             let mut ids = Vec::new();
             for i in 0..64 {
                 let c = i % 4;

@@ -67,7 +67,6 @@ pub struct EtherLoadGen {
     /// Open-loop by default; `Some(w)` bounds outstanding packets
     /// (closed-loop client, §IV referencing open vs. closed clients).
     window: Option<usize>,
-    limit: Option<u64>,
     tx_packets: Counter,
     tx_bytes: Counter,
     rx_packets: Counter,
@@ -89,7 +88,6 @@ impl EtherLoadGen {
             next_id: 0,
             next_departure: Some(0),
             window: None,
-            limit: None,
             tx_packets: Counter::new(),
             tx_bytes: Counter::new(),
             rx_packets: Counter::new(),
@@ -114,11 +112,6 @@ impl EtherLoadGen {
         self.window = Some(window.max(1));
     }
 
-    /// Stops generating after `count` packets.
-    pub fn set_packet_limit(&mut self, count: u64) {
-        self.limit = Some(count);
-    }
-
     /// In memcached mode, steers each request's source port so the
     /// server NIC's RSS hash lands the request on the queue owning its
     /// key's shard (`ports[q]` must hash to queue `q`; see
@@ -132,9 +125,6 @@ impl EtherLoadGen {
     /// The tick at which the next packet wants to depart, or `None` if
     /// generation is finished or blocked on the closed-loop window.
     pub fn next_departure(&self, now: Tick) -> Option<Tick> {
-        if self.limit.is_some_and(|l| self.next_id >= l) {
-            return None;
-        }
         if self.window.is_some_and(|w| self.outstanding >= w) {
             return None; // unblocked by a future on_rx
         }
@@ -370,19 +360,6 @@ mod tests {
         }
         let report = lg.report(0, now + 2000);
         assert!((report.drop_rate - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn packet_limit_stops_generation() {
-        let mut lg = synthetic_gen(10.0, 64);
-        lg.set_packet_limit(3);
-        let mut now = 0;
-        for _ in 0..3 {
-            now = lg.next_departure(now).unwrap();
-            lg.take_packet(now).unwrap();
-        }
-        assert_eq!(lg.next_departure(now), None);
-        assert_eq!(lg.tx_packets(), 3);
     }
 
     #[test]

@@ -790,22 +790,6 @@ impl Nic {
         self.rxq[queue].visible.front().map(|c| c.visible_at)
     }
 
-    /// Number of packets visible to a poll at `now` (all queues).
-    pub fn rx_visible_count(&self, now: Tick) -> usize {
-        self.rxq
-            .iter()
-            .map(|q| q.visible.iter().take_while(|c| c.visible_at <= now).count())
-            .sum()
-    }
-
-    /// Polls up to `max` received packets visible at `now` from queue 0
-    /// (the PMD's `rx_burst` device side on the single-queue device).
-    pub fn rx_poll(&mut self, now: Tick, max: usize) -> Vec<RxCompletion> {
-        let mut out = Vec::new();
-        self.rx_poll_q_into(0, now, max, &mut out);
-        out
-    }
-
     /// Polls queue `queue` into a caller-owned buffer: appends up to
     /// `max - out.len()` completions, reusing the caller's allocation —
     /// the form the stacks' steady-state loops use, so a descriptor
@@ -831,12 +815,6 @@ impl Nic {
     // ------------------------------------------------------------------
     // TX path
     // ------------------------------------------------------------------
-
-    /// Free TX ring slots on queue 0 at `now`.
-    pub fn tx_free_slots(&mut self, now: Tick) -> usize {
-        self.settle(now);
-        self.cfg.tx_ring_size - self.txq[0].occupancy
-    }
 
     /// Software submits TX requests to queue `queue` (tail bump).
     /// Requests beyond the free ring slots are returned (the caller must
@@ -1030,6 +1008,23 @@ mod tests {
             .build(id)
     }
 
+    /// Polls up to `max` completions visible at `now` from queue 0.
+    fn poll(n: &mut Nic, now: Tick, max: usize) -> Vec<RxCompletion> {
+        let mut out = Vec::new();
+        n.rx_poll_q_into(0, now, max, &mut out);
+        out
+    }
+
+    /// `count` 64-byte TX requests with ids and mbufs from `first`.
+    fn tx_requests(first: u64, count: u64) -> Vec<TxRequest> {
+        (first..first + count)
+            .map(|i| TxRequest {
+                packet: packet(i, 64),
+                mbuf: i as usize,
+            })
+            .collect()
+    }
+
     /// A UDP frame whose source port steers it to `queue` of `nq`.
     fn steered_packet(id: u64, queue: usize, nq: usize) -> Packet {
         let ports = rss::ports_for_queues([10, 0, 0, 2], [10, 0, 0, 1], 11_211, nq);
@@ -1061,7 +1056,7 @@ mod tests {
         assert!(n.wire_rx(0, packet(1, 256)).is_none());
         assert!(n.rx_dma_needs_kick_q(0, 0));
         let end = pump_rx_q(&mut n, 0, 0, &mut m);
-        let got = n.rx_poll(end + 1_000_000, 32);
+        let got = poll(&mut n, end + 1_000_000, 32);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].packet.id(), 1);
         assert!(got[0].visible_at > 0, "DMA + writeback take time");
@@ -1074,8 +1069,7 @@ mod tests {
         n.rx_ring_post(1024);
         n.wire_rx(0, packet(1, 256));
         pump_rx_q(&mut n, 0, 0, &mut m);
-        assert_eq!(n.rx_visible_count(0), 0);
-        assert_eq!(n.rx_poll(0, 32), vec![]);
+        assert_eq!(poll(&mut n, 0, 32), vec![]);
     }
 
     #[test]
@@ -1132,7 +1126,7 @@ mod tests {
             n.wire_rx(0, packet(i, 64));
         }
         pump_rx_q(&mut n, 0, 0, &mut m);
-        let got = n.rx_poll(simnet_sim::tick::ms(1), 32);
+        let got = poll(&mut n, simnet_sim::tick::ms(1), 32);
         assert_eq!(got.len(), 8);
         // All eight became visible at the same writeback tick.
         let t0 = got[0].visible_at;
@@ -1182,16 +1176,11 @@ mod tests {
             tx_ring_size: 4,
             ..NicConfig::paper_default()
         });
-        let reqs: Vec<TxRequest> = (0..6)
-            .map(|i| TxRequest {
-                packet: packet(i, 64),
-                mbuf: i as usize,
-            })
-            .collect();
-        let (accepted, rejected) = n.tx_submit_q(0, 0, reqs);
+        let (accepted, rejected) = n.tx_submit_q(0, 0, tx_requests(0, 6));
         assert_eq!(accepted, 4);
         assert_eq!(rejected.len(), 2);
-        assert_eq!(n.tx_free_slots(0), 0);
+        // The ring stays full: a retry is turned away whole.
+        assert_eq!(n.tx_submit_q(0, 0, rejected), (0, tx_requests(4, 2)));
     }
 
     #[test]
@@ -1201,19 +1190,15 @@ mod tests {
             tx_ring_size: 4,
             ..NicConfig::paper_default()
         });
-        let reqs: Vec<TxRequest> = (0..4)
-            .map(|i| TxRequest {
-                packet: packet(i, 64),
-                mbuf: i as usize,
-            })
-            .collect();
-        n.tx_submit_q(0, 0, reqs);
+        n.tx_submit_q(0, 0, tx_requests(0, 4));
         let mut now = 0;
         while let Some(t) = n.tx_dma_advance_q(0, now, &mut m) {
             now = t.max(now + 1);
         }
-        // After enough time the writeback lands and slots free up.
-        assert_eq!(n.tx_free_slots(simnet_sim::tick::ms(10)), 4);
+        // After enough time the writeback lands and all four slots take
+        // new requests again.
+        let (accepted, rejected) = n.tx_submit_q(0, simnet_sim::tick::ms(10), tx_requests(4, 5));
+        assert_eq!((accepted, rejected.len()), (4, 1));
     }
 
     #[test]
@@ -1223,7 +1208,7 @@ mod tests {
         n.rx_ring_post(1024);
         n.wire_rx(0, packet(1, 1518));
         pump_rx_q(&mut n, 0, 0, &mut m);
-        let got = n.rx_poll(simnet_sim::tick::ms(1), 1);
+        let got = poll(&mut n, simnet_sim::tick::ms(1), 1);
         let addr = layout::mbuf_addr(got[0].slot);
         let (_, level) = m.core_read(simnet_sim::tick::ms(2), addr, 8);
         assert_eq!(level, simnet_mem::HitLevel::Llc);

@@ -131,7 +131,12 @@ fn tx_drop_when_everything_backed_up() {
         .collect();
     let (accepted, rejected) = nic.tx_submit_q(0, 0, reqs);
     assert_eq!((accepted, rejected.len()), (2, 0));
-    assert_eq!(nic.tx_free_slots(0), 0);
+    // The ring is full: one more request is turned away.
+    let extra = vec![TxRequest {
+        packet: frame(202, 256),
+        mbuf: 2,
+    }];
+    assert_eq!(nic.tx_submit_q(0, 0, extra).0, 0);
 
     let kind = fill_fifo_until_drop(&mut nic, 1, 300);
     assert_eq!(kind, DropKind::Tx);

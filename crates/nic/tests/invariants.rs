@@ -80,7 +80,8 @@ proptest! {
                     now = now.max(t);
                 }
                 Step::Poll(max) => {
-                    let got = nic.rx_poll(now, max as usize);
+                    let mut got = Vec::new();
+                    nic.rx_poll_q_into(0, now, max as usize, &mut got);
                     for c in &got {
                         prop_assert!(
                             polled_ids.insert(c.packet.id()),
@@ -150,7 +151,8 @@ proptest! {
         while let Some(n) = nic.rx_dma_advance_q(0, t, &mut mem) {
             t = n.max(t + 1);
         }
-        let got = nic.rx_poll(t + 10_000_000, lens.len() + 8);
+        let mut got = Vec::new();
+        nic.rx_poll_q_into(0, t + 10_000_000, lens.len() + 8, &mut got);
         prop_assert_eq!(got.len(), lens.len(), "all packets delivered");
         // Byte-exact delivery, in arrival order.
         for (i, c) in got.iter().enumerate() {

@@ -96,13 +96,6 @@ impl SimRng {
 pub enum Distribution {
     /// Always returns the same value.
     Fixed(f64),
-    /// Uniform over `[lo, hi)`.
-    Uniform {
-        /// Inclusive lower bound.
-        lo: f64,
-        /// Exclusive upper bound.
-        hi: f64,
-    },
     /// Exponential with the given mean (Poisson arrivals).
     Exponential {
         /// Mean of the distribution.
@@ -115,17 +108,13 @@ impl Distribution {
     ///
     /// # Panics
     ///
-    /// Panics if the distribution parameters are invalid (negative mean,
-    /// `lo > hi`).
+    /// Panics if the distribution parameters are invalid (a negative
+    /// value or mean).
     pub fn sample(&self, rng: &mut SimRng) -> f64 {
         match *self {
             Distribution::Fixed(v) => {
                 assert!(v >= 0.0, "fixed distribution value must be non-negative");
                 v
-            }
-            Distribution::Uniform { lo, hi } => {
-                assert!(lo <= hi && lo >= 0.0, "invalid uniform bounds [{lo},{hi})");
-                lo + (hi - lo) * rng.next_f64()
             }
             Distribution::Exponential { mean } => {
                 assert!(mean >= 0.0, "exponential mean must be non-negative");
@@ -142,7 +131,6 @@ impl Distribution {
     pub fn mean(&self) -> f64 {
         match *self {
             Distribution::Fixed(v) => v,
-            Distribution::Uniform { lo, hi } => (lo + hi) / 2.0,
             Distribution::Exponential { mean } => mean,
         }
     }
@@ -283,16 +271,6 @@ mod tests {
         let d = Distribution::Fixed(3.5);
         assert_eq!(d.sample(&mut rng), 3.5);
         assert_eq!(d.mean(), 3.5);
-    }
-
-    #[test]
-    fn uniform_distribution_in_range() {
-        let mut rng = SimRng::seed_from(2);
-        let d = Distribution::Uniform { lo: 1.0, hi: 2.0 };
-        for _ in 0..1000 {
-            let v = d.sample(&mut rng);
-            assert!((1.0..2.0).contains(&v));
-        }
     }
 
     #[test]
