@@ -291,6 +291,7 @@ impl<E> LadderQueue<E> {
 
     /// Inserts an event. The caller guarantees `tick >= now >=
     /// window_start` and a unique `seq`.
+    #[inline]
     pub(super) fn insert(&mut self, entry: Entry<E>) {
         self.peek_hint.set(None);
         if !self.in_window(entry.tick) {
@@ -335,6 +336,7 @@ impl<E> LadderQueue<E> {
     /// The `(tick, priority, seq)` key of the next event, without
     /// mutating the window. O(1) while draining; otherwise a scan from
     /// the cursor to the first non-empty bucket.
+    #[inline]
     pub(super) fn peek_key(&self) -> Option<Key> {
         if let Some(e) = self.drain.last() {
             return Some(e.key());
@@ -375,6 +377,7 @@ impl<E> LadderQueue<E> {
 
     /// Removes and returns the next event in `(tick, priority, seq)`
     /// order.
+    #[inline]
     pub(super) fn pop(&mut self) -> Option<Entry<E>> {
         loop {
             if let Some(e) = self.drain.pop() {

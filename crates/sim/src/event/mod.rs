@@ -159,6 +159,7 @@ impl<E> EventQueue<E> {
     /// # Panics
     ///
     /// Panics if `tick` is before [`EventQueue::now`].
+    #[inline]
     pub fn schedule(&mut self, tick: Tick, payload: E) {
         self.schedule_with_priority(tick, Priority::NORMAL, payload);
     }
@@ -186,6 +187,7 @@ impl<E> EventQueue<E> {
     /// # Panics
     ///
     /// Panics if `tick` is before [`EventQueue::now`].
+    #[inline]
     pub fn schedule_with_priority(&mut self, tick: Tick, priority: Priority, payload: E) {
         assert!(
             tick >= self.now,
@@ -204,11 +206,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Tick of the next pending event, if any.
+    #[inline]
     pub fn peek_tick(&self) -> Option<Tick> {
         self.ladder.peek_tick()
     }
 
     /// Pops the next event and advances the clock to its tick.
+    #[inline]
     pub fn pop(&mut self) -> Option<Event<E>> {
         let entry = self.ladder.pop()?;
         debug_assert!(entry.tick >= self.now);
@@ -223,6 +227,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops the next event only if it fires at or before `limit`.
+    #[inline]
     pub fn pop_until(&mut self, limit: Tick) -> Option<Event<E>> {
         match self.peek_tick() {
             Some(t) if t <= limit => self.pop(),
