@@ -203,7 +203,7 @@ fn sample_columns() -> Vec<ColumnSpec> {
 pub struct Worker {
     /// The worker's core (private L1/L2 in the node's memory system).
     pub core: Core,
-    /// The worker's stack instance (per-lcore mempool/footprint bases).
+    /// The worker's stack instance (per-lcore TX mbuf/footprint bases).
     pub stack: Box<dyn NetworkStack>,
     /// The worker's application shard.
     pub app: Box<dyn PacketApp>,
@@ -555,7 +555,7 @@ impl Simulation {
     }
 
     /// Adds a worker lcore to `node`: a private core, an independent
-    /// stack instance (built via `for_lcore`, so its mempool and
+    /// stack instance (built via `for_lcore`, so its TX mbuf and
     /// footprint bases don't collide), and an application shard. Queue
     /// assignments for *every* lcore of the node are recomputed
     /// round-robin (lcore `L` services queues `{q : q mod nlcores == L}`)

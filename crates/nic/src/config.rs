@@ -104,7 +104,7 @@ impl NicConfig {
         assert!(
             self.num_queues * self.rx_ring_size <= 8192,
             "total RX descriptors must fit the global mbuf index space \
-             below the stack mempools (8192 buffers)"
+             below the stacks' TX mbufs (8192 buffers)"
         );
         assert!(
             self.rx_fifo_bytes as usize >= self.num_queues
