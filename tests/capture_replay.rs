@@ -12,16 +12,64 @@ use simnet::sim::tick::us;
 /// Runs 500 µs of TestPMD at 256 B and 5 Gbps with the tap on; returns
 /// the PCAP bytes and the finished simulation.
 fn capture_run(cfg: &SystemConfig) -> (Vec<u8>, Simulation) {
-    let mut sim = build_loadgen_sim(cfg, &AppSpec::TestPmd, 256, 5.0);
+    capture_point(cfg, 256, 5.0, 500)
+}
+
+/// Runs `measure_us` µs of TestPMD at `size` B and `gbps` with the tap
+/// on, without warm-up; returns the PCAP bytes and the finished
+/// simulation.
+fn capture_point(
+    cfg: &SystemConfig,
+    size: usize,
+    gbps: f64,
+    measure_us: u64,
+) -> (Vec<u8>, Simulation) {
+    let mut sim = build_loadgen_sim(cfg, &AppSpec::TestPmd, size, gbps);
     sim.enable_capture();
     run_phases(
         &mut sim,
         Phases {
             warmup: 0,
-            measure: us(500),
+            measure: us(measure_us),
         },
     );
     (sim.take_capture().expect("capture enabled"), sim)
+}
+
+/// FNV-1a of the PCAP bytes of the 256 B loadgen, 4-client incast and
+/// 64 B overload captures in [`capture_bytes_are_pinned`]. Taken once
+/// from the code that built every frame before it entered a wire; never
+/// regenerated.
+const CAPTURE_HASHES: [u64; 3] = [
+    0xedac_36a0_94d6_c29d,
+    0x2362_a7b2_bb1b_7f94,
+    0x0535_efbd_a0ba_7aa4,
+];
+
+/// 64-bit FNV-1a of a byte stream.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The PCAP bytes of three captures are pinned: the 256 B loadgen run,
+/// the 4-client incast run, and a 64 B overload whose tap records frames
+/// the NIC then drops. Every recorded byte, headers, stamps and
+/// checksums included, must come out as it did when the constants were
+/// taken.
+#[test]
+fn capture_bytes_are_pinned() {
+    let incast = SystemConfig::gem5().with_topo(TopoConfig::incast(4));
+    let (loadgen, _) = capture_run(&SystemConfig::gem5());
+    let (fanin, _) = capture_run(&incast);
+    let (overload, sim) = capture_point(&SystemConfig::gem5(), 64, 70.0, 200);
+    assert!(
+        sim.nodes[0].nic.drop_fsm().total_drops() > 0,
+        "the 64 B run records frames the NIC drops"
+    );
+    let hashes = [fnv1a(&loadgen), fnv1a(&fanin), fnv1a(&overload)];
+    assert_eq!(hashes, CAPTURE_HASHES);
 }
 
 #[test]
