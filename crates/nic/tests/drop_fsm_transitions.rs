@@ -123,20 +123,21 @@ fn tx_drop_when_everything_backed_up() {
     let (mut nic, tracer) = tiny_nic();
     // Fill the TX ring (2 slots, DMA never advanced) on top of an
     // exhausted RX ring: the full backpressure chain of Fig. 4.
-    let reqs: Vec<TxRequest> = (0..2)
+    let mut reqs: Vec<TxRequest> = (0..2)
         .map(|i| TxRequest {
             packet: frame(200 + i, 256),
             mbuf: i as usize,
         })
         .collect();
-    let (accepted, rejected) = nic.tx_submit_q(0, 0, reqs);
-    assert_eq!((accepted, rejected.len()), (2, 0));
+    assert_eq!(nic.tx_submit_q(0, 0, &mut reqs), 2);
+    assert!(reqs.is_empty());
     // The ring is full: one more request is turned away.
-    let extra = vec![TxRequest {
+    let mut extra = vec![TxRequest {
         packet: frame(202, 256),
         mbuf: 2,
     }];
-    assert_eq!(nic.tx_submit_q(0, 0, extra).0, 0);
+    assert_eq!(nic.tx_submit_q(0, 0, &mut extra), 0);
+    assert_eq!(extra.len(), 1);
 
     let kind = fill_fifo_until_drop(&mut nic, 1, 300);
     assert_eq!(kind, DropKind::Tx);
@@ -167,7 +168,7 @@ fn mixed_sequence_trace_agrees_with_fsm_counters() {
     fill_fifo_until_drop(&mut nic, 0, 0);
     fill_fifo_until_drop(&mut nic, 10, 10);
 
-    let reqs = vec![
+    let mut reqs = vec![
         TxRequest {
             packet: frame(900, 256),
             mbuf: 0,
@@ -177,7 +178,7 @@ fn mixed_sequence_trace_agrees_with_fsm_counters() {
             mbuf: 1,
         },
     ];
-    nic.tx_submit_q(0, 20, reqs);
+    nic.tx_submit_q(0, 20, &mut reqs);
     fill_fifo_until_drop(&mut nic, 30, 20);
 
     nic.rx_ring_post(8);

@@ -94,14 +94,14 @@ proptest! {
                     nic.rx_ring_post(got.len());
                 }
                 Step::Tx(count) => {
-                    let reqs: Vec<TxRequest> = (0..count)
+                    let mut reqs: Vec<TxRequest> = (0..count)
                         .map(|i| TxRequest {
                             packet: frame(1_000_000 + next_id + i as u64, 256),
                             mbuf: 4096 + (i as usize),
                         })
                         .collect();
                     next_id += count as u64;
-                    let (accepted, _) = nic.tx_submit_q(0, now, reqs);
+                    let accepted = nic.tx_submit_q(0, now, &mut reqs);
                     submitted_tx += accepted as u64;
                 }
                 Step::PumpTx => {

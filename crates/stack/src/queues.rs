@@ -226,9 +226,8 @@ impl QueuePairs {
             if batch.is_empty() {
                 continue;
             }
-            let (took, rejected) = nic.tx_submit_q(q, at, std::mem::take(batch));
-            accepted += took;
-            self.backlog.extend(rejected.into_iter().map(|r| (q, r)));
+            accepted += nic.tx_submit_q(q, at, batch);
+            self.backlog.extend(batch.drain(..).map(|r| (q, r)));
         }
         accepted
     }
