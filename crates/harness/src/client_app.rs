@@ -58,7 +58,8 @@ impl PacketApp for SoftwareClient {
             return None;
         }
         ops.push(Op::Compute(self.per_tx_instructions));
-        self.gen.take_packet(now)
+        let frame = self.gen.take(now)?;
+        Some(self.gen.build(frame))
     }
 
     fn next_tx_at(&self, now: Tick) -> Option<Tick> {

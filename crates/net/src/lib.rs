@@ -2,8 +2,10 @@
 //!
 //! Packets in the simulator carry **real bytes**: what `EtherLoadGen`
 //! injects, what the NIC DMA-writes into ring buffers, and what the PCAP
-//! capture taps record are all the same buffers. This keeps trace capture
-//! and replay honest — a trace captured from a simulated run is a valid
+//! capture taps record are the same bytes. (A synthetic generator's frame
+//! crosses the wire as a descriptor and is built, byte for byte, where
+//! the NIC admits it or a tap records it.) This keeps trace capture and
+//! replay honest — a trace captured from a simulated run is a valid
 //! `.pcap` file readable by wireshark/tcpdump, and real `.pcap` files can be
 //! replayed into the simulator.
 //!

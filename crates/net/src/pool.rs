@@ -38,12 +38,12 @@ pub const NUM_CLASSES: usize = 3;
 pub const CLASS_CAPS: [usize; NUM_CLASSES] = [128, 512, 2048];
 
 /// Per-class buffer budget before the allocator falls back to the heap.
-/// 16 Ki buffers of the largest class is 32 MiB. That holds the ring,
-/// FIFO and in-flight population of full-size frames, but not of a 64 B
-/// overload, where the frames on the two 100 µs wires plus those in the
-/// RX FIFO outnumber it: the 128 B class runs out and later frames fall
-/// back to counted heap buffers. A 64 Ki budget measured no faster; the
-/// cost is building the frames, not `malloc`.
+/// 16 Ki buffers of the largest class is 32 MiB. Only frames the NIC has
+/// admitted hold buffers: a synthetic frame rides the wire as a
+/// descriptor and is built when the RX FIFO admits it. So the budget
+/// holds the FIFO, ring and echo population even of a 64 B overload:
+/// `repro --frame 64 --trace-gbps 70` peaks at 7,628 buffers of the
+/// 128 B class and never falls back.
 const DEFAULT_CLASS_LIMIT: usize = 16_384;
 
 /// Class marker for heap-fallback buffers (never recycled).

@@ -26,5 +26,5 @@ pub mod regs;
 pub use config::NicConfig;
 pub use drop_fsm::{DropFsm, DropKind};
 pub use fifo::ByteFifo;
-pub use i8254x::{Nic, RxCompletion};
+pub use i8254x::{Nic, RxCompletion, RxFrame};
 pub use regs::{NicCompatMode, RegisterFile};

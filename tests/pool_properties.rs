@@ -5,8 +5,9 @@
 //! writebacks or wedges the RX FIFO mid-run.
 
 use proptest::prelude::*;
+use simnet::harness::config::TopoConfig;
 use simnet::harness::summary::{run_phases, Phases};
-use simnet::harness::{AppSpec, Simulation, SystemConfig};
+use simnet::harness::{build_loadgen_sim, AppSpec, RunConfig, Simulation, SystemConfig};
 use simnet::net::pool;
 use simnet::net::{Packet, MAX_FRAME_LEN};
 use simnet::sim::fault::{FaultInjector, FaultPlan};
@@ -266,6 +267,35 @@ fn clean_run_recycles_instead_of_growing() {
         stats.total_allocs(),
         stats.high_water
     );
+}
+
+/// Only frames the NIC admits hold pool buffers. A synthetic frame
+/// travels the wire as a descriptor and is built when the RX FIFO admits
+/// it, and TestPMD forwards that buffer in place, so the window's class
+/// allocations equal `system.nic.rxPackets`. Neither the 64 B knee,
+/// where about three frames in four drop in the NIC, nor an 8-client
+/// incast whose 512-frame trunk tail-drops, falls back to the heap.
+#[test]
+fn only_admitted_frames_hold_pool_buffers() {
+    let knee = SystemConfig::gem5();
+    let incast = SystemConfig::gem5().with_topo(TopoConfig::incast(8).with_trunk_queue(512));
+    for (cfg, size, gbps) in [(knee, 64, 70.0), (incast, 1518, 120.0)] {
+        let mut sim = build_loadgen_sim(&cfg, &AppSpec::TestPmd, size, gbps);
+        let summary = run_phases(&mut sim, RunConfig::fast().phases);
+        let stats = pool::stats();
+        let admitted = sim.nodes[0].nic.stats().rx_frames.value();
+        assert!(
+            summary.report.tx_packets > admitted,
+            "{size} B: the load must overrun the path ({} sent, {admitted} admitted)",
+            summary.report.tx_packets
+        );
+        assert_eq!(stats.heap_fallback, 0, "{size} B hit the heap: {stats:?}");
+        assert_eq!(
+            stats.total_allocs(),
+            admitted,
+            "{size} B: one buffer per admitted frame: {stats:?}"
+        );
+    }
 }
 
 /// Exhausting a class's budget falls back to the heap instead of
