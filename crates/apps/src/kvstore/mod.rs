@@ -199,41 +199,23 @@ impl KvStore {
         }
     }
 
-    /// Warms the store with `count` keys named by
-    /// [`simnet_net::proto::memcached::nth_key`], with Zipfian value
-    /// lengths — the paper warms "the Memcached server with 5000 keys"
-    /// (§VI.A).
-    pub fn warm(&mut self, count: u64, lengths: &Zipf, rng: &mut SimRng) {
-        let mut scratch = Vec::new();
-        for i in 0..count {
-            let key = simnet_net::proto::memcached::nth_key(i);
-            let len = lengths.sample(rng) as usize;
-            let value = vec![(i % 251) as u8; len];
-            self.set(&key, &value, &mut scratch);
-            scratch.clear();
-        }
-    }
-
-    /// Warms this store with the shard of the `count`-key keyspace that
-    /// RSS steers to `lcore` (keys whose [`simnet_net::rss::key_shard`]
-    /// queue lands on this lcore under the round-robin queue→lcore map).
-    /// The RNG is consumed for *every* key — sharded warm-ups across all
-    /// lcores reproduce exactly the value lengths [`KvStore::warm`]
-    /// would have assigned, regardless of the shard count.
-    pub fn warm_shard(
+    /// Warms the store with those of `count` keys named by
+    /// [`simnet_net::proto::memcached::nth_key`] that `keep` accepts, with
+    /// Zipfian value lengths — the paper warms "the Memcached server with
+    /// 5000 keys" (§VI.A). The RNG is drawn for every key, kept or not,
+    /// so stores warmed from one seed agree on every value they share.
+    pub fn warm(
         &mut self,
         count: u64,
         lengths: &Zipf,
         rng: &mut SimRng,
-        lcore: usize,
-        nlcores: usize,
-        nqueues: usize,
+        keep: impl Fn(&[u8]) -> bool,
     ) {
         let mut scratch = Vec::new();
         for i in 0..count {
             let key = simnet_net::proto::memcached::nth_key(i);
             let len = lengths.sample(rng) as usize;
-            if simnet_net::rss::key_shard(&key, nqueues) % nlcores != lcore {
+            if !keep(&key) {
                 continue;
             }
             let value = vec![(i % 251) as u8; len];
@@ -299,7 +281,7 @@ mod tests {
         let mut store = KvStore::new(4096);
         let zipf = Zipf::paper_lengths();
         let mut rng = SimRng::seed_from(1);
-        store.warm(5000, &zipf, &mut rng);
+        store.warm(5000, &zipf, &mut rng, |_| true);
         assert_eq!(store.len(), 5000);
         let mut ops = Vec::new();
         let v = store.get(&nth_key(1234), &mut ops).expect("warmed key");
@@ -318,24 +300,24 @@ mod tests {
         let zipf = Zipf::paper_lengths();
         let mut whole = KvStore::new(4096);
         let mut rng = SimRng::seed_from(1);
-        whole.warm(5000, &zipf, &mut rng);
+        whole.warm(5000, &zipf, &mut rng, |_| true);
 
-        let nlcores = 4;
-        let nqueues = 4;
+        let parts = 4;
+        let part_of = |key: &[u8]| KvStore::hash(key) % parts;
         let mut total = 0;
-        for lcore in 0..nlcores {
-            let mut shard = KvStore::new(4096).with_base_offset(lcore as u64 * (64 << 20));
-            // Same seed per shard: the RNG is consumed for every key, so
+        for part in 0..parts {
+            let mut shard = KvStore::new(4096).with_base_offset(part * (64 << 20));
+            // Same seed per shard: the RNG is drawn for every key, so
             // value lengths match the whole-store warm exactly.
             let mut rng = SimRng::seed_from(1);
-            shard.warm_shard(5000, &zipf, &mut rng, lcore, nlcores, nqueues);
+            shard.warm(5000, &zipf, &mut rng, |key| part_of(key) == part);
             total += shard.len();
-            // Spot-check one shard-owned key against the whole store.
+            // Spot-check one kept key against the whole store.
             for i in 0..5000u64 {
-                let key = simnet_net::proto::memcached::nth_key(i);
-                if simnet_net::rss::key_shard(&key, nqueues) % nlcores == lcore {
+                let key = nth_key(i);
+                if part_of(&key) == part {
                     let mut ops = Vec::new();
-                    let got = shard.get(&key, &mut ops).expect("shard owns key");
+                    let got = shard.get(&key, &mut ops).expect("shard keeps key");
                     let mut ops2 = Vec::new();
                     let want = whole.get(&key, &mut ops2).expect("warmed key");
                     assert_eq!(got, want, "shard value diverged for key {i}");

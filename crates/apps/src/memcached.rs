@@ -230,9 +230,14 @@ mod tests {
     use simnet_net::MacAddr;
     use simnet_sim::random::{SimRng, Zipf};
 
-    fn warmed_store() -> KvStore {
+    fn warm_store() -> KvStore {
         let mut store = KvStore::new(4096);
-        store.warm(100, &Zipf::paper_lengths(), &mut SimRng::seed_from(9));
+        store.warm(
+            100,
+            &Zipf::paper_lengths(),
+            &mut SimRng::seed_from(9),
+            |_| true,
+        );
         store
     }
 
@@ -253,7 +258,7 @@ mod tests {
 
     #[test]
     fn get_hit_produces_addressed_reply() {
-        let mut app = MemcachedDpdk::new(warmed_store());
+        let mut app = MemcachedDpdk::new(warm_store());
         let completion = request_packet(42, &Request::Get { key: &nth_key(5) });
         let mut ops = Vec::new();
         let AppAction::Respond(reply) = app.on_packet(completion, 0x5000_0000, &mut ops) else {
@@ -274,7 +279,7 @@ mod tests {
 
     #[test]
     fn get_missing_key_is_a_miss() {
-        let mut app = MemcachedDpdk::new(warmed_store());
+        let mut app = MemcachedDpdk::new(warm_store());
         let completion = request_packet(1, &Request::Get { key: b"not-a-key" });
         let mut ops = Vec::new();
         let AppAction::Respond(reply) = app.on_packet(completion, 0, &mut ops) else {
@@ -320,8 +325,8 @@ mod tests {
 
     #[test]
     fn kernel_variant_costs_more_dispatch() {
-        let mut dpdk = MemcachedDpdk::new(warmed_store());
-        let mut kernel = MemcachedKernel::new(warmed_store());
+        let mut dpdk = MemcachedDpdk::new(warm_store());
+        let mut kernel = MemcachedKernel::new(warm_store());
         let completion = request_packet(3, &Request::Get { key: &nth_key(1) });
         let mut a = Vec::new();
         let mut b = Vec::new();

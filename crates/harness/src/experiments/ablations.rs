@@ -16,7 +16,7 @@
 
 use simnet_mem::cache::CacheConfig;
 use simnet_sim::tick::{ns, us, Tick};
-use simnet_stack::{DpdkStack, KernelStack, NetworkStack, PacketApp};
+use simnet_stack::{DpdkStack, KernelStack};
 
 use crate::config::SystemConfig;
 use crate::msb::{run_point, AppSpec, RunConfig};
@@ -145,10 +145,9 @@ pub fn open_vs_closed(effort: Effort) -> ExperimentOutput {
 
     // Closed loop: at most W outstanding requests.
     let closed = par_map(windows.to_vec(), |window| {
-        let (stack, app) = spec.instantiate(cfg.seed);
         let mut gen = spec.loadgen(&cfg, 0, offered);
         gen.set_closed_loop(window);
-        let mut sim = Simulation::loadgen_mode(&cfg, stack, app, gen);
+        let mut sim = Simulation::loadgen_mode(&cfg, spec.lcores(&cfg), gen);
         let s = run_phases(&mut sim, RunConfig::long().phases);
         (window, s)
     });
@@ -198,14 +197,12 @@ pub fn hugepages(effort: Effort) -> ExperimentOutput {
             256 => 40.0,
             _ => 55.0,
         };
-        let stack: Box<dyn NetworkStack> = if huge {
-            Box::new(DpdkStack::new(cfg.seed))
-        } else {
-            Box::new(DpdkStack::new(cfg.seed).without_hugepages())
-        };
-        let app: Box<dyn PacketApp> = Box::new(simnet_apps::TestPmd::new());
+        let mut lcores = AppSpec::TestPmd.lcores(&cfg);
+        if !huge {
+            lcores[0].0 = Box::new(DpdkStack::new(cfg.seed).without_hugepages());
+        }
         let loadgen = AppSpec::TestPmd.loadgen(&cfg, size, offered);
-        let mut sim = Simulation::loadgen_mode(&cfg, stack, app, loadgen);
+        let mut sim = Simulation::loadgen_mode(&cfg, lcores, loadgen);
         let s = run_phases(&mut sim, RunConfig::fast().phases);
         (size, huge, offered, s)
     });
@@ -252,17 +249,10 @@ pub fn interrupt_coalescing(effort: Effort) -> ExperimentOutput {
     let rows = par_map(itrs.to_vec(), |itr| {
         let mut stack = KernelStack::new(cfg.seed);
         stack.set_itr(itr);
-        let app: Box<dyn PacketApp> = Box::new(simnet_apps::MemcachedKernel::new({
-            let mut store = simnet_apps::KvStore::new(8192);
-            store.warm(
-                5_000,
-                &simnet_sim::random::Zipf::paper_lengths(),
-                &mut simnet_sim::random::SimRng::seed_from(cfg.seed),
-            );
-            store
-        }));
+        let mut lcores = AppSpec::MemcachedKernel.lcores(&cfg);
+        lcores[0].0 = Box::new(stack);
         let loadgen = AppSpec::MemcachedKernel.loadgen(&cfg, 0, rate);
-        let mut sim = Simulation::loadgen_mode(&cfg, Box::new(stack), app, loadgen);
+        let mut sim = Simulation::loadgen_mode(&cfg, lcores, loadgen);
         let s = run_phases(&mut sim, RunConfig::long().phases);
         (itr, s)
     });

@@ -5,8 +5,7 @@
 //! forwarding latency (NIC + DMA + software + TX path), not the wire.
 
 use crate::config::SystemConfig;
-use crate::msb::{AppSpec, RunConfig};
-use crate::sim::Simulation;
+use crate::msb::{build_loadgen_sim, AppSpec, RunConfig};
 use crate::summary::run_phases;
 use crate::table::{fmt_pct, Table};
 
@@ -36,10 +35,7 @@ pub fn run(effort: Effort) -> ExperimentOutput {
         ],
     );
     for &offered in loads {
-        let spec = AppSpec::TestPmd;
-        let (stack, app) = spec.instantiate(cfg.seed);
-        let loadgen = spec.loadgen(&cfg, 256, offered);
-        let mut sim = Simulation::loadgen_mode(&cfg, stack, app, loadgen);
+        let mut sim = build_loadgen_sim(&cfg, &AppSpec::TestPmd, 256, offered);
         sim.enable_interval_stats(simnet_sim::tick::us(100));
         let summary = run_phases(&mut sim, RunConfig::fast().phases);
         sim.finalize_interval_stats();

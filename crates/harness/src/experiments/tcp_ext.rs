@@ -9,8 +9,7 @@
 //! packet loss the overloaded server shows window-bound throughput.
 
 use crate::config::SystemConfig;
-use crate::msb::{run_point, AppSpec, RunConfig};
-use crate::sim::Simulation;
+use crate::msb::{build_loadgen_sim, run_point, AppSpec, RunConfig};
 use crate::summary::run_phases;
 use crate::table::{fmt_f64, Table};
 
@@ -26,10 +25,7 @@ pub fn run(effort: Effort) -> ExperimentOutput {
     let rc = RunConfig::long();
 
     let rows = par_map(windows.to_vec(), |window| {
-        let spec = AppSpec::IperfTcp;
-        let (stack, app) = spec.instantiate(cfg.seed);
-        let loadgen = spec.loadgen(&cfg, 1518, window as f64);
-        let mut sim = Simulation::loadgen_mode(&cfg, stack, app, loadgen);
+        let mut sim = build_loadgen_sim(&cfg, &AppSpec::IperfTcp, 1518, window as f64);
         let summary = run_phases(&mut sim, rc.phases);
         let lg = sim.loadgen.as_ref().expect("loadgen mode");
         let tcp = lg.tcp().expect("tcp mode");

@@ -8,14 +8,15 @@ use simnet_loadgen::{
     find_knee, ClientFleet, EtherLoadGen, LoadGenMode, MemcachedClientConfig, RatePoint,
     SyntheticConfig, TcpClientConfig, MSB_DROP_THRESHOLD,
 };
-use simnet_net::MacAddr;
+use simnet_net::{rss, MacAddr};
 use simnet_sim::random::SimRng;
 use simnet_sim::random::Zipf;
 use simnet_sim::tick::{us, Bandwidth, Tick};
 use simnet_stack::{DpdkStack, KernelStack, NetworkStack, PacketApp};
 
+use crate::client_app::SoftwareClient;
 use crate::config::SystemConfig;
-use crate::sim::Simulation;
+use crate::sim::{lcore_of, Lcore, Simulation};
 use crate::summary::{run_phases, Phases, RunSummary};
 
 /// Which benchmark to run (§V, plus iperf).
@@ -74,55 +75,49 @@ impl AppSpec {
         )
     }
 
-    /// Builds the stack + application for a node.
-    pub fn instantiate(&self, seed: u64) -> (Box<dyn NetworkStack>, Box<dyn PacketApp>) {
-        self.instantiate_mq(seed, 0, 1, 1)
-    }
-
-    /// Builds the stack + application shard for worker `lcore` of an
-    /// `nlcores`-worker node whose NIC exposes `nqueues` queues.
-    /// `instantiate_mq(seed, 0, 1, _)` is exactly [`AppSpec::instantiate`]:
-    /// the lone lcore gets the whole store and the legacy address-map
-    /// bases. With more workers, the memcached store is sharded by RSS
-    /// key ownership and every per-lcore footprint moves to that lcore's
-    /// private 64 MiB slice.
-    pub fn instantiate_mq(
-        &self,
-        seed: u64,
-        lcore: usize,
-        nlcores: usize,
-        nqueues: usize,
-    ) -> (Box<dyn NetworkStack>, Box<dyn PacketApp>) {
-        let stack: Box<dyn NetworkStack> = if self.kernel_stack() {
-            Box::new(KernelStack::for_lcore(seed, lcore))
-        } else {
-            Box::new(DpdkStack::for_lcore(seed, lcore))
-        };
-        let app: Box<dyn PacketApp> = match self {
-            AppSpec::TestPmd => Box::new(TestPmd::new()),
-            AppSpec::TouchFwd => Box::new(TouchFwd::new()),
-            AppSpec::TouchDrop => Box::new(TouchDrop::new()),
-            AppSpec::RxpTx(t) => Box::new(RxpTx::new(*t)),
-            AppSpec::Iperf => Box::new(Iperf::new()),
-            AppSpec::IperfTcp => Box::new(IperfTcp::new()),
-            AppSpec::MemcachedDpdk => Box::new(MemcachedDpdk::for_lcore(
-                shard_store(seed, lcore, nlcores, nqueues),
-                lcore,
-            )),
-            AppSpec::MemcachedKernel => Box::new(MemcachedKernel::for_lcore(
-                shard_store(seed, lcore, nlcores, nqueues),
-                lcore,
-            )),
-        };
-        (stack, app)
+    /// Builds lcores `0..cfg.num_lcores` of a node: each lcore's stack,
+    /// with its TX mbufs and footprints in that lcore's private 64 MiB
+    /// slice of the address map, and its application shard. A memcached
+    /// lcore holds the store shard of the queues it polls.
+    pub fn lcores(&self, cfg: &SystemConfig) -> Vec<Lcore> {
+        (0..cfg.num_lcores)
+            .map(|lcore| {
+                let stack: Box<dyn NetworkStack> = if self.kernel_stack() {
+                    Box::new(KernelStack::for_lcore(cfg.seed, lcore))
+                } else {
+                    Box::new(DpdkStack::for_lcore(cfg.seed, lcore))
+                };
+                let app: Box<dyn PacketApp> = match self {
+                    AppSpec::TestPmd => Box::new(TestPmd::new()),
+                    AppSpec::TouchFwd => Box::new(TouchFwd::new()),
+                    AppSpec::TouchDrop => Box::new(TouchDrop::new()),
+                    AppSpec::RxpTx(t) => Box::new(RxpTx::new(*t)),
+                    AppSpec::Iperf => Box::new(Iperf::new()),
+                    AppSpec::IperfTcp => Box::new(IperfTcp::new()),
+                    AppSpec::MemcachedDpdk => {
+                        Box::new(MemcachedDpdk::for_lcore(shard_store(cfg, lcore), lcore))
+                    }
+                    AppSpec::MemcachedKernel => {
+                        Box::new(MemcachedKernel::for_lcore(shard_store(cfg, lcore), lcore))
+                    }
+                };
+                (stack, app)
+            })
+            .collect()
     }
 
     /// Builds the matching load generator at `offered` load (Gbps of
     /// frame bytes, or kRPS for the memcached workloads) with frames of
-    /// `size` bytes.
+    /// `size` bytes. On a multi-queue NIC the client steers by UDP source
+    /// port, `ports[q]` hashing to queue `q`: synthetic frames round-robin
+    /// over the queues, and a memcached request goes to the queue whose
+    /// lcore holds its key.
     pub fn loadgen(&self, cfg: &SystemConfig, size: usize, offered: f64) -> EtherLoadGen {
         let server = cfg.nic.mac;
         let client = MacAddr::simulated(99);
+        let nq = cfg.nic.num_queues;
+        let steering =
+            |dst_port| (nq > 1).then(|| rss::ports_for_queues(CLIENT_IP, SERVER_IP, dst_port, nq));
         let mode = if let AppSpec::IperfTcp = self {
             // `offered` is the stream window, in segments.
             LoadGenMode::Tcp(TcpClientConfig::new(
@@ -132,30 +127,16 @@ impl AppSpec {
                 1_448,
             ))
         } else if self.uses_rps() {
-            LoadGenMode::Memcached(MemcachedClientConfig::paper_client(
-                offered * 1_000.0,
-                server,
-                client,
-            ))
+            let mut mc = MemcachedClientConfig::paper_client(offered * 1_000.0, server, client);
+            mc.shard_ports = steering(11_211);
+            LoadGenMode::Memcached(mc)
         } else {
             let mut syn =
                 SyntheticConfig::fixed_rate(size, Bandwidth::gbps(offered), server, client);
-            // On a multi-queue NIC, raw LoadGen shells carry no tuple and
-            // RSS pins every frame to queue 0; switch to UDP frames whose
-            // source ports round-robin one port per queue so the offered
-            // stream actually exercises every queue.
-            if cfg.nic.num_queues > 1 {
-                syn = syn.with_rss_ports(
-                    [10, 0, 0, 2],
-                    [10, 0, 0, 1],
-                    9,
-                    simnet_net::rss::ports_for_queues(
-                        [10, 0, 0, 2],
-                        [10, 0, 0, 1],
-                        9,
-                        cfg.nic.num_queues,
-                    ),
-                );
+            // Raw LoadGen shells carry no tuple and RSS pins every frame
+            // to queue 0, so a multi-queue NIC gets UDP frames instead.
+            if let Some(ports) = steering(9) {
+                syn = syn.with_rss_ports(CLIENT_IP, SERVER_IP, 9, ports);
             }
             LoadGenMode::Synthetic(syn)
         };
@@ -163,53 +144,25 @@ impl AppSpec {
     }
 }
 
-fn warmed_store(seed: u64) -> KvStore {
-    let mut store = KvStore::new(8192);
-    store.warm(5_000, &Zipf::paper_lengths(), &mut SimRng::seed_from(seed));
-    store
-}
+/// The load generator's IPv4 address.
+const CLIENT_IP: [u8; 4] = [10, 0, 0, 2];
+/// The node under test's IPv4 address.
+const SERVER_IP: [u8; 4] = [10, 0, 0, 1];
 
-/// `lcore`'s shard of the paper's 5000-key store. With one lcore this is
-/// exactly [`warmed_store`] (every key, legacy heap layout); otherwise
-/// the shard holds the keys RSS steers to this lcore, in a disjoint
-/// 64 MiB heap slice, with value lengths identical to the whole-store
-/// warm (the RNG is consumed for every key on every shard).
-fn shard_store(seed: u64, lcore: usize, nlcores: usize, nqueues: usize) -> KvStore {
-    if nlcores == 1 {
-        return warmed_store(seed);
-    }
+/// `lcore`'s shard of the paper's 5000-key store: the keys whose RSS
+/// queue that lcore polls, in its own 64 MiB heap slice. Value lengths
+/// are those of the whole-store warm (the RNG is drawn for every key), and
+/// a lone lcore keeps every key in the bottom slice without hashing any.
+fn shard_store(cfg: &SystemConfig, lcore: usize) -> KvStore {
+    let (nlcores, nqueues) = (cfg.num_lcores, cfg.nic.num_queues);
     let mut store = KvStore::new(8192).with_base_offset(lcore as u64 * (64 << 20));
-    store.warm_shard(
+    store.warm(
         5_000,
         &Zipf::paper_lengths(),
-        &mut SimRng::seed_from(seed),
-        lcore,
-        nlcores,
-        nqueues,
+        &mut SimRng::seed_from(cfg.seed),
+        |key| nlcores == 1 || lcore_of(rss::key_shard(key, nqueues), nlcores) == lcore,
     );
     store
-}
-
-/// Attaches worker lcores `1..cfg.num_lcores` to the test node and, for
-/// request workloads on a multi-queue NIC, steers each client request's
-/// source port onto the RSS queue owning its key's shard. No-op for the
-/// single-queue single-core legacy configuration.
-pub(crate) fn add_workers(sim: &mut Simulation, cfg: &SystemConfig, spec: &AppSpec) {
-    let nq = cfg.nic.num_queues;
-    for lcore in 1..cfg.num_lcores {
-        let (stack, app) = spec.instantiate_mq(cfg.seed, lcore, cfg.num_lcores, nq);
-        sim.add_worker(0, stack, app);
-    }
-    if nq > 1 {
-        if let Some(lg) = &mut sim.loadgen {
-            lg.set_memcached_shard_ports(simnet_net::rss::ports_for_queues(
-                [10, 0, 0, 2],
-                [10, 0, 0, 1],
-                11_211,
-                nq,
-            ));
-        }
-    }
 }
 
 /// Clamps the offered load to a software client's per-packet rate
@@ -267,8 +220,8 @@ impl RunConfig {
 }
 
 /// Assembles a loadgen-mode simulation exactly as
-/// [`run_point`]/[`run_observed`](crate::run_observed) do — stack, app,
-/// worker lcores, and RSS shard steering included — without running it.
+/// [`run_point`]/[`run_observed`](crate::run_observed) do — every lcore
+/// and the client's RSS steering included — without running it.
 /// Integration tests use this to attach their own observability layers
 /// (trace, faults) before driving the phases themselves.
 pub fn build_loadgen_sim(
@@ -280,11 +233,7 @@ pub fn build_loadgen_sim(
     if !cfg.topo.is_point_to_point() {
         return build_topo_sim(cfg, spec, size, offered);
     }
-    let (stack, app) = spec.instantiate_mq(cfg.seed, 0, cfg.num_lcores, cfg.nic.num_queues);
-    let loadgen = spec.loadgen(cfg, size, offered);
-    let mut sim = Simulation::loadgen_mode(cfg, stack, app, loadgen);
-    add_workers(&mut sim, cfg, spec);
-    sim
+    Simulation::loadgen_mode(cfg, spec.lcores(cfg), spec.loadgen(cfg, size, offered))
 }
 
 /// Assembles a topology-mode simulation: `cfg.topo.clients` fleet
@@ -298,16 +247,13 @@ pub fn build_topo_sim(cfg: &SystemConfig, spec: &AppSpec, size: usize, offered: 
         !spec.uses_rps() && !matches!(spec, AppSpec::IperfTcp),
         "topology mode drives open-loop synthetic traffic only"
     );
-    let (stack, app) = spec.instantiate_mq(cfg.seed, 0, cfg.num_lcores, cfg.nic.num_queues);
     let fleet = ClientFleet::fixed_rate(
         cfg.topo.clients,
         size,
         Bandwidth::gbps(offered),
         cfg.nic.mac,
     );
-    let mut sim = Simulation::topo_mode(cfg, stack, app, fleet);
-    add_workers(&mut sim, cfg, spec);
-    sim
+    Simulation::topo_mode(cfg, spec.lcores(cfg), fleet)
 }
 
 /// Runs one (config, app, size, offered-load) measurement point.
@@ -331,31 +277,14 @@ pub fn run_point(
 /// [`run_dual_point`] and the dual-mode golden trace both run this
 /// assembly.
 pub fn build_dual_sim(cfg: &SystemConfig, spec: &AppSpec, size: usize, offered: f64) -> Simulation {
-    let (server_stack, server_app) =
-        spec.instantiate_mq(cfg.seed, 0, cfg.num_lcores, cfg.nic.num_queues);
-    // The Drive Node runs the matching client as a DPDK app (Pktgen-like).
-    let mut client_gen = spec.loadgen(cfg, size, offered);
-    if cfg.nic.num_queues > 1 {
-        client_gen.set_memcached_shard_ports(simnet_net::rss::ports_for_queues(
-            [10, 0, 0, 2],
-            [10, 0, 0, 1],
-            11_211,
-            cfg.nic.num_queues,
-        ));
-    }
-    let client_app = Box::new(crate::client_app::SoftwareClient::new(client_gen));
-    let drive_stack: Box<dyn NetworkStack> = Box::new(DpdkStack::new(cfg.seed ^ 0xD21E));
-    let drive_cfg = *cfg;
-    let mut sim = Simulation::dual_mode(
-        cfg,
-        server_stack,
-        server_app,
-        &drive_cfg,
-        drive_stack,
-        client_app,
+    // The Drive Node runs the matching client as a DPDK app (Pktgen-like)
+    // on one lcore.
+    let client = SoftwareClient::new(spec.loadgen(cfg, size, offered));
+    let drive: Lcore = (
+        Box::new(DpdkStack::new(cfg.seed ^ 0xD21E)),
+        Box::new(client),
     );
-    add_workers(&mut sim, cfg, spec);
-    sim
+    Simulation::dual_mode(cfg, spec.lcores(cfg), cfg, vec![drive])
 }
 
 /// Runs one measurement point in dual-mode ([`build_dual_sim`]). Used by

@@ -173,7 +173,7 @@ pub fn stats_text_all(sim: &Simulation, node: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msb::AppSpec;
+    use crate::msb::{build_loadgen_sim, AppSpec};
     use crate::summary::{run_phases, Phases};
     use crate::SystemConfig;
     use simnet_sim::tick::us;
@@ -486,11 +486,7 @@ mod tests {
     }
 
     fn testpmd_run(faulted: bool) -> Simulation {
-        let cfg = SystemConfig::gem5();
-        let spec = AppSpec::TestPmd;
-        let (stack, app) = spec.instantiate(cfg.seed);
-        let loadgen = spec.loadgen(&cfg, 256, 10.0);
-        let mut sim = Simulation::loadgen_mode(&cfg, stack, app, loadgen);
+        let mut sim = build_loadgen_sim(&SystemConfig::gem5(), &AppSpec::TestPmd, 256, 10.0);
         if faulted {
             use simnet_sim::fault::{FaultInjector, FaultPlan};
             let plan = FaultPlan::parse("link.ber=1e-4").unwrap();
@@ -551,11 +547,7 @@ mod tests {
 
     #[test]
     fn dump_contains_all_sections() {
-        let cfg = SystemConfig::gem5();
-        let spec = AppSpec::TestPmd;
-        let (stack, app) = spec.instantiate(cfg.seed);
-        let loadgen = spec.loadgen(&cfg, 256, 10.0);
-        let mut sim = Simulation::loadgen_mode(&cfg, stack, app, loadgen);
+        let mut sim = build_loadgen_sim(&SystemConfig::gem5(), &AppSpec::TestPmd, 256, 10.0);
         run_phases(
             &mut sim,
             Phases {

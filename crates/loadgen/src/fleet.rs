@@ -5,8 +5,8 @@
 //! full [`EtherLoadGen`](crate::EtherLoadGen) objects would cost N RNGs,
 //! N sample sets, and N outstanding maps for what is structurally one
 //! workload; the fleet instead keeps **one** builder and **one** latency
-//! aggregate, plus a few words of state per client (next departure
-//! tick, tx/rx counters). Client *i*'s identity is derived, not stored:
+//! aggregate, plus one word of state per client (its next departure
+//! tick). Client *i*'s identity is derived, not stored:
 //! MAC `simulated(CLIENT_MAC_BASE + i)`, source IP `10.0.1.i`, and
 //! source port [`FLEET_PORT_BASE`].
 //!
@@ -42,10 +42,6 @@ pub struct ClientFleet {
     dst_port: u16,
     /// Compact per-client state: the next departure tick per client.
     next_departure: Vec<Tick>,
-    /// Per-client tx/rx frame counts (fleet-level stats keep one
-    /// aggregate latency set; these stay for per-client drop accounting).
-    client_tx: Vec<u64>,
-    client_rx: Vec<u64>,
     next_id: u64,
     tx_packets: Counter,
     tx_bytes: Counter,
@@ -86,8 +82,6 @@ impl ClientFleet {
             dst_ip: [10, 0, 0, 1],
             dst_port: 9, // discard/echo
             next_departure: (0..clients as Tick).map(|i| i * agg_interval).collect(),
-            client_tx: vec![0; clients],
-            client_rx: vec![0; clients],
             next_id: 0,
             tx_packets: Counter::new(),
             tx_bytes: Counter::new(),
@@ -133,7 +127,6 @@ impl ClientFleet {
         );
         self.next_id += 1;
         self.next_departure[client] = now + self.interval;
-        self.client_tx[client] += 1;
         self.tx_packets.inc();
         self.tx_bytes.add(self.frame_len as u64);
         self.tracer.emit(
@@ -160,7 +153,6 @@ impl ClientFleet {
                 src_port: FLEET_PORT_BASE,
                 dst_port: self.dst_port,
             }),
-            stamp_at: timestamp::UDP_OFFSET,
         }
     }
 
@@ -170,12 +162,11 @@ impl ClientFleet {
         self.spec(d).build(d)
     }
 
-    /// Delivers an echo back to client `client`; measures RTT from the
+    /// Delivers an echo back to its client; measures RTT from the
     /// in-payload timestamp.
-    pub fn on_rx(&mut self, client: usize, now: Tick, packet: &Packet) {
+    pub fn on_rx(&mut self, now: Tick, packet: &Packet) {
         self.tracer
             .emit(now, packet.id(), Component::LoadGen, Stage::EchoRx);
-        self.client_rx[client] += 1;
         self.rx_packets.inc();
         self.rx_bytes.add(packet.len() as u64);
         if let Some(sent) = timestamp::read_timestamp(packet, timestamp::UDP_OFFSET) {
@@ -192,11 +183,6 @@ impl ClientFleet {
     /// Echoes received across the fleet.
     pub fn rx_packets(&self) -> u64 {
         self.rx_packets.value()
-    }
-
-    /// Per-client `(tx, rx)` frame counts.
-    pub fn client_counts(&self, client: usize) -> (u64, u64) {
-        (self.client_tx[client], self.client_rx[client])
     }
 
     /// The fleet-aggregate statistics report over `[start, end]`.
@@ -245,8 +231,6 @@ impl ClientFleet {
         self.rx_packets.reset();
         self.rx_bytes.reset();
         self.latency.reset();
-        self.client_tx.iter_mut().for_each(|c| *c = 0);
-        self.client_rx.iter_mut().for_each(|c| *c = 0);
     }
 }
 
@@ -310,12 +294,10 @@ mod tests {
         let mut f = fleet(2);
         let d = f.take(0, 1_000_000);
         let pkt = f.build(&d);
-        f.on_rx(0, 6_000_000, &pkt);
+        f.on_rx(6_000_000, &pkt);
         let report = f.report(0, 10_000_000);
         assert_eq!(report.latency.count, 1);
         assert_eq!(report.latency.mean, 5_000_000.0);
-        assert_eq!(f.client_counts(0), (1, 1));
-        assert_eq!(f.client_counts(1), (0, 0));
     }
 
     #[test]

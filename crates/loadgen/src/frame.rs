@@ -122,8 +122,7 @@ pub struct UdpTuple {
 }
 
 /// Everything a synthetic frame's bytes need beyond its [`Descriptor`]:
-/// its addresses and where the departure tick goes. The generator and the
-/// fleet both build through it.
+/// its addresses. The generator and the fleet both build through it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameSpec {
     /// Destination MAC.
@@ -133,16 +132,13 @@ pub struct FrameSpec {
     /// UDP/IPv4 addressing (RSS-hashable); `None` builds a raw
     /// `EtherType::LoadGen` frame, which steers to queue 0.
     pub udp: Option<UdpTuple>,
-    /// Frame offset of the departure timestamp. It is written into the
-    /// payload before any checksum, so an offset inside the headers, or
-    /// too close to the frame's end, gets no stamp.
-    pub stamp_at: usize,
 }
 
 impl FrameSpec {
     /// Builds the frame `d` describes: zero-padded to its length, with
-    /// its departure tick stamped at [`FrameSpec::stamp_at`] inside the
-    /// build, so a UDP checksum covers the stamp.
+    /// its departure tick stamped at the start of its payload inside the
+    /// build, so a UDP checksum covers the stamp. A payload too short for
+    /// the stamp gets none.
     ///
     /// # Panics
     ///
@@ -164,9 +160,7 @@ impl FrameSpec {
             panic!("frame_len {} cannot hold {payload_at}B of headers", d.len())
         });
         builder.build_with(d.id, payload_len, |payload| {
-            if let Some(at) = self.stamp_at.checked_sub(payload_at) {
-                timestamp::write_timestamp_slice(payload, at, d.departure);
-            }
+            timestamp::write_timestamp_slice(payload, 0, d.departure);
         })
     }
 
@@ -205,7 +199,7 @@ mod tests {
             }
             None => {
                 let mut packet = builder.ethertype(EtherType::LoadGen).build(id);
-                timestamp::write_timestamp(&mut packet, cfg.timestamp_offset, departure);
+                timestamp::write_timestamp(&mut packet, timestamp::DEFAULT_OFFSET, departure);
                 packet
             }
         }

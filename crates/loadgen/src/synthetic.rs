@@ -36,9 +36,6 @@ pub struct SyntheticConfig {
     pub dst: MacAddr,
     /// Source MAC (the generator).
     pub src: MacAddr,
-    /// Frame offset of the embedded timestamp (§IV: "a configurable
-    /// offset"), past the headers (see [`FrameSpec::stamp_at`]).
-    pub timestamp_offset: usize,
     /// When set, frames carry this UDP/IPv4 tuple (RSS-hashable) and the
     /// timestamp moves into the UDP payload, written before the checksum.
     pub rss: Option<RssTuples>,
@@ -52,7 +49,6 @@ impl SyntheticConfig {
             interarrival: Distribution::Fixed(rate.bytes_to_ticks(frame_len as u64) as f64),
             dst,
             src,
-            timestamp_offset: timestamp::DEFAULT_OFFSET,
             rss: None,
         }
     }
@@ -66,7 +62,6 @@ impl SyntheticConfig {
             },
             dst,
             src,
-            timestamp_offset: timestamp::DEFAULT_OFFSET,
             rss: None,
         }
     }
@@ -92,7 +87,6 @@ impl SyntheticConfig {
             "frame_len {} cannot hold UDP headers + timestamp",
             self.frame_len
         );
-        self.timestamp_offset = timestamp::UDP_OFFSET;
         self.rss = Some(RssTuples {
             src_ip,
             dst_ip,
@@ -131,7 +125,6 @@ impl SyntheticConfig {
                 src_port: t.src_ports[(id as usize) % t.src_ports.len()],
                 dst_port: t.dst_port,
             }),
-            stamp_at: self.timestamp_offset,
         }
     }
 }
@@ -172,7 +165,7 @@ mod tests {
         assert_eq!(pkt.ethernet().unwrap().dst, MacAddr::simulated(1));
         assert_eq!(pkt.ethernet().unwrap().ethertype, EtherType::LoadGen);
         assert_eq!(
-            timestamp::read_timestamp(&pkt, cfg.timestamp_offset),
+            timestamp::read_timestamp(&pkt, timestamp::DEFAULT_OFFSET),
             Some(0)
         );
         assert!(interval > 0);
@@ -202,7 +195,6 @@ mod tests {
             MacAddr::simulated(2),
         )
         .with_rss_ports([10, 0, 0, 2], [10, 0, 0, 1], 9, ports.clone());
-        assert_eq!(cfg.timestamp_offset, timestamp::UDP_OFFSET);
         let mut rng = SimRng::seed_from(1);
         for id in 0..6u64 {
             let (d, _) = cfg.take(id, 123_456, &mut rng);

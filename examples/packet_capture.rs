@@ -7,7 +7,7 @@
 //! ```
 
 use simnet::harness::summary::{run_phases, Phases};
-use simnet::harness::{AppSpec, Simulation, SystemConfig};
+use simnet::harness::{build_loadgen_sim, AppSpec, Simulation, SystemConfig};
 use simnet::loadgen::trace::Pacing;
 use simnet::loadgen::{EtherLoadGen, LoadGenMode, TraceConfig};
 use simnet::net::pcap::PcapReader;
@@ -21,9 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Phase 1: run a memcached workload with a pdump-style tap enabled.
     let cfg = SystemConfig::gem5();
     let spec = AppSpec::MemcachedDpdk;
-    let (stack, app) = spec.instantiate(cfg.seed);
-    let loadgen = spec.loadgen(&cfg, 0, 300.0); // 300 kRPS client
-    let mut sim = Simulation::loadgen_mode(&cfg, stack, app, loadgen);
+    let mut sim = build_loadgen_sim(&cfg, &spec, 0, 300.0); // 300 kRPS client
     sim.enable_capture();
     run_phases(
         &mut sim,
@@ -59,8 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // node, honoring the captured timestamps.
     let trace = TraceConfig::from_records(requests, Pacing::HonorTimestamps, cfg.nic.mac);
     let replay_gen = EtherLoadGen::new(LoadGenMode::Trace(trace), 7);
-    let (stack2, app2) = spec.instantiate(cfg.seed ^ 1);
-    let mut replay = Simulation::loadgen_mode(&cfg, stack2, app2, replay_gen);
+    let lcores = spec.lcores(&cfg.with_seed(cfg.seed ^ 1));
+    let mut replay = Simulation::loadgen_mode(&cfg, lcores, replay_gen);
     let summary = run_phases(
         &mut replay,
         Phases {

@@ -7,7 +7,7 @@
 //! ```
 
 use simnet::harness::summary::{run_phases, Phases};
-use simnet::harness::{stats_text, Simulation};
+use simnet::harness::{build_loadgen_sim, stats_text};
 use simnet::prelude::*;
 use simnet::sim::tick::us;
 
@@ -66,10 +66,7 @@ fn main() {
     }
 
     // gem5-style stats.txt for the original run.
-    let spec = AppSpec::TestPmd;
-    let (stack, app) = spec.instantiate(cfg.seed);
-    let loadgen = spec.loadgen(&cfg, frame, gbps);
-    let mut sim = Simulation::loadgen_mode(&cfg, stack, app, loadgen);
+    let mut sim = build_loadgen_sim(&cfg, &AppSpec::TestPmd, frame, gbps);
     run_phases(
         &mut sim,
         Phases {

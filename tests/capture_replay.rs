@@ -136,10 +136,9 @@ fn replaying_a_capture_reproduces_the_load() {
     assert!(request_count > 50);
 
     let trace = TraceConfig::from_records(requests, Pacing::HonorTimestamps, cfg.nic.mac);
-    let spec = AppSpec::TestPmd;
-    let (stack, app) = spec.instantiate(cfg.seed ^ 1);
+    let lcores = AppSpec::TestPmd.lcores(&cfg.with_seed(cfg.seed ^ 1));
     let loadgen = EtherLoadGen::new(LoadGenMode::Trace(trace), 3);
-    let mut sim = Simulation::loadgen_mode(&cfg, stack, app, loadgen);
+    let mut sim = Simulation::loadgen_mode(&cfg, lcores, loadgen);
     let summary = run_phases(
         &mut sim,
         Phases {

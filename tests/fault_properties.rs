@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use simnet::harness::summary::{run_phases, Phases};
-use simnet::harness::{AppSpec, RunConfig, Simulation, SystemConfig};
+use simnet::harness::{build_loadgen_sim, AppSpec, RunConfig, SystemConfig};
 use simnet::net::MIN_FRAME_LEN;
 use simnet::sim::fault::{Burst, Delayed, FaultInjector, FaultPlan, Window};
 use simnet::sim::tick::us;
@@ -167,11 +167,7 @@ fn malformed_plans_are_rejected() {
 /// Assembles a loadgen-mode TestPMD run with `plan` installed and returns
 /// `(tx, rx, total_drops, events)` after the measurement window.
 fn faulted_run(plan: FaultPlan, seed: u64, gbps: f64, window: Tick) -> (u64, u64, u64, u64) {
-    let cfg = SystemConfig::gem5();
-    let spec = AppSpec::TestPmd;
-    let (stack, app) = spec.instantiate(cfg.seed);
-    let loadgen = spec.loadgen(&cfg, 1518, gbps);
-    let mut sim = Simulation::loadgen_mode(&cfg, stack, app, loadgen);
+    let mut sim = build_loadgen_sim(&SystemConfig::gem5(), &AppSpec::TestPmd, 1518, gbps);
     sim.install_faults(FaultInjector::new(plan, seed));
     run_phases(
         &mut sim,

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use simnet::harness::config::TopoConfig;
 use simnet::harness::summary::{run_phases, Phases};
-use simnet::harness::{build_loadgen_sim, AppSpec, RunConfig, Simulation, SystemConfig};
+use simnet::harness::{build_loadgen_sim, AppSpec, RunConfig, SystemConfig};
 use simnet::net::pool;
 use simnet::net::{Packet, MAX_FRAME_LEN};
 use simnet::sim::fault::{FaultInjector, FaultPlan};
@@ -105,11 +105,7 @@ proptest! {
 /// Runs a faulted loadgen-mode point and returns the pool ledger after
 /// the simulation (and every packet it held) has been dropped.
 fn faulted_ledger(plan: &str, size: usize, gbps: f64) -> pool::PoolStats {
-    let cfg = SystemConfig::gem5();
-    let spec = AppSpec::TestPmd;
-    let (stack, app) = spec.instantiate(cfg.seed);
-    let loadgen = spec.loadgen(&cfg, size, gbps);
-    let mut sim = Simulation::loadgen_mode(&cfg, stack, app, loadgen);
+    let mut sim = build_loadgen_sim(&SystemConfig::gem5(), &AppSpec::TestPmd, size, gbps);
     if !plan.is_empty() {
         let plan = FaultPlan::parse(plan).expect("valid plan");
         sim.install_faults(FaultInjector::new(plan, 11));

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use simnet::harness::summary::{run_phases, Phases};
-use simnet::harness::{AppSpec, RunConfig, Simulation, SystemConfig};
+use simnet::harness::{build_loadgen_sim, AppSpec, RunConfig, SystemConfig};
 use simnet::net::pcap::{PcapReader, PcapWriter};
 use simnet::net::{PacketBuilder, MIN_FRAME_LEN};
 use simnet::sim::tick::us;
@@ -32,10 +32,7 @@ proptest! {
         gbps in 1.0f64..70.0,
     ) {
         let cfg = SystemConfig::gem5();
-        let spec = AppSpec::TestPmd;
-        let (stack, app) = spec.instantiate(cfg.seed);
-        let loadgen = spec.loadgen(&cfg, size, gbps);
-        let mut sim = Simulation::loadgen_mode(&cfg, stack, app, loadgen);
+        let mut sim = build_loadgen_sim(&cfg, &AppSpec::TestPmd, size, gbps);
         run_phases(&mut sim, quick_phases().phases);
 
         let lg = sim.loadgen.as_ref().expect("loadgen mode");

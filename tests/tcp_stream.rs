@@ -3,15 +3,12 @@
 //! kernel stack, over the full NIC/DMA/memory/core pipeline.
 
 use simnet::harness::summary::{run_phases, Phases};
-use simnet::harness::{AppSpec, Simulation, SystemConfig};
+use simnet::harness::{build_loadgen_sim, AppSpec, Simulation, SystemConfig};
 use simnet::sim::tick::us;
 
 fn tcp_run(window: usize, measure_us: u64) -> (Simulation, simnet::harness::RunSummary) {
     let cfg = SystemConfig::gem5();
-    let spec = AppSpec::IperfTcp;
-    let (stack, app) = spec.instantiate(cfg.seed);
-    let loadgen = spec.loadgen(&cfg, 1518, window as f64);
-    let mut sim = Simulation::loadgen_mode(&cfg, stack, app, loadgen);
+    let mut sim = build_loadgen_sim(&cfg, &AppSpec::IperfTcp, 1518, window as f64);
     let summary = run_phases(
         &mut sim,
         Phases {
