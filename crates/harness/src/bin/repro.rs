@@ -43,9 +43,9 @@
 //! the legacy single-ring path.
 //!
 //! `--topo CLIENTS` replaces the point-to-point wire with an incast
-//! topology: CLIENTS generator endpoints behind a MAC switch whose trunk
-//! feeds the host NIC. `--topo 1` (the default) keeps the legacy wire;
-//! the experiment `topo-sweep` sweeps the fan-in axis.
+//! topology: the generator's CLIENTS client ports behind a MAC switch
+//! whose trunk feeds the host NIC. `--topo 1` (the default) keeps the
+//! legacy wire; the experiment `topo-sweep` sweeps the fan-in axis.
 //!
 //! `--faults PLAN` installs a deterministic fault plan for the run
 //! (grammar: `link.ber=1e-7;pci.stall=200ns@10%;dma.burst=+500ns/1us`; see

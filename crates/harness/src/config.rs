@@ -13,16 +13,16 @@ use simnet_sim::tick::{ns, us, Bandwidth, Frequency, Tick};
 /// which sweep drivers copy per measurement point. `clients == 1` is the
 /// degenerate two-node/one-link topology — the legacy point-to-point
 /// wire, byte-identical to the pre-topology harness. `clients > 1`
-/// instantiates an incast fan-in: N load-generator endpoints behind a
-/// MAC-forwarding switch whose host-facing trunk carries a bounded
-/// congestion queue (see `simnet_net::topo`).
+/// instantiates an incast fan-in: the load generator's N client ports
+/// behind a MAC-forwarding switch whose host-facing trunk carries a
+/// bounded congestion queue (see `simnet_net::topo`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopoConfig {
-    /// Client endpoints (1 = degenerate point-to-point).
+    /// The load generator's client ports (1 = degenerate point-to-point).
     pub clients: usize,
     /// Base one-way client↔switch access latency.
     pub client_latency: Tick,
-    /// Extra access latency per client index (heterogeneous RTT fleet):
+    /// Extra access latency per client index (heterogeneous RTTs):
     /// client *i* sees `client_latency + i × latency_spread`.
     pub latency_spread: Tick,
     /// Switch→host trunk congestion-queue bound in frames (0 = unbounded).
@@ -258,7 +258,7 @@ impl SystemConfig {
         self
     }
 
-    /// Replaces the network topology (incast fleets, heterogeneous RTTs,
+    /// Replaces the network topology (incast fan-ins, heterogeneous RTTs,
     /// lossy uplinks — see [`TopoConfig`]).
     pub fn with_topo(mut self, topo: TopoConfig) -> Self {
         self.topo = topo;

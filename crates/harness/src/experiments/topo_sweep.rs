@@ -1,10 +1,9 @@
 //! Incast fan-in sweep over the topology fabric.
 //!
 //! The paper drives one load generator into one host over a single
-//! wire; this experiment generalizes the traffic source into a fleet of
-//! `N` client endpoints behind a MAC switch whose trunk (with a bounded
-//! congestion queue) feeds the host — the classic incast shape. Two
-//! sweeps:
+//! wire; this experiment gives the generator `N` client ports behind a
+//! MAC switch whose trunk (with a bounded congestion queue) feeds the
+//! host — the classic incast shape. Two sweeps:
 //!
 //! * **fan-in at fixed aggregate load**: the same offered Gbps split
 //!   across 1..=16 clients. With a pure trunk the achieved rate should
@@ -27,7 +26,6 @@ use simnet_sim::tick::us;
 
 use crate::config::{SystemConfig, TopoConfig};
 use crate::msb::{run_point, AppSpec, RunConfig};
-use crate::summary::Phases;
 use crate::table::{fmt_f64, fmt_pct, Table};
 
 use super::{par_map, Effort, ExperimentOutput};
@@ -37,15 +35,6 @@ fn fanins(effort: Effort) -> &'static [usize] {
     match effort {
         Effort::Quick => &[1, 4, 8],
         Effort::Full => &[1, 2, 4, 8, 16],
-    }
-}
-
-fn phases() -> RunConfig {
-    RunConfig {
-        phases: Phases {
-            warmup: us(300),
-            measure: us(1_000),
-        },
     }
 }
 
@@ -68,7 +57,7 @@ pub fn run(effort: Effort) -> ExperimentOutput {
     // Sweep 1: fan-in at fixed aggregate offered load.
     let rows = par_map(fanins(effort).to_vec(), |clients| {
         let cfg = SystemConfig::gem5().with_topo(topo_for(clients));
-        let s = run_point(&cfg, &spec, FRAME, AGGREGATE_GBPS, phases());
+        let s = run_point(&cfg, &spec, FRAME, AGGREGATE_GBPS, RunConfig::fast());
         let evps = if s.host_seconds > 0.0 {
             s.events as f64 / s.host_seconds
         } else {
@@ -113,7 +102,7 @@ pub fn run(effort: Effort) -> ExperimentOutput {
     let ramp_rows = par_map(geometric_ramp(20.0, 120.0, steps), |offered| {
         let topo = TopoConfig::incast(8).with_trunk_queue(64);
         let cfg = SystemConfig::gem5().with_topo(topo);
-        let s = run_point(&cfg, &spec, FRAME, offered, phases());
+        let s = run_point(&cfg, &spec, FRAME, offered, RunConfig::fast());
         (
             offered,
             s.achieved_gbps(),

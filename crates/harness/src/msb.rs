@@ -5,8 +5,8 @@ use simnet_apps::{
     Iperf, IperfTcp, KvStore, MemcachedDpdk, MemcachedKernel, RxpTx, TestPmd, TouchDrop, TouchFwd,
 };
 use simnet_loadgen::{
-    find_knee, ClientFleet, EtherLoadGen, LoadGenMode, MemcachedClientConfig, RatePoint,
-    SyntheticConfig, TcpClientConfig, MSB_DROP_THRESHOLD,
+    find_knee, EtherLoadGen, LoadGenMode, MemcachedClientConfig, RatePoint, SyntheticConfig,
+    TcpClientConfig, MSB_DROP_THRESHOLD,
 };
 use simnet_net::{rss, MacAddr};
 use simnet_sim::random::SimRng;
@@ -108,13 +108,21 @@ impl AppSpec {
 
     /// Builds the matching load generator at `offered` load (Gbps of
     /// frame bytes, or kRPS for the memcached workloads) with frames of
-    /// `size` bytes. On a multi-queue NIC the client steers by UDP source
-    /// port, `ports[q]` hashing to queue `q`: synthetic frames round-robin
-    /// over the queues, and a memcached request goes to the queue whose
-    /// lcore holds its key.
+    /// `size` bytes, with one client port per `cfg.topo` client. On a
+    /// multi-queue NIC the client steers by UDP source port, `ports[q]`
+    /// hashing to queue `q`: synthetic frames round-robin over the
+    /// queues, and a memcached request goes to the queue whose lcore
+    /// holds its key. A fan-in's clients each send one UDP flow from
+    /// their own address instead, and `offered` is their aggregate.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a fan-in of a memcached or TCP client: a fan-in drives
+    /// open-loop synthetic traffic only.
     pub fn loadgen(&self, cfg: &SystemConfig, size: usize, offered: f64) -> EtherLoadGen {
         let server = cfg.nic.mac;
-        let client = MacAddr::simulated(99);
+        let clients = cfg.topo.clients;
+        let client = MacAddr::simulated(if clients > 1 { INCAST_MAC } else { CLIENT_MAC });
         let nq = cfg.nic.num_queues;
         let steering =
             |dst_port| (nq > 1).then(|| rss::ports_for_queues(CLIENT_IP, SERVER_IP, dst_port, nq));
@@ -133,19 +141,29 @@ impl AppSpec {
         } else {
             let mut syn =
                 SyntheticConfig::fixed_rate(size, Bandwidth::gbps(offered), server, client);
-            // Raw LoadGen shells carry no tuple and RSS pins every frame
-            // to queue 0, so a multi-queue NIC gets UDP frames instead.
-            if let Some(ports) = steering(9) {
+            // A fan-in's clients each send one UDP flow from their own
+            // address. Raw LoadGen shells carry no tuple and RSS pins
+            // every frame to queue 0, so a multi-queue NIC gets UDP
+            // frames instead.
+            if clients > 1 {
+                syn = syn.with_rss_ports(INCAST_IP, SERVER_IP, 9, vec![INCAST_PORT]);
+            } else if let Some(ports) = steering(9) {
                 syn = syn.with_rss_ports(CLIENT_IP, SERVER_IP, 9, ports);
             }
             LoadGenMode::Synthetic(syn)
         };
-        EtherLoadGen::new(mode, cfg.seed ^ 0x10AD)
+        EtherLoadGen::new(mode, cfg.seed ^ 0x10AD).with_clients(clients)
     }
 }
 
-/// The load generator's IPv4 address.
+/// The load generator's `MacAddr::simulated` index and IPv4 address.
+const CLIENT_MAC: u32 = 99;
 const CLIENT_IP: [u8; 4] = [10, 0, 0, 2];
+/// A fan-in's base client address: client `c` sends from
+/// `MacAddr::simulated(INCAST_MAC + c)` and `10.0.1.c`, UDP port 40000.
+const INCAST_MAC: u32 = 100;
+const INCAST_IP: [u8; 4] = [10, 0, 1, 0];
+const INCAST_PORT: u16 = 40_000;
 /// The node under test's IPv4 address.
 const SERVER_IP: [u8; 4] = [10, 0, 0, 1];
 
@@ -220,40 +238,18 @@ impl RunConfig {
 }
 
 /// Assembles a loadgen-mode simulation exactly as
-/// [`run_point`]/[`run_observed`](crate::run_observed) do — every lcore
-/// and the client's RSS steering included — without running it.
-/// Integration tests use this to attach their own observability layers
-/// (trace, faults) before driving the phases themselves.
+/// [`run_point`]/[`run_observed`](crate::run_observed) do — every lcore,
+/// the client's RSS steering and the `cfg.topo` network included —
+/// without running it. Integration tests use this to attach their own
+/// observability layers (trace, faults) before driving the phases
+/// themselves.
 pub fn build_loadgen_sim(
     cfg: &SystemConfig,
     spec: &AppSpec,
     size: usize,
     offered: f64,
 ) -> Simulation {
-    if !cfg.topo.is_point_to_point() {
-        return build_topo_sim(cfg, spec, size, offered);
-    }
     Simulation::loadgen_mode(cfg, spec.lcores(cfg), spec.loadgen(cfg, size, offered))
-}
-
-/// Assembles a topology-mode simulation: `cfg.topo.clients` fleet
-/// endpoints behind a MAC switch feeding the test node over a
-/// (optionally congestible) trunk. `offered` is the *aggregate* load in
-/// Gbps of frame bytes, split evenly across clients. Open-loop
-/// bandwidth workloads only: the fleet speaks fixed-rate UDP, not the
-/// memcached or TCP client state machines.
-pub fn build_topo_sim(cfg: &SystemConfig, spec: &AppSpec, size: usize, offered: f64) -> Simulation {
-    assert!(
-        !spec.uses_rps() && !matches!(spec, AppSpec::IperfTcp),
-        "topology mode drives open-loop synthetic traffic only"
-    );
-    let fleet = ClientFleet::fixed_rate(
-        cfg.topo.clients,
-        size,
-        Bandwidth::gbps(offered),
-        cfg.nic.mac,
-    );
-    Simulation::topo_mode(cfg, spec.lcores(cfg), fleet)
 }
 
 /// Runs one (config, app, size, offered-load) measurement point.

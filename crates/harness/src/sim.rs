@@ -2,22 +2,22 @@
 //!
 //! A [`Simulation`] holds one node under test (NIC, memory system, and a
 //! core, software stack and application per lcore) and a traffic source:
-//! the hardware [`EtherLoadGen`] (Fig. 1b), a second, fully simulated
-//! Drive Node running a software load-generator application (dual-mode,
-//! Fig. 1a), or a [`ClientFleet`] of endpoints behind a MAC [`Switch`]
-//! (incast).
+//! the hardware [`EtherLoadGen`] (Fig. 1b), whose client ports reach the
+//! NIC over one wire or, in an incast fan-in, through a MAC [`Switch`];
+//! or a second, fully simulated Drive Node running a software
+//! load-generator application (dual-mode, Fig. 1a).
 //! In every mode the ports are joined by one table of directed
 //! [`TopoLink`]s, and every frame enters a link through one function,
-//! `Simulation::transmit`. A synthetic source's frame rides the links as
-//! a [`Descriptor`]; its source builds it only when the NIC admits it,
-//! the capture tap records it, or a generator or client receives it.
+//! `Simulation::transmit`. A synthetic frame rides the links as a
+//! [`Descriptor`]; the generator builds it only when the NIC admits it,
+//! the capture tap records it, or it comes back to the generator.
 //!
 //! Booting a node follows Listing 2: bind `uio_pci_generic` through the
 //! PCI registry, then initialize the DPDK EAL (vendor-check skip and PMD
 //! launch) — or, for the kernel stack, leave interrupts enabled.
 
 use simnet_cpu::Core;
-use simnet_loadgen::{ClientFleet, Descriptor, EtherLoadGen, Frame, FrameSpec, Source};
+use simnet_loadgen::{Descriptor, EtherLoadGen, Frame, FrameSpec};
 use simnet_mem::MemorySystem;
 use simnet_net::pcap::PcapWriter;
 use simnet_net::topo::{LinkPolicy, Switch, TopoLink, Verdict};
@@ -36,11 +36,12 @@ use crate::config::SystemConfig;
 /// Simulation events.
 #[derive(Debug)]
 enum Ev {
-    /// The load generator's next departure.
+    /// The load generator's next departure, from whichever client port
+    /// it is due on.
     LoadGenTx,
     /// A frame arrives at a node's NIC.
     NicRx { node: usize, frame: Frame },
-    /// An echo arrives back at the load generator.
+    /// An echo arrives back at one of the load generator's client ports.
     LoadGenRx { packet: Packet },
     /// RX DMA engine pipeline advance for one NIC queue.
     RxDma { node: usize, queue: usize },
@@ -55,13 +56,9 @@ enum Ev {
     /// Periodic interval-stats sample (only scheduled when
     /// [`Simulation::enable_interval_stats`] ran).
     Sample,
-    /// A fleet client's next departure (topology mode).
-    FleetTx { client: usize },
     /// A frame arrives at the switch — from a client uplink or from the
     /// host-facing trunk — and is forwarded by destination MAC.
     SwitchRx { frame: Frame },
-    /// An echo arrives back at a fleet client (topology mode).
-    FleetRx { packet: Packet },
 }
 
 /// Host-time attribution labels, one per [`Ev`] kind: `(kind, component)`.
@@ -75,9 +72,7 @@ const PROFILE_KINDS: &[(&str, &str)] = &[
     ("software", "stack"),
     ("probe", "sim"),
     ("sample", "sim"),
-    ("fleet_tx", "loadgen"),
     ("switch_rx", "link"),
-    ("fleet_rx", "loadgen"),
 ];
 
 /// Index into [`PROFILE_KINDS`] for an event payload.
@@ -92,9 +87,7 @@ fn kind_index(ev: &Ev) -> usize {
         Ev::Software { .. } => 6,
         Ev::Probe => 7,
         Ev::Sample => 8,
-        Ev::FleetTx { .. } => 9,
-        Ev::SwitchRx { .. } => 10,
-        Ev::FleetRx { .. } => 11,
+        Ev::SwitchRx { .. } => 9,
     }
 }
 
@@ -103,11 +96,9 @@ fn kind_index(ev: &Ev) -> usize {
 enum Port {
     /// The NIC of node `i`.
     Nic(usize),
-    /// The hardware load generator.
-    LoadGen,
     /// The MAC-forwarding switch.
     Switch,
-    /// Fleet client `i`.
+    /// The load generator's client port `c` (point-to-point: client 0).
     Client(usize),
 }
 
@@ -385,11 +376,8 @@ pub struct Simulation {
     /// Node 0 is always the node under test; node 1 (if present) is the
     /// Drive Node of a dual-mode run.
     pub nodes: Vec<Node>,
-    /// The hardware load generator (absent in dual-mode and topology
-    /// mode).
+    /// The hardware load generator (absent in dual mode).
     pub loadgen: Option<EtherLoadGen>,
-    /// The client fleet driving a fan-in topology (topology mode only).
-    fleet: Option<ClientFleet>,
     /// Every directed link between two ports, in link-seed order.
     links: Vec<Link>,
     /// Destination-MAC forwarding table; each route names the index of
@@ -419,12 +407,11 @@ pub struct Simulation {
 
 impl Simulation {
     /// Assembles a simulation from one node per `(config, lcores)`,
-    /// the traffic source (generator or fleet), the link table as
-    /// `(from, to, policy, seed)` rows, and the switch.
+    /// the load generator, the link table as `(from, to, policy, seed)`
+    /// rows, and the switch.
     fn new(
         nodes: Vec<NodeParts>,
         loadgen: Option<EtherLoadGen>,
-        fleet: Option<ClientFleet>,
         links: Vec<(Port, Port, LinkPolicy, u64)>,
         switch: Switch,
     ) -> Self {
@@ -438,7 +425,6 @@ impl Simulation {
                 .map(|(cfg, lcores)| Node::new(cfg, lcores))
                 .collect(),
             loadgen,
-            fleet,
             // A link's loss stream is its seed mixed with its table index
             // (splitmix64 odd constant), so links draw independent
             // streams and runs replay exactly.
@@ -466,22 +452,58 @@ impl Simulation {
         }
     }
 
-    /// Builds a load-generator-mode simulation (Fig. 1b): `EtherLoadGen`
-    /// wired straight to the port of a test node with `lcores` by one
-    /// pure wire per direction.
+    /// Builds a load-generator-mode simulation: `EtherLoadGen` feeding a
+    /// test node with `lcores` over the network `cfg.topo` describes.
+    /// Point-to-point (Fig. 1b), one pure wire per direction joins the
+    /// generator's one port to the NIC. A fan-in puts the generator's
+    /// client ports behind a MAC switch: the switch→host trunk carries
+    /// the bounded congestion queue (a pure wire at 0 frames), the return
+    /// trunk is a pure wire, client `c`'s access links have latency
+    /// `client_latency + c × latency_spread`, and only uplinks lose
+    /// frames.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the generator's client count disagrees with
+    /// `cfg.topo.clients`.
     pub fn loadgen_mode(cfg: &SystemConfig, lcores: Vec<Lcore>, loadgen: EtherLoadGen) -> Self {
-        let wire = LinkPolicy::wire(cfg.link_bandwidth, cfg.link_latency);
-        let links = vec![
-            (Port::LoadGen, Port::Nic(0), wire, cfg.seed),
-            (Port::Nic(0), Port::LoadGen, wire, cfg.seed),
+        let t = &cfg.topo;
+        assert_eq!(
+            loadgen.clients(),
+            t.clients,
+            "the generator's client ports must match the configured topology"
+        );
+        let (bw, seed) = (cfg.link_bandwidth, cfg.seed);
+        let mut switch = Switch::new();
+        if t.is_point_to_point() {
+            let wire = LinkPolicy::wire(bw, cfg.link_latency);
+            let links = vec![
+                (Port::Client(0), Port::Nic(0), wire, seed),
+                (Port::Nic(0), Port::Client(0), wire, seed),
+            ];
+            return Self::new(vec![(cfg, lcores)], Some(loadgen), links, switch);
+        }
+        let trunk = match t.trunk_queue_frames {
+            0 => LinkPolicy::wire(bw, t.trunk_latency),
+            frames => LinkPolicy::bounded(bw, t.trunk_latency, frames),
+        };
+        let back = LinkPolicy::wire(bw, t.trunk_latency);
+        let mut links = vec![
+            (Port::Switch, Port::Nic(0), trunk, seed),
+            (Port::Nic(0), Port::Switch, back, seed),
         ];
-        Self::new(
-            vec![(cfg, lcores)],
-            Some(loadgen),
-            None,
-            links,
-            Switch::new(),
-        )
+        switch.add_route(cfg.nic.mac, 0);
+        for c in 0..t.clients {
+            let access = LinkPolicy::wire(bw, t.client_latency + t.latency_spread * c as Tick);
+            let uplink = access.with_loss(t.loss_ppm);
+            links.push((Port::Client(c), Port::Switch, uplink, seed));
+            let mac = loadgen
+                .client_mac(c)
+                .expect("only a synthetic generator has several client ports");
+            switch.add_route(mac, links.len());
+            links.push((Port::Switch, Port::Client(c), access, seed));
+        }
+        Self::new(vec![(cfg, lcores)], Some(loadgen), links, switch)
     }
 
     /// Builds a dual-mode simulation (Fig. 1a): a Drive Node whose lcores
@@ -505,51 +527,9 @@ impl Simulation {
         Self::new(
             vec![(test_cfg, test_lcores), (drive_cfg, drive_lcores)],
             None,
-            None,
             links,
             Switch::new(),
         )
-    }
-
-    /// Builds a topology-mode simulation: a [`ClientFleet`] of endpoints
-    /// behind a MAC switch feeding a test node with `lcores` over a trunk
-    /// — the fan-in described by `cfg.topo`. The switch→host trunk
-    /// carries the bounded congestion queue (a pure wire at 0 frames), the
-    /// return trunk is a pure wire, client `c`'s access links have latency
-    /// `client_latency + c × latency_spread`, and only uplinks lose
-    /// frames.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fleet size disagrees with `cfg.topo.clients`.
-    pub fn topo_mode(cfg: &SystemConfig, lcores: Vec<Lcore>, fleet: ClientFleet) -> Self {
-        assert_eq!(
-            fleet.clients(),
-            cfg.topo.clients,
-            "fleet size must match the configured topology"
-        );
-        let t = &cfg.topo;
-        let bw = cfg.link_bandwidth;
-        let trunk = match t.trunk_queue_frames {
-            0 => LinkPolicy::wire(bw, t.trunk_latency),
-            frames => LinkPolicy::bounded(bw, t.trunk_latency, frames),
-        };
-        let back = LinkPolicy::wire(bw, t.trunk_latency);
-        let seed = cfg.seed;
-        let mut links = vec![
-            (Port::Switch, Port::Nic(0), trunk, seed),
-            (Port::Nic(0), Port::Switch, back, seed),
-        ];
-        let mut switch = Switch::new();
-        switch.add_route(cfg.nic.mac, 0);
-        for c in 0..t.clients {
-            let access = LinkPolicy::wire(bw, t.client_latency + t.latency_spread * c as Tick);
-            let uplink = access.with_loss(t.loss_ppm);
-            links.push((Port::Client(c), Port::Switch, uplink, seed));
-            switch.add_route(fleet.client_mac(c), links.len());
-            links.push((Port::Switch, Port::Client(c), access, seed));
-        }
-        Self::new(vec![(cfg, lcores)], None, Some(fleet), links, switch)
     }
 
     /// Enables packet-lifecycle tracing into a ring buffer of `capacity`
@@ -575,9 +555,6 @@ impl Simulation {
         }
         if let Some(lg) = &mut self.loadgen {
             lg.set_tracer(self.tracer.clone());
-        }
-        if let Some(fleet) = &mut self.fleet {
-            fleet.set_tracer(self.tracer.clone());
         }
     }
 
@@ -701,17 +678,16 @@ impl Simulation {
             .expect("every sender has an egress link")
     }
 
-    /// The spec that builds a described frame, from the source that
-    /// described it.
+    /// The spec that builds a described frame: only the generator
+    /// describes frames.
     fn spec(&self, d: &Descriptor) -> FrameSpec {
-        match d.source {
-            Source::Generator => self.loadgen.as_ref().and_then(|lg| lg.spec(d)),
-            Source::Fleet => self.fleet.as_ref().map(|fleet| fleet.spec(d)),
-        }
-        .expect("a described frame's source is part of its simulation")
+        self.loadgen
+            .as_ref()
+            .and_then(|lg| lg.spec(d))
+            .expect("a described frame comes from a synthetic generator")
     }
 
-    /// The frame's bytes, built by its source if it is described.
+    /// The frame's bytes, built by the generator if it is described.
     fn build(&self, frame: Frame) -> Packet {
         match frame {
             Frame::Built(packet) => packet,
@@ -738,11 +714,8 @@ impl Simulation {
         }
         let event = match to {
             Port::Nic(node) => Ev::NicRx { node, frame },
-            Port::LoadGen => Ev::LoadGenRx {
-                packet: self.build(frame),
-            },
             Port::Switch => Ev::SwitchRx { frame },
-            Port::Client(_) => Ev::FleetRx {
+            Port::Client(_) => Ev::LoadGenRx {
                 packet: self.build(frame),
             },
         };
@@ -768,12 +741,6 @@ impl Simulation {
                 self.loadgen_tx_scheduled = true;
             }
         }
-        if let Some(fleet) = &self.fleet {
-            for client in 0..fleet.clients() {
-                self.queue
-                    .schedule(fleet.next_departure(client), Ev::FleetTx { client });
-            }
-        }
         if self.tracer.is_enabled() {
             // MAXIMUM priority: sample queue state after every other
             // same-tick event has settled.
@@ -797,9 +764,7 @@ impl Simulation {
             Ev::Software { node, lcore } => self.handle_software(now, node, lcore),
             Ev::Probe => self.handle_probe(now),
             Ev::Sample => self.handle_sample(now),
-            Ev::FleetTx { client } => self.handle_fleet_tx(now, client),
             Ev::SwitchRx { frame } => self.handle_switch_rx(now, frame),
-            Ev::FleetRx { packet } => self.handle_fleet_rx(now, packet),
         }
     }
 
@@ -859,9 +824,6 @@ impl Simulation {
         if let Some(lg) = &mut self.loadgen {
             lg.reset_stats();
         }
-        if let Some(fleet) = &mut self.fleet {
-            fleet.reset_stats();
-        }
         self.faults.reset_counts();
         // The packet pool's alloc/recycle history follows the other
         // counters back to zero; its high-water mark re-baselines to the
@@ -895,7 +857,7 @@ impl Simulation {
                 len: frame.len() as u32,
             },
         );
-        let link = self.egress(Port::LoadGen);
+        let link = self.egress(Port::Client(frame.client()));
         self.transmit(now, link, frame);
         let lg = self.loadgen.as_mut().expect("checked above");
         if let Some(next) = lg.next_departure(now) {
@@ -1220,31 +1182,9 @@ impl Simulation {
         self.maybe_kick_tx_dma(now, node);
     }
 
-    /// One fleet client's departure: inject a frame onto its uplink and
-    /// reschedule the client's next departure (open loop).
-    fn handle_fleet_tx(&mut self, now: Tick, client: usize) {
-        let Some(fleet) = &mut self.fleet else { return };
-        let d = fleet.take(client, now);
-        self.tracer.emit(
-            now,
-            d.id,
-            Component::Link,
-            Stage::WireTx {
-                len: d.len() as u32,
-            },
-        );
-        let link = self.egress(Port::Client(client));
-        self.transmit(now, link, Frame::Described(d));
-        let fleet = self.fleet.as_ref().expect("checked above");
-        self.queue.schedule(
-            fleet.next_departure(client).max(now),
-            Ev::FleetTx { client },
-        );
-    }
-
     /// A frame reaches the switch: forward by destination MAC (a
-    /// described frame's is its source's) onto the link its route names.
-    /// Unroutable frames are counted and dropped.
+    /// described frame's from the generator's spec) onto the link its
+    /// route names. Unroutable frames are counted and dropped.
     fn handle_switch_rx(&mut self, now: Tick, frame: Frame) {
         let dst = match &frame {
             Frame::Built(packet) => packet.ethernet().map(|eth| eth.dst),
@@ -1256,18 +1196,10 @@ impl Simulation {
         }
     }
 
-    /// An echo reaches a fleet client: record the round trip.
-    fn handle_fleet_rx(&mut self, now: Tick, packet: Packet) {
-        self.tracer
-            .emit(now, packet.id(), Component::Link, Stage::WireRx);
-        if let Some(fleet) = &mut self.fleet {
-            fleet.on_rx(now, &packet);
-        }
-    }
-
-    /// The client fleet (present only in topology mode).
-    pub fn fleet(&self) -> Option<&ClientFleet> {
-        self.fleet.as_ref()
+    /// The load generator when it drives more than one client port (an
+    /// incast fan-in).
+    pub fn fleet(&self) -> Option<&EtherLoadGen> {
+        self.loadgen.as_ref().filter(|lg| lg.clients() > 1)
     }
 
     /// Registers the `system.topo` fabric statistics: switch and
@@ -1434,7 +1366,10 @@ mod tests {
         let ends: Vec<_> = sim.links.iter().map(|l| (l.from, l.to)).collect();
         assert_eq!(
             ends,
-            [(Port::LoadGen, Port::Nic(0)), (Port::Nic(0), Port::LoadGen)]
+            [
+                (Port::Client(0), Port::Nic(0)),
+                (Port::Nic(0), Port::Client(0))
+            ]
         );
         for l in &sim.links {
             assert_eq!(l.wire.policy().queue_frames, None);
@@ -1471,9 +1406,9 @@ mod tests {
         }
         assert_eq!(sim.switch.route(cfg.nic.mac), Some(0));
         assert!(format!("{sim:?}").ends_with("nodes: 1, links: 18 }"));
-        let fleet = sim.fleet().unwrap();
+        let lg = sim.fleet().unwrap();
         for c in 0..8 {
-            let link = sim.switch.route(fleet.client_mac(c)).unwrap();
+            let link = sim.switch.route(lg.client_mac(c).unwrap()).unwrap();
             assert_eq!(
                 (sim.links[link].from, sim.links[link].to),
                 (Port::Switch, Port::Client(c))

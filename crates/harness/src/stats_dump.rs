@@ -77,13 +77,9 @@ pub fn build_registry(sim: &Simulation, node: usize, level: DumpLevel) -> StatsR
     if let Some(lg) = &sim.loadgen {
         lg.register_stats(now, &mut reg);
     }
-    // Incast mode: the fleet reports the same `loadgen.*` shape the
-    // single generator does, plus the `system.topo.*` fabric section.
-    // Both are absent in runs without a switch, so the frozen compat
-    // dump stays byte-identical.
-    if let Some(fleet) = sim.fleet() {
-        fleet.register_stats(now, &mut reg);
-    }
+    // An incast fan-in adds `loadgen.clients` and the `system.topo.*`
+    // fabric section. Both are absent in runs without a switch, so the
+    // frozen compat dump stays byte-identical.
     sim.register_topo_stats(&mut reg);
 
     // Interval-sampler health: present only when sampling is on, so the

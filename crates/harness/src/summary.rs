@@ -86,7 +86,6 @@ pub fn run_phases(sim: &mut Simulation, phases: Phases) -> RunSummary {
         .loadgen
         .as_ref()
         .map(|lg| lg.report(start, end))
-        .or_else(|| sim.fleet().map(|f| f.report(start, end)))
         .unwrap_or_else(|| {
             // Dual mode: synthesize the throughput report from the NIC's
             // own counters (the drive node's client app holds RTTs).

@@ -1,44 +1,36 @@
 //! Synthetic frames in flight as descriptors.
 //!
 //! Pktgen stamps each departure into a per-port template frame. The
-//! simulator goes one step further: a frame from a synthetic source (the
-//! generator in `Synthetic` mode, or a [`ClientFleet`](crate::ClientFleet)
-//! client) is a pure function of the source's config, its id, its
-//! departure tick and its client, so it travels the wire as a
-//! [`Descriptor`] of those fields. Its bytes are built from its source's
-//! [`FrameSpec`] only where something reads them: when the NIC's RX FIFO
-//! admits it, when a capture tap records it, or when a consumer such as
-//! the dual-mode software client needs a packet. A frame the NIC drops
-//! is never built. Frames whose bytes depend on state at departure
-//! (memcached requests, trace replay, TCP, a Drive Node's frames, every
-//! echo) travel [`Frame::Built`].
+//! simulator goes one step further: a frame from the generator in
+//! `Synthetic` mode is a pure function of the generator's config, its
+//! id, its departure tick and the client port that sent it, so it
+//! travels the wire as a [`Descriptor`] of those fields. Its bytes are
+//! built from the generator's [`FrameSpec`] only where something reads
+//! them: when the NIC's RX FIFO admits it, when a capture tap records
+//! it, or when a consumer such as the dual-mode software client needs a
+//! packet. A frame the NIC drops is never built. Frames whose bytes
+//! depend on state at departure (memcached requests, trace replay, TCP,
+//! a Drive Node's frames, every echo) travel [`Frame::Built`].
 
 use simnet_net::{rss, timestamp, EtherType, MacAddr, Packet, PacketBuilder};
 use simnet_net::{ETHERNET_HEADER_LEN, MAX_FRAME_LEN};
 use simnet_sim::Tick;
 
-/// The synthetic source that described a frame.
+/// The fields a synthetic frame's bytes derive from, beside the
+/// generator's config: 20 bytes, whatever the frame's length. Packed to
+/// 4-byte alignment so that a [`Frame`] keeps its tag beside the
+/// descriptor in three words, with tag values to spare for the
+/// simulator's event enum; a field is read by value, never borrowed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Source {
-    /// The hardware generator (`EtherLoadGen` in `Synthetic` mode).
-    Generator,
-    /// A client of the [`ClientFleet`](crate::ClientFleet).
-    Fleet,
-}
-
-/// The fields a synthetic frame's bytes derive from, beside its source's
-/// config: 24 bytes, whatever the frame's length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed(4))]
 pub struct Descriptor {
     /// The packet id.
     pub id: u64,
     /// The departure tick, stamped into the payload.
     pub departure: Tick,
     len: u16,
-    /// The fleet client that sent the frame (0 for the generator).
+    /// The client port that sent the frame (0 on a point-to-point wire).
     pub client: u8,
-    /// The source that described the frame and builds it.
-    pub source: Source,
 }
 
 impl Descriptor {
@@ -47,7 +39,7 @@ impl Descriptor {
     /// # Panics
     ///
     /// Panics if `len` exceeds [`MAX_FRAME_LEN`].
-    pub(crate) fn new(id: u64, departure: Tick, len: usize, client: u8, source: Source) -> Self {
+    pub(crate) fn new(id: u64, departure: Tick, len: usize, client: u8) -> Self {
         assert!(
             len <= MAX_FRAME_LEN,
             "frame_len {len} exceeds {MAX_FRAME_LEN}"
@@ -57,7 +49,6 @@ impl Descriptor {
             departure,
             len: len as u16,
             client,
-            source,
         }
     }
 
@@ -106,6 +97,16 @@ impl Frame {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The client port that sent the frame: a described frame's client,
+    /// 0 for a built one.
+    #[inline]
+    pub fn client(&self) -> usize {
+        match self {
+            Frame::Built(_) => 0,
+            Frame::Described(d) => usize::from(d.client),
+        }
+    }
 }
 
 /// A UDP/IPv4 4-tuple.
@@ -122,7 +123,7 @@ pub struct UdpTuple {
 }
 
 /// Everything a synthetic frame's bytes need beyond its [`Descriptor`]:
-/// its addresses. The generator and the fleet both build through it.
+/// its addresses, those of the client port that sent it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameSpec {
     /// Destination MAC.
@@ -177,11 +178,14 @@ impl FrameSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::{CLIENT_MAC_BASE, FLEET_PORT_BASE};
-    use crate::{ClientFleet, EtherLoadGen, LoadGenMode, SyntheticConfig};
+    use crate::{EtherLoadGen, LoadGenMode, SyntheticConfig};
     use proptest::prelude::*;
     use simnet_net::rss::queue_for;
     use simnet_sim::tick::Bandwidth;
+
+    /// A fan-in's base client MAC index and UDP source port.
+    const INCAST_MAC: u32 = 100;
+    const INCAST_PORT: u16 = 40_000;
 
     /// The generator's frame built the eager way, at departure: the
     /// builder, then the stamp (inside the build for a UDP frame).
@@ -205,7 +209,7 @@ mod tests {
         }
     }
 
-    /// Fleet client `client`'s frame built the eager way.
+    /// Fan-in client `client`'s frame built the eager way.
     fn eager_fleet_frame(
         server: MacAddr,
         client: usize,
@@ -215,8 +219,8 @@ mod tests {
     ) -> Packet {
         PacketBuilder::new()
             .dst(server)
-            .src(MacAddr::simulated(CLIENT_MAC_BASE + client as u32))
-            .udp([10, 0, 1, client as u8], [10, 0, 0, 1], FLEET_PORT_BASE, 9)
+            .src(MacAddr::simulated(INCAST_MAC + client as u32))
+            .udp([10, 0, 1, client as u8], [10, 0, 0, 1], INCAST_PORT, 9)
             .frame_len(len)
             .build_with(id, len - timestamp::UDP_OFFSET, |buf| {
                 timestamp::write_timestamp_slice(buf, 0, departure);
@@ -239,10 +243,15 @@ mod tests {
     }
 
     proptest! {
-        /// A generator descriptor, raw (64..=1518 B) or RSS (52..=1518 B
-        /// over arbitrary ports), builds the frame the eager path built.
+        /// A descriptor from any client of a 1..=250-client generator
+        /// builds the frame the eager path built. A lone client sends raw
+        /// (64..=1518 B) or RSS (52..=1518 B over arbitrary ports)
+        /// frames; client `c` of a fan-in sends from the incast base
+        /// MAC and source IPv4 plus `c`.
         #[test]
-        fn generator_descriptors_build_the_eager_frame(
+        fn descriptors_build_the_eager_frame(
+            clients in prop_oneof![Just(1usize), 2usize..=250],
+            client in 0usize..250,
             rss in any::<bool>(),
             len in 52usize..=1518,
             ports in prop::collection::vec(any::<u16>(), 1..5),
@@ -251,38 +260,35 @@ mod tests {
             id in any::<u64>(),
             departure in any::<u64>(),
         ) {
-            let mut cfg = SyntheticConfig::fixed_rate(
-                if rss { len } else { len.max(64) },
-                Bandwidth::gbps(10.0),
-                MacAddr::simulated(1),
-                MacAddr::simulated(2),
-            );
-            if rss {
-                cfg = cfg.with_rss_ports(src.to_be_bytes(), [10, 0, 0, 1], dport, ports);
-            }
-            let eager = eager_generator_frame(&cfg, id, departure);
-            let lg = EtherLoadGen::new(LoadGenMode::Synthetic(cfg.clone()), 1);
-            let d = Descriptor::new(id, departure, cfg.frame_len, 0, Source::Generator);
+            let server = MacAddr::simulated(1);
+            let client = client % clients;
+            let len = if clients == 1 && !rss { len.max(64) } else { len };
+            let (lg, eager) = if clients == 1 {
+                let mut cfg = SyntheticConfig::fixed_rate(
+                    len,
+                    Bandwidth::gbps(10.0),
+                    server,
+                    MacAddr::simulated(2),
+                );
+                if rss {
+                    cfg = cfg.with_rss_ports(src.to_be_bytes(), [10, 0, 0, 1], dport, ports);
+                }
+                let eager = eager_generator_frame(&cfg, id, departure);
+                (EtherLoadGen::new(LoadGenMode::Synthetic(cfg), 1), eager)
+            } else {
+                let cfg = SyntheticConfig::fixed_rate(
+                    len,
+                    Bandwidth::gbps(10.0),
+                    server,
+                    MacAddr::simulated(INCAST_MAC),
+                )
+                .with_rss_ports([10, 0, 1, 0], [10, 0, 0, 1], 9, vec![INCAST_PORT]);
+                let lg = EtherLoadGen::new(LoadGenMode::Synthetic(cfg), 1).with_clients(clients);
+                (lg, eager_fleet_frame(server, client, len, id, departure))
+            };
+            let d = Descriptor::new(id, departure, len, client as u8);
             let built = lg.build(Frame::Described(d));
             check(lg.spec(&d).expect("synthetic mode"), &built, &eager)?;
-        }
-
-        /// A fleet descriptor, for any of up to 250 clients, builds the
-        /// frame the eager path built.
-        #[test]
-        fn fleet_descriptors_build_the_eager_frame(
-            clients in 1usize..=250,
-            client in 0usize..250,
-            len in 52usize..=1518,
-            id in any::<u64>(),
-            departure in any::<u64>(),
-        ) {
-            let client = client % clients;
-            let server = MacAddr::simulated(1);
-            let fleet = ClientFleet::fixed_rate(clients, len, Bandwidth::gbps(10.0), server);
-            let d = Descriptor::new(id, departure, len, client as u8, Source::Fleet);
-            let eager = eager_fleet_frame(server, client, len, id, departure);
-            check(fleet.spec(&d), &fleet.build(&d), &eager)?;
         }
     }
 }

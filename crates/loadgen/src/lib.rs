@@ -7,6 +7,13 @@
 //! free of client-side queuing and the client can never be the bottleneck
 //! (the Fig. 6 artifact of the software Pktgen client).
 //!
+//! The generator has one port per client. Point-to-point, it is the
+//! paper's single port, client 0. An incast fan-in gives a `Synthetic`
+//! generator N client ports behind a switch
+//! ([`EtherLoadGen::with_clients`]): departure k leaves from client
+//! k mod N, whose frames carry the base source MAC and IPv4 address plus
+//! k mod N, and one set of counters and RTT samples covers every client.
+//!
 //! Modes:
 //!
 //! * [`synthetic`] — fixed/Poisson inter-arrival Ethernet frames of a
@@ -24,7 +31,6 @@
 //! [`ramp`] module implements the "bandwidth test mode that gradually
 //! increases the bandwidth to find the maximum sustainable bandwidth".
 
-pub mod fleet;
 pub mod frame;
 pub mod memcached_client;
 pub mod ramp;
@@ -33,8 +39,7 @@ pub mod synthetic;
 pub mod tcp_client;
 pub mod trace;
 
-pub use fleet::ClientFleet;
-pub use frame::{Descriptor, Frame, FrameSpec, Source, UdpTuple};
+pub use frame::{Descriptor, Frame, FrameSpec, UdpTuple};
 pub use memcached_client::MemcachedClientConfig;
 pub use ramp::{find_knee, RatePoint, MSB_DROP_THRESHOLD};
 pub use report::LoadGenReport;
@@ -42,10 +47,10 @@ pub use synthetic::{RssTuples, SyntheticConfig};
 pub use tcp_client::TcpClientConfig;
 pub use trace::TraceConfig;
 
-use simnet_net::{timestamp, Packet};
+use simnet_net::{timestamp, MacAddr, Packet};
 use simnet_sim::random::SimRng;
-use simnet_sim::stats::{Counter, Histogram, SampleSet};
-use simnet_sim::tick::{us, Tick};
+use simnet_sim::stats::{Counter, SampleSet};
+use simnet_sim::tick::Tick;
 use simnet_sim::trace::{Component, Stage, Tracer};
 
 /// What kind of traffic the generator produces.
@@ -68,6 +73,10 @@ pub struct EtherLoadGen {
     rng: SimRng,
     next_id: u64,
     next_departure: Option<Tick>,
+    /// Client ports (1 = the paper's single port).
+    clients: usize,
+    /// The client port the next synthetic departure leaves from.
+    next_client: usize,
     /// Open-loop by default; `Some(w)` bounds outstanding packets
     /// (closed-loop client, §IV referencing open vs. closed clients).
     window: Option<usize>,
@@ -76,7 +85,6 @@ pub struct EtherLoadGen {
     rx_packets: Counter,
     rx_bytes: Counter,
     latency: SampleSet,
-    latency_histogram: Histogram,
     outstanding: usize,
     tracer: Tracer,
 }
@@ -89,15 +97,58 @@ impl EtherLoadGen {
             rng: SimRng::seed_from(seed),
             next_id: 0,
             next_departure: Some(0),
+            clients: 1,
+            next_client: 0,
             window: None,
             tx_packets: Counter::new(),
             tx_bytes: Counter::new(),
             rx_packets: Counter::new(),
             rx_bytes: Counter::new(),
             latency: SampleSet::with_capacity(1 << 18),
-            latency_histogram: Histogram::new(0.0, us(1000) as f64, 200),
             outstanding: 0,
             tracer: Tracer::disabled(),
+        }
+    }
+
+    /// Gives the generator `clients` client ports: departure k leaves from
+    /// client k mod `clients`, whose frames carry the base source MAC and
+    /// IPv4 address plus k mod `clients`. One client is the paper's
+    /// single port.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside 1..=250 clients (their source addresses share one
+    /// /24), and on more than one client unless the generator sends
+    /// synthetic UDP frames that hold the headers and the stamp.
+    pub fn with_clients(mut self, clients: usize) -> Self {
+        assert!(
+            (1..=250).contains(&clients),
+            "client source IPs live in one /24 (got {clients})"
+        );
+        if clients > 1 {
+            let LoadGenMode::Synthetic(cfg) = &self.mode else {
+                panic!("only synthetic mode has client ports");
+            };
+            assert!(
+                cfg.rss.is_some()
+                    && cfg.frame_len >= timestamp::UDP_OFFSET + timestamp::TIMESTAMP_LEN,
+                "client ports send UDP frames that hold the headers and the stamp"
+            );
+        }
+        self.clients = clients;
+        self
+    }
+
+    /// Number of client ports.
+    pub fn clients(&self) -> usize {
+        self.clients
+    }
+
+    /// Client `client`'s source MAC, or `None` outside synthetic mode.
+    pub fn client_mac(&self, client: usize) -> Option<MacAddr> {
+        match &self.mode {
+            LoadGenMode::Synthetic(cfg) => Some(cfg.src.offset(client as u32)),
+            _ => None,
         }
     }
 
@@ -125,12 +176,12 @@ impl EtherLoadGen {
         }
     }
 
-    /// Takes the departure due at `now`: assigns its id, draws the next
-    /// departure, and counts and traces the injection. A synthetic frame
-    /// departs as a [`Descriptor`], built where its bytes are read (see
-    /// [`EtherLoadGen::build`]); every other mode's frame depends on state
-    /// at departure and departs built. Call only at/after the tick
-    /// returned by [`EtherLoadGen::next_departure`].
+    /// Takes the departure due at `now`: assigns its id and client port,
+    /// draws the next departure, and counts and traces the injection. A
+    /// synthetic frame departs as a [`Descriptor`], built where its bytes
+    /// are read (see [`EtherLoadGen::build`]); every other mode's frame
+    /// depends on state at departure and departs built. Call only
+    /// at/after the tick returned by [`EtherLoadGen::next_departure`].
     pub fn take(&mut self, now: Tick) -> Option<Frame> {
         self.next_departure(now)?;
         let id = self.next_id;
@@ -138,7 +189,13 @@ impl EtherLoadGen {
 
         let (frame, interval) = match &mut self.mode {
             LoadGenMode::Synthetic(cfg) => {
-                let (d, interval) = cfg.take(id, now, &mut self.rng);
+                let client = self.next_client;
+                self.next_client = if client + 1 == self.clients {
+                    0
+                } else {
+                    client + 1
+                };
+                let (d, interval) = cfg.take(id, client as u8, now, &mut self.rng);
                 (Frame::Described(d), Some(interval))
             }
             LoadGenMode::Trace(cfg) => {
@@ -173,7 +230,7 @@ impl EtherLoadGen {
     #[inline]
     pub fn spec(&self, d: &Descriptor) -> Option<FrameSpec> {
         match &self.mode {
-            LoadGenMode::Synthetic(cfg) => Some(cfg.spec(d.id)),
+            LoadGenMode::Synthetic(cfg) => Some(cfg.spec(d.id, d.client)),
             _ => None,
         }
     }
@@ -218,7 +275,6 @@ impl EtherLoadGen {
         };
         if let Some(rtt) = rtt {
             self.latency.record(rtt as f64);
-            self.latency_histogram.record(rtt as f64);
         }
     }
 
@@ -259,14 +315,10 @@ impl EtherLoadGen {
         self.rx_packets.value()
     }
 
-    /// Echoed/answered packets currently outstanding.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding
-    }
-
-    /// The latency histogram.
-    pub fn latency_histogram(&self) -> &Histogram {
-        &self.latency_histogram
+    /// The forwarding-latency histogram: the retained RTT samples in
+    /// `bins` equal bins over their own [min, max], as `(lo, hi, count)`.
+    pub fn rtt_histogram(&self, bins: usize) -> Vec<(f64, f64, u64)> {
+        self.latency.histogram(bins)
     }
 
     /// Builds the statistics report over the window `[start, end]`.
@@ -288,6 +340,9 @@ impl EtherLoadGen {
         let report = self.report(0, now);
         let summary = &report.latency;
         reg.scoped("loadgen", |reg| {
+            if self.clients > 1 {
+                reg.scalar("clients", self.clients as u64, "fleet client endpoints");
+            }
             reg.scalar("txPackets", report.tx_packets, "packets injected");
             reg.scalar("rxPackets", report.rx_packets, "packets echoed back");
             reg.float("rtt.mean_ns", summary.mean / 1e3, "mean round-trip (ns)");
@@ -314,7 +369,6 @@ impl EtherLoadGen {
         self.rx_packets.reset();
         self.rx_bytes.reset();
         self.latency.reset();
-        self.latency_histogram.reset();
         if let LoadGenMode::Memcached(cfg) = &mut self.mode {
             cfg.reset_stats();
         }
@@ -350,6 +404,29 @@ mod tests {
             MacAddr::simulated(99),
         );
         EtherLoadGen::new(LoadGenMode::Synthetic(cfg), 7)
+    }
+
+    /// A fan-in of `clients` ports from the incast base: MAC index 100,
+    /// source IPv4 10.0.1.0, UDP source port 40000; 256 B at 10 Gbps.
+    fn fan_in(clients: usize) -> EtherLoadGen {
+        let cfg = SyntheticConfig::fixed_rate(
+            256,
+            Bandwidth::gbps(10.0),
+            MacAddr::simulated(1),
+            MacAddr::simulated(100),
+        )
+        .with_rss_ports([10, 0, 1, 0], [10, 0, 0, 1], 9, vec![40_000]);
+        EtherLoadGen::new(LoadGenMode::Synthetic(cfg), 7).with_clients(clients)
+    }
+
+    /// Takes the first departure due at or after `now`: its tick and its
+    /// descriptor.
+    fn depart(lg: &mut EtherLoadGen, now: Tick) -> (Tick, Descriptor) {
+        let t = lg.next_departure(now).unwrap();
+        match lg.take(t) {
+            Some(Frame::Described(d)) => (t, d),
+            other => panic!("synthetic frames depart described: {other:?}"),
+        }
     }
 
     #[test]
@@ -447,6 +524,7 @@ mod tests {
 
         let mut reg = StatsRegistry::new();
         lg.register_stats(10_000_000, &mut reg);
+        assert!(reg.get("loadgen.clients").is_none(), "one client");
         assert_eq!(reg.get("loadgen.txPackets"), Some(&StatValue::Scalar(1)));
         assert_eq!(reg.get("loadgen.rxPackets"), Some(&StatValue::Scalar(1)));
         assert_eq!(
@@ -459,15 +537,108 @@ mod tests {
         lg.register_stats(10_000_000, &mut full);
         assert_eq!(reg.get("loadgen.txPackets"), Some(&StatValue::Scalar(1)));
         assert_eq!(full.get("loadgen.dropRate"), Some(&StatValue::Float(0.0)));
+
+        let mut fan_in_reg = StatsRegistry::new();
+        fan_in(8).register_stats(0, &mut fan_in_reg);
+        let first = &fan_in_reg.entries()[0];
+        assert_eq!(
+            (first.path.as_str(), &first.value),
+            ("loadgen.clients", &StatValue::Scalar(8))
+        );
     }
 
     #[test]
     fn reset_stats_preserves_schedule() {
-        let mut lg = synthetic_gen(10.0, 256);
-        let t0 = lg.next_departure(0).unwrap();
-        lg.take(t0).unwrap();
+        let mut lg = fan_in(2);
+        let (t0, _) = depart(&mut lg, 0);
+        let next = lg.next_departure(t0);
         lg.reset_stats();
         assert_eq!(lg.tx_packets(), 0);
-        assert!(lg.next_departure(t0).is_some());
+        assert_eq!(lg.next_departure(t0), next);
+        assert_eq!(depart(&mut lg, t0).1.client, 1, "the client rotation too");
+    }
+
+    /// The client ports form one evenly spaced chain: departure k leaves
+    /// at k × the aggregate interval, from client k mod N, as id k.
+    #[test]
+    fn client_ports_share_one_evenly_spaced_chain() {
+        let mut lg = fan_in(4);
+        // 256 B at 10 Gbps = 204.8 ns between departures of the fan-in.
+        let agg = Bandwidth::gbps(10.0).bytes_to_ticks(256);
+        let mut now = 0;
+        for k in 0..64u64 {
+            let (t, d) = depart(&mut lg, now);
+            assert_eq!((t, d.id, d.client), (k * agg, k, (k % 4) as u8));
+            now = t;
+        }
+    }
+
+    #[test]
+    fn frames_carry_client_identity_and_stamp() {
+        let mut lg = fan_in(8);
+        let (mut now, mut d) = depart(&mut lg, 0);
+        for _ in 0..5 {
+            (now, d) = depart(&mut lg, now);
+        }
+        assert_eq!(d.client, 5);
+        let pkt = lg.build(Frame::Described(d));
+        let eth = pkt.ethernet().unwrap();
+        assert_eq!(eth.src, MacAddr::simulated(105));
+        assert_eq!(lg.client_mac(5), Some(eth.src));
+        assert_eq!(eth.dst, MacAddr::simulated(1));
+        let (ip, udp, _) = pkt.udp().expect("checksum must verify");
+        assert_eq!(ip.src, [10, 0, 1, 5]);
+        assert_eq!(udp.src_port, 40_000);
+        assert_eq!(
+            timestamp::read_timestamp(&pkt, timestamp::UDP_OFFSET),
+            Some(now)
+        );
+    }
+
+    #[test]
+    fn distinct_clients_spread_across_queues() {
+        // Distinct per-client source IPs hash to different queues: a
+        // fan-in exercises a multi-queue NIC without port games.
+        let mut lg = fan_in(16);
+        let mut seen = std::collections::HashSet::new();
+        let mut now = 0;
+        for _ in 0..16 {
+            let (t, d) = depart(&mut lg, now);
+            seen.insert(lg.spec(&d).unwrap().queue(4));
+            now = t;
+        }
+        assert!(
+            seen.len() >= 3,
+            "16 source IPs hit ≥3 of 4 queues: {seen:?}"
+        );
+    }
+
+    #[test]
+    fn rtt_measured_through_on_rx_on_every_client() {
+        let mut lg = fan_in(2);
+        let (t0, a) = depart(&mut lg, 0);
+        let (t1, b) = depart(&mut lg, t0);
+        assert_eq!((a.client, b.client), (0, 1));
+        let b = lg.build(Frame::Described(b));
+        lg.on_rx(t1 + 5_000_000, &b);
+        let report = lg.report(0, 10_000_000);
+        assert_eq!(report.latency.count, 1);
+        assert_eq!(report.latency.mean, 5_000_000.0);
+    }
+
+    #[test]
+    fn client_ports_replay_deterministically() {
+        let run = || {
+            let mut lg = fan_in(4);
+            let mut now = 0;
+            let mut frames = Vec::new();
+            for _ in 0..64 {
+                let (t, d) = depart(&mut lg, now);
+                frames.push((t, lg.build(Frame::Described(d)).bytes().to_vec()));
+                now = t;
+            }
+            frames
+        };
+        assert_eq!(run(), run());
     }
 }

@@ -5,7 +5,7 @@ use simnet_net::{timestamp, MacAddr};
 use simnet_sim::random::{Distribution, SimRng};
 use simnet_sim::tick::{Bandwidth, Tick};
 
-use crate::frame::{Descriptor, FrameSpec, Source, UdpTuple};
+use crate::frame::{Descriptor, FrameSpec, UdpTuple};
 
 /// RSS-hashable addressing for synthetic frames: a UDP/IPv4 4-tuple per
 /// frame instead of the raw `EtherType::LoadGen` shell. The source port
@@ -34,7 +34,7 @@ pub struct SyntheticConfig {
     pub interarrival: Distribution,
     /// Destination MAC (the NIC under test).
     pub dst: MacAddr,
-    /// Source MAC (the generator).
+    /// Source MAC of client port 0; client `c` sends from this plus `c`.
     pub src: MacAddr,
     /// When set, frames carry this UDP/IPv4 tuple (RSS-hashable) and the
     /// timestamp moves into the UDP payload, written before the checksum.
@@ -105,22 +105,33 @@ impl SyntheticConfig {
         (self.frame_len as f64 * 8.0) / (mean / simnet_sim::tick::S as f64) / 1e9
     }
 
-    /// Takes the departure of frame `id` at `now`: its descriptor, and the
-    /// interval to the next departure drawn from `rng`.
-    pub(crate) fn take(&self, id: u64, now: Tick, rng: &mut SimRng) -> (Descriptor, Tick) {
-        let frame = Descriptor::new(id, now, self.frame_len, 0, Source::Generator);
+    /// Takes the departure of frame `id` from client port `client` at
+    /// `now`: its descriptor, and the interval to the next departure
+    /// drawn from `rng`.
+    pub(crate) fn take(
+        &self,
+        id: u64,
+        client: u8,
+        now: Tick,
+        rng: &mut SimRng,
+    ) -> (Descriptor, Tick) {
+        let frame = Descriptor::new(id, now, self.frame_len, client);
         let interval = self.interarrival.sample(rng).round() as Tick;
         (frame, interval.max(1))
     }
 
-    /// The spec of frame `id`: its source port cycles over the RSS ports.
+    /// The spec of frame `id` from client port `client`: the client's
+    /// source MAC and IPv4 address are the base ones plus `client`, and
+    /// the source port cycles over the RSS ports.
     #[inline]
-    pub fn spec(&self, id: u64) -> FrameSpec {
+    pub fn spec(&self, id: u64, client: u8) -> FrameSpec {
         FrameSpec {
             dst: self.dst,
-            src: self.src,
+            src: self.src.offset(u32::from(client)),
             udp: self.rss.as_ref().map(|t| UdpTuple {
-                src_ip: t.src_ip,
+                src_ip: u32::from_be_bytes(t.src_ip)
+                    .wrapping_add(u32::from(client))
+                    .to_be_bytes(),
                 dst_ip: t.dst_ip,
                 src_port: t.src_ports[(id as usize) % t.src_ports.len()],
                 dst_port: t.dst_port,
@@ -156,10 +167,9 @@ mod tests {
             MacAddr::simulated(2),
         );
         let mut rng = SimRng::seed_from(1);
-        let (d, interval) = cfg.take(9, 0, &mut rng);
-        assert_eq!((d.id, d.departure, d.len()), (9, 0, 256));
-        assert_eq!(d.source, Source::Generator);
-        let pkt = cfg.spec(d.id).build(&d);
+        let (d, interval) = cfg.take(9, 0, 0, &mut rng);
+        assert_eq!((d.id, d.departure, d.len(), d.client), (9, 0, 256, 0));
+        let pkt = cfg.spec(d.id, 0).build(&d);
         assert_eq!(pkt.len(), 256);
         assert_eq!(pkt.id(), 9);
         assert_eq!(pkt.ethernet().unwrap().dst, MacAddr::simulated(1));
@@ -180,8 +190,8 @@ mod tests {
             MacAddr::simulated(2),
         );
         let mut rng = SimRng::seed_from(2);
-        let (_, a) = cfg.take(0, 0, &mut rng);
-        let (_, b) = cfg.take(1, 0, &mut rng);
+        let (_, a) = cfg.take(0, 0, 0, &mut rng);
+        let (_, b) = cfg.take(1, 0, 0, &mut rng);
         assert_ne!(a, b);
     }
 
@@ -197,8 +207,8 @@ mod tests {
         .with_rss_ports([10, 0, 0, 2], [10, 0, 0, 1], 9, ports.clone());
         let mut rng = SimRng::seed_from(1);
         for id in 0..6u64 {
-            let (d, _) = cfg.take(id, 123_456, &mut rng);
-            let pkt = cfg.spec(id).build(&d);
+            let (d, _) = cfg.take(id, 0, 123_456, &mut rng);
+            let pkt = cfg.spec(id, 0).build(&d);
             let (_, udp, _) = pkt.udp().expect("checksum must verify");
             assert_eq!(udp.src_port, ports[(id as usize) % ports.len()]);
             assert_eq!(udp.dst_port, 9);
@@ -221,7 +231,7 @@ mod tests {
             MacAddr::simulated(2),
         )
         .with_rss_ports([10, 0, 0, 2], [10, 0, 0, 1], 9, ports);
-        let queues: Vec<usize> = (0..8u64).map(|id| cfg.spec(id).queue(nq)).collect();
+        let queues: Vec<usize> = (0..8u64).map(|id| cfg.spec(id, 0).queue(nq)).collect();
         assert_eq!(&queues[..4], &[0, 1, 2, 3], "ports_for_queues round-robin");
         assert_eq!(&queues[4..], &[0, 1, 2, 3]);
     }

@@ -33,6 +33,16 @@ impl MacAddr {
         MacAddr([0x02, 0x53, 0x4e, b[1], b[2], b[3]])
     }
 
+    /// The address `n` past this one, counting in the low three octets:
+    /// `simulated(i).offset(n) == simulated(i + n)`.
+    pub fn offset(self, n: u32) -> Self {
+        let [a, b, c, d, e, f] = self.0;
+        let [_, d, e, f] = u32::from_be_bytes([0, d, e, f])
+            .wrapping_add(n)
+            .to_be_bytes();
+        MacAddr([a, b, c, d, e, f])
+    }
+
     /// The raw octets.
     pub const fn octets(&self) -> [u8; 6] {
         self.0
@@ -150,5 +160,6 @@ mod tests {
         assert_ne!(a, b);
         assert!(a.is_locally_administered());
         assert!(!a.is_multicast());
+        assert_eq!(MacAddr::simulated(100).offset(249), MacAddr::simulated(349));
     }
 }

@@ -14,7 +14,8 @@
 //!
 //! The harness joins its ports with one table of these links: a load
 //! generator and a host on a pair of pure wires, two hosts on a pair
-//! (dual mode), or a client fleet, a switch and a host (incast).
+//! (dual mode), or the generator's client ports, a switch and a host
+//! (incast).
 //!
 //! Drops never vanish: every [`TopoLink::transmit`] outcome is counted
 //! (`offered == frames + tail_drops + loss_drops`), which is the

@@ -11,8 +11,8 @@
 //!   heap) that drains same-tick cohorts with one sort instead of
 //!   re-heapifying per event; the original heap survives as
 //!   [`event::BinaryHeapQueue`], the differential-test reference model.
-//! * [`stats`] — gem5-style statistics: scalars, running distributions,
-//!   histograms and sample sets with exact quantiles.
+//! * [`stats`] — gem5-style statistics: counters and sample sets with
+//!   exact quantiles.
 //! * [`random`] — seeded pseudo-random distributions (fixed, uniform,
 //!   exponential, Zipfian) used by load generators and workloads.
 //! * [`trace`] — the packet-lifecycle tracing layer: a ring-buffered

@@ -5,10 +5,9 @@
 //! gem5 resets stats after `m5 resetstats`).
 //!
 //! * [`Counter`] — a monotonically increasing event count.
-//! * [`Histogram`] — fixed-width bins with under/overflow buckets.
 //! * [`SampleSet`] — a bounded sample store with exact quantiles, used for
 //!   the load generator's per-packet round-trip latency report
-//!   (mean, median, standard deviation, tails — §IV).
+//!   (mean, median, standard deviation, tails, histogram — §IV).
 //! * [`StatsRegistry`] — the gem5-20.0-style hierarchical registry:
 //!   components register named stats under dotted paths with descriptions
 //!   and dumps are *generated* from the registry.
@@ -18,14 +17,12 @@
 //!   simulator's own event loop (`--profile`).
 
 mod counter;
-mod histogram;
 mod profile;
 mod registry;
 mod samples;
 mod timeseries;
 
 pub use counter::Counter;
-pub use histogram::Histogram;
 pub use profile::Profiler;
 pub use registry::{DumpLevel, StatEntry, StatValue, StatsRegistry};
 pub use samples::{LatencySummary, SampleSet};

@@ -215,6 +215,35 @@ impl SampleSet {
         }
     }
 
+    /// The retained samples in `bins` equal bins over the observed
+    /// [min, max], as `(lo, hi, count)`; the maximum lands in the last
+    /// bin. No bins without samples, and one if every sample is equal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bins` is zero.
+    pub fn histogram(&self, bins: usize) -> Vec<(f64, f64, u64)> {
+        assert!(bins > 0, "a histogram needs at least one bin");
+        if self.samples.is_empty() {
+            return Vec::new();
+        }
+        let bins = if self.max > self.min { bins } else { 1 };
+        let width = (self.max - self.min) / bins as f64;
+        let mut counts = vec![0u64; bins];
+        for &v in &self.samples {
+            let bin = if width > 0.0 {
+                ((v - self.min) / width) as usize
+            } else {
+                0
+            };
+            counts[bin.min(bins - 1)] += 1;
+        }
+        let edge = |i: usize| self.min + width * i as f64;
+        (0..bins)
+            .map(|i| (edge(i), edge(i + 1), counts[i]))
+            .collect()
+    }
+
     /// Clears all state.
     pub fn reset(&mut self) {
         let cap = self.capacity;
@@ -301,6 +330,26 @@ mod tests {
         assert!(s.is_empty());
         s.record(1.0);
         assert_eq!(s.count(), 1);
+    }
+
+    #[test]
+    fn histogram_bins_the_retained_samples_over_their_range() {
+        let mut s = SampleSet::with_capacity(64);
+        assert!(s.histogram(4).is_empty());
+        s.record(3.0);
+        assert_eq!(s.histogram(4), [(3.0, 3.0, 1)], "equal samples: one bin");
+        for v in 0..=8 {
+            s.record(v as f64);
+        }
+        let bins = s.histogram(4);
+        let counts: Vec<u64> = bins.iter().map(|b| b.2).collect();
+        assert_eq!(
+            counts,
+            [2, 3, 2, 3],
+            "8.0, the maximum, lands in the last bin"
+        );
+        assert_eq!((bins[0].0, bins[3].1), (0.0, 8.0));
+        assert_eq!(bins[1].0, bins[0].1);
     }
 
     #[test]

@@ -79,24 +79,6 @@ pub const fn s(n: u64) -> Tick {
     }
 }
 
-/// Converts ticks to fractional nanoseconds.
-#[inline]
-pub fn to_ns(t: Tick) -> f64 {
-    t as f64 / NS as f64
-}
-
-/// Converts ticks to fractional microseconds.
-#[inline]
-pub fn to_us(t: Tick) -> f64 {
-    t as f64 / US as f64
-}
-
-/// Converts ticks to fractional seconds.
-#[inline]
-pub fn to_secs(t: Tick) -> f64 {
-    t as f64 / S as f64
-}
-
 /// A fixed clock frequency, used to convert between cycles and ticks.
 ///
 /// ```
@@ -119,11 +101,6 @@ impl Frequency {
     pub fn hz(hz: f64) -> Self {
         assert!(hz.is_finite() && hz > 0.0, "frequency must be positive");
         Self { hz }
-    }
-
-    /// Creates a frequency from megahertz.
-    pub fn mhz(mhz: f64) -> Self {
-        Self::hz(mhz * 1e6)
     }
 
     /// Creates a frequency from gigahertz.
@@ -192,11 +169,6 @@ impl Bandwidth {
     /// Creates a bandwidth from gigabits per second.
     pub fn gbps(gbps: f64) -> Self {
         Self::bps(gbps * 1e9)
-    }
-
-    /// Creates a bandwidth from megabits per second.
-    pub fn mbps(mbps: f64) -> Self {
-        Self::bps(mbps * 1e6)
     }
 
     /// Returns the bandwidth in gigabits per second.
@@ -275,9 +247,6 @@ mod tests {
     #[test]
     fn conversion_round_trips() {
         assert_eq!(ns(1_500), us(1) + ns(500));
-        assert!((to_ns(ns(7)) - 7.0).abs() < 1e-12);
-        assert!((to_us(us(3)) - 3.0).abs() < 1e-12);
-        assert!((to_secs(s(2)) - 2.0).abs() < 1e-12);
     }
 
     #[test]

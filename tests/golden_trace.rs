@@ -316,10 +316,11 @@ fn mq_memcached_trace_matches_committed_golden_file() {
     assert_eq!(canonical_text(&mq_memcached_point().events), text);
 }
 
-/// The incast golden: 4 fleet clients with 5 µs of latency spread
-/// behind a switch whose trunk queue holds one frame, 20,000 ppm of
-/// uplink loss, and 12 Gbps of 1518 B frames in aggregate. It pins the
-/// fleet, switch and trunk schedule with every fabric drop path taken.
+/// The incast golden: the generator's 4 client ports with 5 µs of
+/// latency spread behind a switch whose trunk queue holds one frame,
+/// 20,000 ppm of uplink loss, and 12 Gbps of 1518 B frames in
+/// aggregate. It pins the client, switch and trunk schedule with every
+/// fabric drop path taken.
 #[test]
 fn incast_small_matches_committed_golden_file() {
     let cfg = SystemConfig::gem5().with_topo(

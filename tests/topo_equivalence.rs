@@ -111,7 +111,7 @@ fn explicit_point_to_point_topology_matches_default_assembly() {
 }
 
 /// The degenerate fabric registers nothing: no `system.topo` block and
-/// no `loadgen.clients` fleet block may appear in the frozen-format
+/// no `loadgen.clients` count may appear in the frozen-format
 /// stats dump of a point-to-point run.
 #[test]
 fn degenerate_runs_keep_the_stats_dump_clean() {
@@ -144,7 +144,7 @@ fn incast_replay_is_deterministic() {
 }
 
 /// The full stats dump of an incast run exposes the per-link ledger:
-/// fleet block, fabric aggregates, trunk drop/queue gauges, and one
+/// client count, fabric aggregates, trunk drop/queue gauges, and one
 /// block per access link.
 #[test]
 fn incast_stats_expose_the_per_link_ledger() {
