@@ -1,19 +1,8 @@
 //! Packet-pool benchmark: pooled [`Packet`] (mempool + COW handles) vs
 //! a deep-copy `Vec<u8>` packet — the representation the hot path used
 //! before the mempool — emitting/checking the committed
-//! `BENCH_pkt_pool.json`.
-//!
-//! ```text
-//! pkt_bench [--scale F] [--out FILE] [--check BASELINE] [--max-regress PCT]
-//! ```
-//!
-//! * `--scale F` multiplies iteration counts (CI smoke uses 0.2).
-//! * `--out FILE` writes the measured JSON.
-//! * `--check BASELINE` compares the measured pooled-vs-vec *speedup
-//!   ratio* per scenario against the committed baseline and exits
-//!   non-zero if any scenario regressed by more than `--max-regress`
-//!   percent (default 20). Ratios, not absolute nanoseconds, so the
-//!   check is meaningful across host machines.
+//! `BENCH_pkt_pool.json`. Flags and the check rule are the
+//! `simnet-bench` driver's.
 //!
 //! The workloads mirror the simulator's real per-packet life cycle: an
 //! allocate-touch-free churn (loadgen builds, NIC consumes), a clone
@@ -22,9 +11,8 @@
 
 use std::hint::black_box;
 use std::process::ExitCode;
-use std::time::Instant;
 
-use simnet_harness::{run_point, AppSpec, RunConfig, SystemConfig};
+use simnet_bench::{scaled, Scenario, Suite};
 use simnet_net::Packet;
 
 /// The pre-mempool packet: id + owned bytes, deep-copied on clone. This
@@ -128,305 +116,61 @@ fn forward_trip_vec(n: u64, len: usize) -> u64 {
     acc
 }
 
-/// Times the two representations over `reps` **interleaved** repetitions
-/// (pooled, vec, pooled, vec, …) and returns the median ns/packet for
-/// each. Interleaving means ambient host noise hits both alike, keeping
-/// the *ratio* stable even when absolute numbers wobble; the median
-/// discards stray slow reps entirely.
-fn time_pair_ns_per_pkt(
-    reps: u64,
-    pkts_per_rep: u64,
-    mut pooled: impl FnMut() -> u64,
-    mut vec: impl FnMut() -> u64,
-) -> (f64, f64) {
-    // One warm-up rep each (also pre-populates the freelist), then the
-    // timed ones; black-box the checksum.
-    let mut sink = pooled().wrapping_add(vec());
-    let mut pooled_reps = Vec::with_capacity(reps as usize);
-    let mut vec_reps = Vec::with_capacity(reps as usize);
-    for _ in 0..reps {
-        let start = Instant::now();
-        sink = sink.wrapping_add(pooled());
-        pooled_reps.push(start.elapsed().as_nanos() as f64 / pkts_per_rep as f64);
-        let start = Instant::now();
-        sink = sink.wrapping_add(vec());
-        vec_reps.push(start.elapsed().as_nanos() as f64 / pkts_per_rep as f64);
-    }
-    std::hint::black_box(sink);
-    (median(&mut pooled_reps), median(&mut vec_reps))
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_unstable_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-struct Scenario {
-    name: &'static str,
-    pooled_ns: f64,
-    vec_ns: f64,
-}
-
-impl Scenario {
-    fn speedup(&self) -> f64 {
-        self.vec_ns / self.pooled_ns
-    }
-}
-
-fn run_scenarios(scale: f64) -> Vec<Scenario> {
-    let s = |n: u64| ((n as f64 * scale).round() as u64).max(1);
-    let mut out = Vec::new();
-
-    // Scenario 1: allocation churn on full-size frames.
-    let n = s(1_000_000);
-    let (pooled_ns, vec_ns) = time_pair_ns_per_pkt(
-        9,
+fn run_scenarios(scale: f64, out: &mut Vec<Scenario>) {
+    let n = scaled(1_000_000, scale);
+    // Allocation churn on full-size frames.
+    Scenario::time(
+        out,
+        "alloc_touch_free_1518",
         n,
         || alloc_touch_free_pooled(n, 1518),
         || alloc_touch_free_vec(n, 1518),
     );
-    out.push(Scenario {
-        name: "alloc_touch_free_1518",
-        pooled_ns,
-        vec_ns,
-    });
-
-    // Scenario 2: allocation churn on mid-size frames (the 512 B
-    // class), where allocator traffic rather than frame zeroing
-    // dominates the per-packet cost.
-    let n = s(1_000_000);
-    let (pooled_ns, vec_ns) = time_pair_ns_per_pkt(
-        9,
+    // Allocation churn on mid-size frames (the 512 B class), where
+    // allocator traffic rather than frame zeroing dominates the
+    // per-packet cost.
+    Scenario::time(
+        out,
+        "alloc_touch_free_256",
         n,
         || alloc_touch_free_pooled(n, 256),
         || alloc_touch_free_vec(n, 256),
     );
-    out.push(Scenario {
-        name: "alloc_touch_free_256",
-        pooled_ns,
-        vec_ns,
-    });
-
-    // Scenario 3: clone fan-out on full-size frames (the removed
-    // per-hop deep copy).
-    let n = s(1_000_000);
-    let (pooled_ns, vec_ns) = time_pair_ns_per_pkt(
-        9,
+    // Clone fan-out on full-size frames (the removed per-hop deep
+    // copy).
+    Scenario::time(
+        out,
+        "clone_fanout_1518",
         n,
         || clone_fanout_pooled(n, 1518),
         || clone_fanout_vec(n, 1518),
     );
-    out.push(Scenario {
-        name: "clone_fanout_1518",
-        pooled_ns,
-        vec_ns,
-    });
-
-    // Scenario 4: the full RX→app→TX trip, by-value vs clone-per-hop.
-    let n = s(1_000_000);
-    let (pooled_ns, vec_ns) = time_pair_ns_per_pkt(
-        9,
+    // The full RX→app→TX trip, by-value vs clone-per-hop.
+    Scenario::time(
+        out,
+        "forward_trip_1518",
         n,
         || forward_trip_pooled(n, 1518),
         || forward_trip_vec(n, 1518),
     );
-    out.push(Scenario {
-        name: "forward_trip_1518",
-        pooled_ns,
-        vec_ns,
-    });
-
-    // Scenario 5: minimum-size frames through the smallest (128 B)
-    // class — the dominant workload of the paper's 64 B sweeps.
-    let n = s(1_000_000);
-    let (pooled_ns, vec_ns) = time_pair_ns_per_pkt(
-        9,
+    // Minimum-size frames through the smallest (128 B) class — the
+    // dominant workload of the paper's 64 B sweeps.
+    Scenario::time(
+        out,
+        "alloc_touch_free_64",
         n,
         || alloc_touch_free_pooled(n, 64),
         || alloc_touch_free_vec(n, 64),
     );
-    out.push(Scenario {
-        name: "alloc_touch_free_64",
-        pooled_ns,
-        vec_ns,
-    });
-    out
-}
-
-/// End-to-end: testpmd moving 1518B frames at 40 Gbps — the
-/// handler-bound regime where per-packet storage costs dominate the
-/// host profile. The Vec representation is no longer pluggable into the
-/// simulation, so this row records the pooled build's absolute
-/// events/second for trending.
-fn end_to_end() -> (f64, u64, f64) {
-    let cfg = SystemConfig::gem5();
-    let start = Instant::now();
-    let s = run_point(&cfg, &AppSpec::TestPmd, 1518, 40.0, RunConfig::fast());
-    let host_secs = start.elapsed().as_secs_f64();
-    (host_secs, s.events, s.events as f64 / host_secs)
-}
-
-fn fmt_json(scenarios: &[Scenario], e2e: (f64, u64, f64), scale: f64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"bench-pkt-pool-v1\",\n");
-    out.push_str(&format!("  \"scale\": {scale},\n"));
-    out.push_str("  \"scenarios\": [\n");
-    for (i, sc) in scenarios.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"pooled_ns_per_pkt\": {:.2}, \"vec_ns_per_pkt\": {:.2}, \"speedup\": {:.3}}}{}\n",
-            sc.name,
-            sc.pooled_ns,
-            sc.vec_ns,
-            sc.speedup(),
-            if i + 1 < scenarios.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"end_to_end\": {{\"name\": \"testpmd_1518B_40gbps\", \"host_secs\": {:.3}, \"events\": {}, \"events_per_host_sec\": {:.0}}}\n",
-        e2e.0, e2e.1, e2e.2
-    ));
-    out.push_str("}\n");
-    out
-}
-
-/// Pulls `"name": ..., "speedup": ...` pairs out of a baseline JSON.
-/// Hand-rolled (no serde in the workspace), tied to our own writer.
-fn parse_baseline_speedups(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(name_at) = line.find("\"name\": \"") else {
-            continue;
-        };
-        let rest = &line[name_at + 9..];
-        let Some(name_end) = rest.find('"') else {
-            continue;
-        };
-        let name = &rest[..name_end];
-        let Some(sp_at) = line.find("\"speedup\": ") else {
-            continue;
-        };
-        let sp_rest = &line[sp_at + 11..];
-        let digits: String = sp_rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect();
-        if let Ok(speedup) = digits.parse::<f64>() {
-            out.push((name.to_string(), speedup));
-        }
-    }
-    out
 }
 
 fn main() -> ExitCode {
-    let mut scale = 1.0f64;
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut max_regress = 20.0f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v > 0.0 => scale = v,
-                _ => {
-                    eprintln!("--scale requires a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match args.next() {
-                Some(p) => out_path = Some(p),
-                None => {
-                    eprintln!("--out requires a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--check" => match args.next() {
-                Some(p) => check_path = Some(p),
-                None => {
-                    eprintln!("--check requires a baseline file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--max-regress" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v > 0.0 => max_regress = v,
-                _ => {
-                    eprintln!("--max-regress requires a positive percentage");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!(
-                    "unknown argument {other}\n\
-                     usage: pkt_bench [--scale F] [--out FILE] [--check BASELINE] [--max-regress PCT]"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
+    Suite {
+        title: "packet-pool bench",
+        schema: "bench-pkt-pool-v1",
+        keys: ["pooled_ns_per_pkt", "vec_ns_per_pkt"],
+        sides: ["pooled", "vec"],
+        unit: "ns/pkt",
     }
-
-    println!("packet-pool bench (scale {scale}):");
-    let scenarios = run_scenarios(scale);
-    for sc in &scenarios {
-        println!(
-            "  {:<24} pooled {:>7.2} ns/pkt   vec {:>7.2} ns/pkt   speedup {:.2}x",
-            sc.name,
-            sc.pooled_ns,
-            sc.vec_ns,
-            sc.speedup()
-        );
-    }
-    let e2e = end_to_end();
-    println!(
-        "  {:<24} {:.3} host-s for {} events ({:.0} events/host-s)",
-        "testpmd_1518B_40gbps", e2e.0, e2e.1, e2e.2
-    );
-
-    let json = fmt_json(&scenarios, e2e, scale);
-    if let Some(path) = &out_path {
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("error: could not write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-
-    if let Some(path) = &check_path {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: could not read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let base = parse_baseline_speedups(&baseline);
-        if base.is_empty() {
-            eprintln!("error: no speedup entries found in baseline {path}");
-            return ExitCode::FAILURE;
-        }
-        let mut failed = false;
-        for (name, base_speedup) in &base {
-            let Some(sc) = scenarios.iter().find(|s| s.name == name) else {
-                eprintln!("warning: baseline scenario {name} not measured; skipping");
-                continue;
-            };
-            let floor = base_speedup / (1.0 + max_regress / 100.0);
-            let status = if sc.speedup() < floor {
-                failed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!(
-                "  check {name}: speedup {:.2}x vs baseline {:.2}x (floor {:.2}x) {status}",
-                sc.speedup(),
-                base_speedup,
-                floor
-            );
-        }
-        if failed {
-            eprintln!("error: pooled-packet speedup regressed more than {max_regress}% vs {path}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    .main(run_scenarios)
 }

@@ -1,28 +1,16 @@
 //! Event-queue benchmark: ladder [`EventQueue`] vs the
-//! [`BinaryHeapQueue`] reference, plus an end-to-end testpmd-at-knee
-//! run, emitting/checking the committed `BENCH_event_queue.json`.
+//! [`BinaryHeapQueue`] reference, emitting/checking the committed
+//! `BENCH_event_queue.json`. Flags and the check rule are the
+//! `simnet-bench` driver's.
 //!
-//! ```text
-//! queue_bench [--scale F] [--out FILE] [--check BASELINE] [--max-regress PCT]
-//! ```
-//!
-//! * `--scale F` multiplies iteration counts (CI smoke uses 0.2).
-//! * `--out FILE` writes the measured JSON.
-//! * `--check BASELINE` compares the measured ladder-vs-heap *speedup
-//!   ratio* per microbench scenario against the committed baseline and
-//!   exits non-zero if any scenario regressed by more than
-//!   `--max-regress` percent (default 20). Ratios, not absolute
-//!   nanoseconds, so the check is meaningful across host machines.
-//!
-//! The microbench workloads mirror the simulator's real event mix (see
+//! The workloads mirror the simulator's real event mix (see
 //! `PROFILE_KINDS` in `simnet-harness`): a deep steady-state pending set
 //! with near-future churn, same-tick multi-priority cohorts, and
 //! far-future timers crossing the ladder's overflow boundary.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
-use simnet_harness::{run_point, AppSpec, RunConfig, SystemConfig};
+use simnet_bench::{scaled, Scenario, Suite};
 use simnet_sim::event::BinaryHeapQueue;
 use simnet_sim::{EventQueue, Priority, Tick};
 
@@ -181,285 +169,48 @@ fn cohort_flood<Q: Queue>(q: &mut Q, cohorts: u64, width: u64) -> u64 {
     acc
 }
 
-/// Times the two implementations over `reps` **interleaved** repetitions
-/// (ladder, heap, ladder, heap, …) and returns the median ns/event for
-/// each. Interleaving means ambient host noise (a stolen core, a
-/// frequency dip) hits both implementations alike, keeping the *ratio*
-/// stable even when absolute numbers wobble; the median discards stray
-/// slow reps entirely.
-fn time_pair_ns_per_event(
-    reps: u64,
-    events_per_rep: u64,
-    mut ladder: impl FnMut() -> u64,
-    mut heap: impl FnMut() -> u64,
-) -> (f64, f64) {
-    // One warm-up rep each, then the timed ones; black-box the checksum.
-    let mut sink = ladder().wrapping_add(heap());
-    let mut ladder_reps = Vec::with_capacity(reps as usize);
-    let mut heap_reps = Vec::with_capacity(reps as usize);
-    for _ in 0..reps {
-        let start = Instant::now();
-        sink = sink.wrapping_add(ladder());
-        ladder_reps.push(start.elapsed().as_nanos() as f64 / events_per_rep as f64);
-        let start = Instant::now();
-        sink = sink.wrapping_add(heap());
-        heap_reps.push(start.elapsed().as_nanos() as f64 / events_per_rep as f64);
-    }
-    std::hint::black_box(sink);
-    (median(&mut ladder_reps), median(&mut heap_reps))
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_unstable_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-struct Scenario {
-    name: &'static str,
-    ladder_ns: f64,
-    heap_ns: f64,
-}
-
-impl Scenario {
-    fn speedup(&self) -> f64 {
-        self.heap_ns / self.ladder_ns
-    }
-}
-
-fn run_scenarios(scale: f64) -> Vec<Scenario> {
-    let s = |n: u64| ((n as f64 * scale).round() as u64).max(1);
-    let mut out = Vec::new();
-
-    // Scenario 1: bulk load + full drain, 64k events.
-    let n = s(65_536);
-    let (ladder_ns, heap_ns) = time_pair_ns_per_event(
-        9,
+fn run_scenarios(scale: f64, out: &mut Vec<Scenario>) {
+    let (n, depth, steps) = (scaled(65_536, scale), 8_192, scaled(400_000, scale));
+    let (cohorts, width) = (scaled(8_192, scale), 8);
+    Scenario::time(
+        out,
+        "bulk_push_pop_64k",
         2 * n,
         || bulk_push_pop(&mut EventQueue::new(), n),
         || bulk_push_pop(&mut BinaryHeapQueue::new(), n),
     );
-    out.push(Scenario {
-        name: "bulk_push_pop_64k",
-        ladder_ns,
-        heap_ns,
-    });
-
-    // Scenario 2: steady-state churn at simulator-realistic depth.
-    let (depth, steps) = (8_192, s(400_000));
-    let (ladder_ns, heap_ns) = time_pair_ns_per_event(
-        9,
+    // Steady-state churn at simulator-realistic depth.
+    Scenario::time(
+        out,
+        "steady_churn_8k",
         2 * steps,
         || steady_churn(&mut EventQueue::new(), depth, steps),
         || steady_churn(&mut BinaryHeapQueue::new(), depth, steps),
     );
-    out.push(Scenario {
-        name: "steady_churn_8k",
-        ladder_ns,
-        heap_ns,
-    });
-
-    // Scenario 3: shallow sparse churn (the heap's best case).
-    let steps = s(400_000);
-    let (ladder_ns, heap_ns) = time_pair_ns_per_event(
-        9,
+    // Shallow sparse churn (the heap's best case).
+    Scenario::time(
+        out,
+        "shallow_sparse_6",
         2 * steps,
         || shallow_sparse(&mut EventQueue::new(), steps),
         || shallow_sparse(&mut BinaryHeapQueue::new(), steps),
     );
-    out.push(Scenario {
-        name: "shallow_sparse_6",
-        ladder_ns,
-        heap_ns,
-    });
-
-    // Scenario 4: same-tick cohort floods.
-    let (cohorts, width) = (s(8_192), 8);
-    let (ladder_ns, heap_ns) = time_pair_ns_per_event(
-        9,
+    Scenario::time(
+        out,
+        "same_tick_cohorts_8x",
         2 * cohorts * width,
         || cohort_flood(&mut EventQueue::new(), cohorts, width),
         || cohort_flood(&mut BinaryHeapQueue::new(), cohorts, width),
     );
-    out.push(Scenario {
-        name: "same_tick_cohorts_8x",
-        ladder_ns,
-        heap_ns,
-    });
-    out
-}
-
-/// End-to-end: testpmd at the 70 Gbps knee (the Fig. 5 operating point),
-/// timed on the host. The heap is not pluggable into the simulation, so
-/// this row records the ladder's absolute events/second for trending.
-fn end_to_end() -> (f64, u64, f64) {
-    let cfg = SystemConfig::gem5();
-    let start = Instant::now();
-    let s = run_point(&cfg, &AppSpec::TestPmd, 64, 70.0, RunConfig::fast());
-    let host_secs = start.elapsed().as_secs_f64();
-    (host_secs, s.events, s.events as f64 / host_secs)
-}
-
-fn fmt_json(scenarios: &[Scenario], e2e: (f64, u64, f64), scale: f64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"bench-event-queue-v1\",\n");
-    out.push_str(&format!("  \"scale\": {scale},\n"));
-    out.push_str("  \"scenarios\": [\n");
-    for (i, sc) in scenarios.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ladder_ns_per_event\": {:.2}, \"heap_ns_per_event\": {:.2}, \"speedup\": {:.3}}}{}\n",
-            sc.name,
-            sc.ladder_ns,
-            sc.heap_ns,
-            sc.speedup(),
-            if i + 1 < scenarios.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"end_to_end\": {{\"name\": \"testpmd_64B_70gbps_knee\", \"host_secs\": {:.3}, \"events\": {}, \"events_per_host_sec\": {:.0}}}\n",
-        e2e.0, e2e.1, e2e.2
-    ));
-    out.push_str("}\n");
-    out
-}
-
-/// Pulls `"name": ..., "speedup": ...` pairs out of a baseline JSON.
-/// Hand-rolled (no serde in the workspace), tied to our own writer.
-fn parse_baseline_speedups(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(name_at) = line.find("\"name\": \"") else {
-            continue;
-        };
-        let rest = &line[name_at + 9..];
-        let Some(name_end) = rest.find('"') else {
-            continue;
-        };
-        let name = &rest[..name_end];
-        let Some(sp_at) = line.find("\"speedup\": ") else {
-            continue;
-        };
-        let sp_rest = &line[sp_at + 11..];
-        let digits: String = sp_rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect();
-        if let Ok(speedup) = digits.parse::<f64>() {
-            out.push((name.to_string(), speedup));
-        }
-    }
-    out
 }
 
 fn main() -> ExitCode {
-    let mut scale = 1.0f64;
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut max_regress = 20.0f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v > 0.0 => scale = v,
-                _ => {
-                    eprintln!("--scale requires a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match args.next() {
-                Some(p) => out_path = Some(p),
-                None => {
-                    eprintln!("--out requires a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--check" => match args.next() {
-                Some(p) => check_path = Some(p),
-                None => {
-                    eprintln!("--check requires a baseline file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--max-regress" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v > 0.0 => max_regress = v,
-                _ => {
-                    eprintln!("--max-regress requires a positive percentage");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!(
-                    "unknown argument {other}\n\
-                     usage: queue_bench [--scale F] [--out FILE] [--check BASELINE] [--max-regress PCT]"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
+    Suite {
+        title: "event-queue bench",
+        schema: "bench-event-queue-v1",
+        keys: ["ladder_ns_per_event", "heap_ns_per_event"],
+        sides: ["ladder", "heap"],
+        unit: "ns/ev",
     }
-
-    println!("event-queue bench (scale {scale}):");
-    let scenarios = run_scenarios(scale);
-    for sc in &scenarios {
-        println!(
-            "  {:<24} ladder {:>7.2} ns/ev   heap {:>7.2} ns/ev   speedup {:.2}x",
-            sc.name,
-            sc.ladder_ns,
-            sc.heap_ns,
-            sc.speedup()
-        );
-    }
-    let e2e = end_to_end();
-    println!(
-        "  {:<24} {:.3} host-s for {} events ({:.0} events/host-s)",
-        "testpmd_64B_70gbps_knee", e2e.0, e2e.1, e2e.2
-    );
-
-    let json = fmt_json(&scenarios, e2e, scale);
-    if let Some(path) = &out_path {
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("error: could not write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-
-    if let Some(path) = &check_path {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: could not read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let base = parse_baseline_speedups(&baseline);
-        if base.is_empty() {
-            eprintln!("error: no speedup entries found in baseline {path}");
-            return ExitCode::FAILURE;
-        }
-        let mut failed = false;
-        for (name, base_speedup) in &base {
-            let Some(sc) = scenarios.iter().find(|s| s.name == name) else {
-                eprintln!("warning: baseline scenario {name} not measured; skipping");
-                continue;
-            };
-            let floor = base_speedup / (1.0 + max_regress / 100.0);
-            let status = if sc.speedup() < floor {
-                failed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!(
-                "  check {name}: speedup {:.2}x vs baseline {:.2}x (floor {:.2}x) {status}",
-                sc.speedup(),
-                base_speedup,
-                floor
-            );
-        }
-        if failed {
-            eprintln!("error: ladder speedup regressed more than {max_regress}% vs {path}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    .main(run_scenarios)
 }

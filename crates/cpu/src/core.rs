@@ -223,8 +223,8 @@ impl Core {
             mem.set_core_frequency(self.cfg.frequency);
         }
         let done = match self.cfg.kind {
-            CoreKind::InOrder => self.execute_in_order(now, ops, mem),
-            CoreKind::OutOfOrder => self.execute_ooo(now, ops, mem),
+            CoreKind::InOrder => self.run::<true>(now, ops, mem),
+            CoreKind::OutOfOrder => self.run::<false>(now, ops, mem),
         };
         self.stats.total_ticks.add(done - now);
         done
@@ -236,59 +236,21 @@ impl Core {
             .cycles_f64_to_ticks(instructions as f64 / self.cfg.width as f64)
     }
 
-    fn execute_in_order(&mut self, now: Tick, ops: &[Op], mem: &mut MemorySystem) -> Tick {
-        let mut cursor = now;
-        // Even a stall-on-use core has a small store buffer; it uses the
-        // same drain mechanism as the OoO core, just with far fewer
-        // entries, so store-heavy streams back-pressure sooner.
-        let mut stores: VecDeque<Tick> = VecDeque::new();
-        let issue_slot = self
-            .cfg
-            .frequency
-            .cycles_f64_to_ticks(1.0 / self.cfg.width as f64);
-        for op in ops {
-            match *op {
-                Op::Compute(n) => {
-                    let t = self.compute_ticks(n);
-                    cursor += t;
-                    self.stats.compute_ticks.add(t);
-                    self.stats.instructions.add(n);
-                }
-                Op::Load(addr) | Op::DependentLoad(addr) => {
-                    let (lat, _) = mem.core_read(cursor, addr, 8);
-                    cursor += lat; // stall-on-use: every load serializes
-                    self.stats.loads.inc();
-                    self.stats.instructions.inc();
-                }
-                Op::Store(addr) => {
-                    while stores.len() >= self.cfg.sq {
-                        let comp = stores.pop_front().expect("non-empty");
-                        cursor = cursor.max(comp);
-                    }
-                    let (lat, _) = mem.core_write(cursor, addr, 8);
-                    stores.push_back(cursor + lat);
-                    cursor += issue_slot;
-                    self.stats.stores.inc();
-                    self.stats.instructions.inc();
-                }
-                Op::Ifetch(addr) => {
-                    let (lat, level) = mem.instr_fetch(cursor, addr);
-                    if level != HitLevel::L1 {
-                        cursor += lat;
-                    }
-                }
-            }
-        }
-        for comp in stores {
-            cursor = cursor.max(comp);
-        }
-        cursor
-    }
-
-    fn execute_ooo(&mut self, now: Tick, ops: &[Op], mem: &mut MemorySystem) -> Tick {
+    /// The pipeline of both core kinds. `STALL_ON_LOAD` is the in-order
+    /// rule: every load serializes like an [`Op::DependentLoad`], so no
+    /// load is ever outstanding and the ROB and MLP limits never bind.
+    fn run<const STALL_ON_LOAD: bool>(
+        &mut self,
+        now: Tick,
+        ops: &[Op],
+        mem: &mut MemorySystem,
+    ) -> Tick {
         let mut cursor = now;
         // (completion tick, instruction index at issue).
         let mut loads: VecDeque<(Tick, u64)> = VecDeque::new();
+        // Even a stall-on-use core has a small store buffer; it drains
+        // the same way with far fewer entries, so store-heavy streams
+        // back-pressure sooner.
         let mut stores: VecDeque<Tick> = VecDeque::new();
         let mut instr: u64 = 0;
         let mlp_limit = self.cfg.lq.min(mem.config().l1d_mshrs.max(1));
@@ -321,7 +283,7 @@ impl Core {
                     self.stats.instructions.add(n);
                     instr += n;
                 }
-                Op::Load(addr) => {
+                Op::Load(addr) if !STALL_ON_LOAD => {
                     // MSHR/LQ limit: wait for the oldest load if full.
                     while loads.len() >= mlp_limit {
                         let (comp, _) = loads.pop_front().expect("non-empty");
@@ -336,7 +298,7 @@ impl Core {
                     self.stats.instructions.inc();
                     instr += 1;
                 }
-                Op::DependentLoad(addr) => {
+                Op::Load(addr) | Op::DependentLoad(addr) => {
                     let (lat, _) = mem.core_read(cursor, addr, 8);
                     cursor += lat; // serializes the dependence chain
                     self.stats.loads.inc();

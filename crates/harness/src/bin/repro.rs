@@ -204,7 +204,7 @@ fn run_point_mode(
                 Stage::EchoRx => delivered += 1,
                 Stage::Drop { class, .. } => {
                     dropped += 1;
-                    if ev.tick > rc.phases.warmup {
+                    if ev.tick > rc.warmup {
                         match class {
                             trace::DropClass::Dma => dma += 1,
                             trace::DropClass::Core => core += 1,

@@ -15,24 +15,23 @@ use simnet_nic::i8254x::RxCompletion;
 use simnet_sim::Tick;
 use simnet_stack::{AppAction, PacketApp};
 
+/// Instructions per transmitted packet (request build + sampling), a
+/// Pktgen-like cost.
+const PER_TX_INSTRUCTIONS: u64 = 120;
+
+/// Instructions per received packet (latency bookkeeping).
+const PER_RX_INSTRUCTIONS: u64 = 80;
+
 /// A software client wrapping the load-generation machinery.
 pub struct SoftwareClient {
     gen: EtherLoadGen,
-    /// Instructions per transmitted packet (request build + sampling).
-    pub per_tx_instructions: u64,
-    /// Instructions per received packet (latency bookkeeping).
-    pub per_rx_instructions: u64,
 }
 
 impl SoftwareClient {
-    /// Wraps a load generator as a software client with default
-    /// (Pktgen-like) per-packet costs.
+    /// Wraps a load generator as a software client with Pktgen-like
+    /// per-packet costs.
     pub fn new(gen: EtherLoadGen) -> Self {
-        Self {
-            gen,
-            per_tx_instructions: 120,
-            per_rx_instructions: 80,
-        }
+        Self { gen }
     }
 
     /// The wrapped generator (for reports).
@@ -47,7 +46,7 @@ impl PacketApp for SoftwareClient {
     }
 
     fn on_packet(&mut self, completion: RxCompletion, _buf: Addr, ops: &mut Vec<Op>) -> AppAction {
-        ops.push(Op::Compute(self.per_rx_instructions));
+        ops.push(Op::Compute(PER_RX_INSTRUCTIONS));
         self.gen.on_rx(completion.visible_at, &completion.packet);
         AppAction::Consume
     }
@@ -57,7 +56,7 @@ impl PacketApp for SoftwareClient {
         if due > now {
             return None;
         }
-        ops.push(Op::Compute(self.per_tx_instructions));
+        ops.push(Op::Compute(PER_TX_INSTRUCTIONS));
         let frame = self.gen.take(now)?;
         Some(self.gen.build(frame))
     }

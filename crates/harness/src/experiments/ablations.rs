@@ -148,7 +148,7 @@ pub fn open_vs_closed(effort: Effort) -> ExperimentOutput {
         let mut gen = spec.loadgen(&cfg, 0, offered);
         gen.set_closed_loop(window);
         let mut sim = Simulation::loadgen_mode(&cfg, spec.lcores(&cfg), gen);
-        let s = run_phases(&mut sim, RunConfig::long().phases);
+        let s = run_phases(&mut sim, RunConfig::long());
         (window, s)
     });
     for (window, s) in closed {
@@ -203,7 +203,7 @@ pub fn hugepages(effort: Effort) -> ExperimentOutput {
         }
         let loadgen = AppSpec::TestPmd.loadgen(&cfg, size, offered);
         let mut sim = Simulation::loadgen_mode(&cfg, lcores, loadgen);
-        let s = run_phases(&mut sim, RunConfig::fast().phases);
+        let s = run_phases(&mut sim, RunConfig::fast());
         (size, huge, offered, s)
     });
     for (size, huge, offered, s) in rows {
@@ -253,7 +253,7 @@ pub fn interrupt_coalescing(effort: Effort) -> ExperimentOutput {
         lcores[0].0 = Box::new(stack);
         let loadgen = AppSpec::MemcachedKernel.loadgen(&cfg, 0, rate);
         let mut sim = Simulation::loadgen_mode(&cfg, lcores, loadgen);
-        let s = run_phases(&mut sim, RunConfig::long().phases);
+        let s = run_phases(&mut sim, RunConfig::long());
         (itr, s)
     });
     for (itr, s) in rows {

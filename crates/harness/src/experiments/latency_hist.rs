@@ -42,7 +42,7 @@ pub fn run(effort: Effort) -> ExperimentOutput {
     for &offered in loads {
         let mut sim = build_loadgen_sim(&cfg, &AppSpec::TestPmd, 256, offered);
         sim.enable_interval_stats(simnet_sim::tick::us(100));
-        let summary = run_phases(&mut sim, RunConfig::fast().phases);
+        let summary = run_phases(&mut sim, RunConfig::fast());
         sim.finalize_interval_stats();
         if let Some(ts) = sim.take_timeseries() {
             out.artifact(

@@ -26,7 +26,7 @@ pub fn run(effort: Effort) -> ExperimentOutput {
 
     let rows = par_map(windows.to_vec(), |window| {
         let mut sim = build_loadgen_sim(&cfg, &AppSpec::IperfTcp, 1518, window as f64);
-        let summary = run_phases(&mut sim, rc.phases);
+        let summary = run_phases(&mut sim, rc);
         let lg = sim.loadgen.as_ref().expect("loadgen mode");
         let tcp = lg.tcp().expect("tcp mode");
         (

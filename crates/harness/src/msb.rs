@@ -17,7 +17,7 @@ use simnet_stack::{DpdkStack, KernelStack, NetworkStack, PacketApp};
 use crate::client_app::SoftwareClient;
 use crate::config::SystemConfig;
 use crate::sim::{lcore_of, Lcore, Simulation};
-use crate::summary::{run_phases, Phases, RunSummary};
+use crate::summary::{run_phases, RunSummary};
 
 /// Which benchmark to run (§V, plus iperf).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,11 +197,15 @@ pub(crate) fn clamp_offered(cfg: &SystemConfig, spec: &AppSpec, size: usize, off
     }
 }
 
-/// Run configuration for a measurement point.
+/// Run configuration for a measurement point: warm-up then measurement
+/// (§VI.A: "we sufficiently warm up the Test Node's microarchitectural
+/// states ... prior to collecting simulation statistics").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunConfig {
-    /// Warm-up + measurement windows.
-    pub phases: Phases,
+    /// Warm-up window.
+    pub warmup: Tick,
+    /// Measurement window.
+    pub measure: Tick,
 }
 
 impl RunConfig {
@@ -210,20 +214,16 @@ impl RunConfig {
     /// hundreds of microseconds).
     pub fn fast() -> Self {
         Self {
-            phases: Phases {
-                warmup: us(300),
-                measure: us(1_000),
-            },
+            warmup: us(300),
+            measure: us(1_000),
         }
     }
 
     /// Longer windows for low-rate workloads (memcached, kernel stack).
     pub fn long() -> Self {
         Self {
-            phases: Phases {
-                warmup: us(1_000),
-                measure: us(10_000),
-            },
+            warmup: us(1_000),
+            measure: us(10_000),
         }
     }
 
@@ -264,7 +264,7 @@ pub fn run_point(
     // per-packet rate ceiling; clamp the offered load accordingly.
     let offered = clamp_offered(cfg, spec, size, offered);
     let mut sim = build_loadgen_sim(cfg, spec, size, offered);
-    run_phases(&mut sim, rc.phases)
+    run_phases(&mut sim, rc)
 }
 
 /// Assembles a **dual-mode** simulation (Fig. 1a) without running it:
@@ -293,7 +293,7 @@ pub fn run_dual_point(
     rc: RunConfig,
 ) -> RunSummary {
     let mut sim = build_dual_sim(cfg, spec, size, offered);
-    run_phases(&mut sim, rc.phases)
+    run_phases(&mut sim, rc)
 }
 
 /// A completed MSB search.

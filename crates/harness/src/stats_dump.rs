@@ -169,8 +169,8 @@ pub fn stats_text_all(sim: &Simulation, node: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msb::{build_loadgen_sim, AppSpec};
-    use crate::summary::{run_phases, Phases};
+    use crate::msb::{build_loadgen_sim, AppSpec, RunConfig};
+    use crate::summary::run_phases;
     use crate::SystemConfig;
     use simnet_sim::tick::us;
 
@@ -490,7 +490,7 @@ mod tests {
         }
         run_phases(
             &mut sim,
-            Phases {
+            RunConfig {
                 warmup: 0,
                 measure: us(300),
             },
@@ -546,7 +546,7 @@ mod tests {
         let mut sim = build_loadgen_sim(&SystemConfig::gem5(), &AppSpec::TestPmd, 256, 10.0);
         run_phases(
             &mut sim,
-            Phases {
+            RunConfig {
                 warmup: 0,
                 measure: us(300),
             },

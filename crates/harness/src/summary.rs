@@ -3,6 +3,7 @@
 use simnet_loadgen::LoadGenReport;
 use simnet_sim::Tick;
 
+use crate::msb::RunConfig;
 use crate::sim::Simulation;
 
 /// Everything the experiments read out of a measurement window.
@@ -55,28 +56,17 @@ impl RunSummary {
     }
 }
 
-/// Run configuration: warm-up then measurement (§VI.A: "we sufficiently
-/// warm up the Test Node's microarchitectural states ... prior to
-/// collecting simulation statistics").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Phases {
-    /// Warm-up window.
-    pub warmup: Tick,
-    /// Measurement window.
-    pub measure: Tick,
-}
-
 /// Runs warm-up + measurement on an assembled simulation and collects the
 /// summary.
-pub fn run_phases(sim: &mut Simulation, phases: Phases) -> RunSummary {
+pub fn run_phases(sim: &mut Simulation, rc: RunConfig) -> RunSummary {
     let t0 = std::time::Instant::now();
-    if phases.warmup > 0 {
-        sim.run_until(phases.warmup);
+    if rc.warmup > 0 {
+        sim.run_until(rc.warmup);
         sim.reset_stats();
     }
     let events_before = sim.events_executed();
-    let start = phases.warmup;
-    let end = phases.warmup + phases.measure;
+    let start = rc.warmup;
+    let end = rc.warmup + rc.measure;
     sim.run_until(end);
     let host_seconds = t0.elapsed().as_secs_f64();
 
@@ -113,7 +103,7 @@ pub fn run_phases(sim: &mut Simulation, phases: Phases) -> RunSummary {
         fault_drops: fsm.fault_drops.value(),
         llc_miss_rate: node.mem.llc_stats().core_miss_rate(),
         row_hit_rate: node.mem.dram_stats().row_hit_rate(),
-        window: phases.measure,
+        window: rc.measure,
         host_seconds,
         events: sim.events_executed() - events_before,
         report,

@@ -94,7 +94,7 @@ pub fn run_observed(
     if opts.profile {
         sim.enable_profiler();
     }
-    let summary = run_phases(&mut sim, rc.phases);
+    let summary = run_phases(&mut sim, rc);
     sim.finalize_interval_stats();
     let evicted = sim.tracer().evicted();
     let events = sim.take_trace();

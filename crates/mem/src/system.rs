@@ -602,17 +602,11 @@ impl MemorySystem {
         }
     }
 
-    /// NIC DMA write of `size` bytes at `addr` (packet RX data or
-    /// descriptor writeback). Crosses the RX I/O bus; lands in the LLC DCA
-    /// partition when DCA is enabled, else in DRAM. Returns the completion
-    /// tick.
-    pub fn dma_write(&mut self, now: Tick, addr: Addr, size: u64) -> Tick {
-        self.dma_write_timed(now, addr, size).complete
-    }
-
-    /// Like [`MemorySystem::dma_write`] but exposes the pipelining point:
-    /// the DMA engine may issue its next transaction once the I/O bus
-    /// transfer finishes, before the data lands in LLC/DRAM.
+    /// NIC DMA write of `size` bytes at `addr` (packet RX data). Crosses
+    /// the RX I/O bus; lands in the LLC DCA partition when DCA is enabled,
+    /// else in DRAM. Exposes the pipelining point: the DMA engine may
+    /// issue its next transaction once the I/O bus transfer finishes
+    /// (`next_issue`), before the data lands in LLC/DRAM (`complete`).
     pub fn dma_write_timed(&mut self, now: Tick, addr: Addr, size: u64) -> DmaTiming {
         let now = now + self.dma_fault_delay(now);
         let dca = self.cfg.dca_enabled && !self.dca_forced_miss(now);
@@ -637,14 +631,6 @@ impl MemorySystem {
             next_issue: t_bus,
             complete: done,
         }
-    }
-
-    /// NIC DMA read of `size` bytes at `addr` (packet TX data or descriptor
-    /// fetch). Sources each line from the LLC if resident (the DCA TX-side
-    /// benefit) else DRAM, then crosses the TX I/O bus. Returns the
-    /// completion tick.
-    pub fn dma_read(&mut self, now: Tick, addr: Addr, size: u64) -> Tick {
-        self.dma_read_timed(now, addr, size).complete
     }
 
     /// A *control-path* DMA write (descriptor writeback): lands in the
@@ -692,9 +678,12 @@ impl MemorySystem {
         }
     }
 
-    /// Like [`MemorySystem::dma_read`] but exposes the pipelining point:
+    /// NIC DMA read of `size` bytes at `addr` (packet TX data). Sources
+    /// each line from the LLC if resident (the DCA TX-side benefit) else
+    /// DRAM, then crosses the TX I/O bus. Exposes the pipelining point:
     /// the next transaction's memory fetch may start once this one's data
-    /// is ready (the bus transfer is already queued in order).
+    /// is ready (`next_issue`; the bus transfer is already queued in
+    /// order), and the read completes when the transfer does (`complete`).
     pub fn dma_read_timed(&mut self, now: Tick, addr: Addr, size: u64) -> DmaTiming {
         let now = now + self.dma_fault_delay(now);
         let lines = lines_touched(addr, size.max(1));
@@ -777,7 +766,7 @@ mod tests {
     fn dca_write_lands_in_llc() {
         let mut mem = system();
         let addr = layout::mbuf_addr(0);
-        mem.dma_write(0, addr, 1518);
+        mem.dma_write_timed(0, addr, 1518);
         let (_, level) = mem.core_read(10_000_000, addr, 8);
         assert_eq!(level, HitLevel::Llc);
     }
@@ -786,7 +775,7 @@ mod tests {
     fn without_dca_write_lands_in_dram() {
         let mut mem = MemorySystem::new(MemoryConfig::table1_gem5().without_dca());
         let addr = layout::mbuf_addr(0);
-        mem.dma_write(0, addr, 1518);
+        mem.dma_write_timed(0, addr, 1518);
         let (_, level) = mem.core_read(10_000_000, addr, 8);
         assert_eq!(level, HitLevel::Dram);
     }
@@ -796,7 +785,7 @@ mod tests {
         let mut mem = system();
         let addr = layout::mbuf_addr(1);
         mem.core_read(0, addr, 8); // cached in L1/L2/LLC
-        mem.dma_write(1_000_000, addr, 64);
+        mem.dma_write_timed(1_000_000, addr, 64);
         // The next core read must not hit a stale L1 copy; with DCA it hits
         // the LLC (fresh DMA data).
         let (_, level) = mem.core_read(2_000_000, addr, 8);
@@ -807,10 +796,10 @@ mod tests {
     fn dma_read_prefers_llc_resident_lines() {
         let mut mem = system();
         let addr = layout::mbuf_addr(2);
-        mem.dma_write(0, addr, 64); // resident in DCA ways
-        let t_hit = mem.dma_read(1_000_000, addr, 64) - 1_000_000;
+        mem.dma_write_timed(0, addr, 64); // resident in DCA ways
+        let t_hit = mem.dma_read_timed(1_000_000, addr, 64).complete - 1_000_000;
         let far = layout::mbuf_addr(1000);
-        let t_miss = mem.dma_read(2_000_000, far, 64) - 2_000_000;
+        let t_miss = mem.dma_read_timed(2_000_000, far, 64).complete - 2_000_000;
         assert!(
             t_hit < t_miss,
             "llc-sourced {t_hit} < dram-sourced {t_miss}"
@@ -844,7 +833,7 @@ mod tests {
         let inj = FaultInjector::new(plan, 1);
         mem.set_fault_injector(inj.clone());
         let addr = layout::mbuf_addr(0);
-        mem.dma_write(0, addr, 1518);
+        mem.dma_write_timed(0, addr, 1518);
         let (_, level) = mem.core_read(10_000_000, addr, 8);
         assert_eq!(level, HitLevel::Dram, "forced miss bypasses the LLC");
         assert!(inj.counts().dca_forced_misses > 0);
@@ -857,7 +846,7 @@ mod tests {
         // serializes them.
         let mut done = 0;
         for i in 0..100 {
-            done = mem.dma_write(0, layout::mbuf_addr(i), 1518);
+            done = mem.dma_write_timed(0, layout::mbuf_addr(i), 1518).complete;
         }
         let gbps = simnet_sim::tick::Bandwidth::measured_gbps(1518 * 100, done);
         assert!(gbps < 60.0, "must not exceed raw bus bandwidth: {gbps}");
@@ -892,7 +881,7 @@ mod tests {
         use simnet_sim::stats::StatsRegistry;
         let mut mem = system();
         mem.core_read(0, 0xA100_0000, 8);
-        mem.dma_write(0, layout::mbuf_addr(7), 256);
+        mem.dma_write_timed(0, layout::mbuf_addr(7), 256);
         let mut reg = StatsRegistry::new();
         mem.register_stats(1_000_000, &mut reg);
         for path in [
@@ -931,7 +920,7 @@ mod tests {
             mem.set_active_core(c);
             mem.core_read(0, addr, 8);
         }
-        mem.dma_write(1_000_000, addr, 64);
+        mem.dma_write_timed(1_000_000, addr, 64);
         for c in 0..2 {
             mem.set_active_core(c);
             let (_, level) = mem.core_read(2_000_000, addr, 8);
@@ -943,7 +932,7 @@ mod tests {
     fn stats_reset_clears_counters() {
         let mut mem = system();
         mem.core_read(0, 0xA000_0000, 8);
-        mem.dma_write(0, layout::mbuf_addr(5), 256);
+        mem.dma_write_timed(0, layout::mbuf_addr(5), 256);
         assert!(mem.llc_stats().accesses() > 0 || mem.dram_stats().reads.value() > 0);
         mem.reset_stats();
         assert_eq!(mem.l1d_stats().accesses(), 0);

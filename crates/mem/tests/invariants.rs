@@ -74,13 +74,13 @@ proptest! {
                 Step::CoreWrite(a) => { mem.core_write(now, a, 8); }
                 Step::Ifetch(a) => { mem.instr_fetch(now, a); }
                 Step::DmaWrite(slot, len) => {
-                    mem.dma_write(now, layout::mbuf_addr(slot), len as u64);
+                    mem.dma_write_timed(now, layout::mbuf_addr(slot), len as u64);
                 }
                 Step::DmaWriteControl(slot, len) => {
                     mem.dma_write_control(now, layout::mbuf_addr(slot), len as u64);
                 }
                 Step::DmaRead(slot, len) => {
-                    mem.dma_read(now, layout::mbuf_addr(slot), len as u64);
+                    mem.dma_read_timed(now, layout::mbuf_addr(slot), len as u64);
                 }
                 Step::SetActiveCore(c) => mem.set_active_core(c % cores),
             }
@@ -100,7 +100,7 @@ proptest! {
         let mut last_done = 0u64;
         for (i, len) in lens.iter().enumerate() {
             now += 50_000;
-            let done = mem.dma_write(now, layout::mbuf_addr(i % 1024), *len);
+            let done = mem.dma_write_timed(now, layout::mbuf_addr(i % 1024), *len).complete;
             prop_assert!(done >= now, "completion precedes issue");
             prop_assert!(done >= last_done, "bus order violated");
             last_done = done;
@@ -131,7 +131,7 @@ fn dca_partition_bounds_dma_occupancy() {
     // DMA fills can never occupy more than dca_ways/assoc of the LLC.
     let mut mem = MemorySystem::new(small_config()); // 128 KiB LLC, 2/8 DCA
     for slot in 0..4096 {
-        mem.dma_write(slot as u64 * 1000, layout::mbuf_addr(slot % 2048), 1518);
+        mem.dma_write_timed(slot as u64 * 1000, layout::mbuf_addr(slot % 2048), 1518);
     }
     // Count resident mbuf-region lines in the LLC via probing.
     let resident = (0..2048 * 32)

@@ -13,15 +13,15 @@
 //!
 //! * [`mac`] — MAC addresses.
 //! * [`ethernet`] — Ethernet II framing.
-//! * [`ipv4`] / [`udp`] — minimal L3/L4 headers with checksums.
+//! * [`ipv4`] / [`udp`] / [`tcp`] — minimal L3/L4 headers, with the
+//!   Internet [`checksum`].
 //! * [`packet`] — the [`Packet`] buffer and [`PacketBuilder`].
 //! * [`pool`] — the DPDK-mempool-style recycled buffer arena backing
 //!   [`Packet`] storage.
 //! * [`rss`] — the Toeplitz receive-side-scaling hash steering flows to
 //!   RX queues.
-//! * [`topo`] — topology graphs: named nodes joined by links carrying
-//!   latency/bandwidth/queue/loss policies, plus the MAC-forwarding
-//!   switch.
+//! * [`topo`] — directed links carrying latency/bandwidth/queue/loss
+//!   policies, plus the MAC-forwarding switch.
 //! * [`timestamp`] — the load generator's in-payload timestamps (§IV).
 //! * [`pcap`] — PCAP file reading/writing (tcpdump/dpdk-pdump stand-in).
 //! * [`proto`] — application protocols (memcached-over-UDP).

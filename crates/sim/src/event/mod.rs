@@ -102,7 +102,8 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue at tick 0 with the default ladder geometry
-    /// (2048 buckets of 4.096 ns — an ~8.4 µs near-future window).
+    /// (4096 buckets of 2^15 ticks, 32.8 ns — a ~134 µs near-future
+    /// window).
     pub fn new() -> Self {
         Self::from_ladder(LadderQueue::new())
     }
@@ -364,16 +365,16 @@ mod tests {
 
     #[test]
     fn far_future_events_cross_the_overflow_boundary() {
-        // Default window is ~8.4 µs; schedule well past it.
+        // Default window is ~134 µs; schedule well past it.
         let mut q = EventQueue::new();
-        q.schedule(tick::us(100), "sample");
+        q.schedule(tick::us(500), "sample");
         q.schedule(tick::ns(5), "hot");
         q.schedule(tick::us(10), "probe");
         assert_eq!(q.peek_tick(), Some(tick::ns(5)));
         assert_eq!(q.pop().unwrap().payload, "hot");
         assert_eq!(q.pop().unwrap().payload, "probe");
         assert_eq!(q.pop().unwrap().payload, "sample");
-        assert_eq!(q.now(), tick::us(100));
+        assert_eq!(q.now(), tick::us(500));
     }
 
     #[test]

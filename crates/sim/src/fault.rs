@@ -24,7 +24,7 @@
 //! | `nic.fifo_stuck=2us@20us` | RX FIFO reads stuck-full for 2 µs every 20 µs |
 //! | `nic.wb_delay=500ns@10%` | Descriptor writeback delayed 500 ns with p=10 % |
 //! | `nic.wb_corrupt=1%` | Descriptor writeback corrupted (frame lost) with p=1 % |
-//! | `pci.stall=200ns@10%` | Config-space read stalls 200 ns with p=10 % |
+//! | `pci.stall=200ns@10%` | Timed config-space read stalls 200 ns with p=10 % (the simulated datapath issues none) |
 //! | `pci.master_clear=1us@50us` | Bus-master enable reads cleared for 1 µs every 50 µs |
 //! | `dma.burst=+500ns/1us@10us` | +500 ns DMA latency during 1 µs bursts every 10 µs |
 //! | `dma.dca_miss=20%` | DCA placement forced to miss (DRAM) with p=20 % |

@@ -39,14 +39,14 @@ fn arb_priority() -> impl Strategy<Value = i16> {
 }
 
 /// Deltas spanning all three ladder regimes: the active cohort (0),
-/// nearby buckets, and far past the ~8.4 µs default window (forcing
-/// overflow inserts, pulls, and empty-ring jumps).
+/// nearby buckets, and past the ~134 µs default window (4096 buckets of
+/// 2^15 ticks), forcing overflow inserts, pulls, and empty-ring jumps.
 fn arb_dt() -> impl Strategy<Value = u64> {
     prop_oneof![
-        4 => Just(0u64),            // same-tick flood / cohort insert
-        4 => 1u64..5_000,           // same and adjacent buckets
-        2 => 5_000u64..2_000_000,   // across the window ring
-        2 => 8_000_000u64..40_000_000, // overflow heap + window jump
+        4 => Just(0u64),                    // same-tick flood / cohort insert
+        4 => 1u64..5_000,                   // same and adjacent buckets
+        2 => 5_000u64..2_000_000,           // across the window ring
+        2 => 140_000_000u64..2_000_000_000, // overflow heap + window jump
     ]
 }
 
@@ -242,7 +242,7 @@ proptest! {
 fn clear_mid_window_resets_cleanly() {
     let mut q = EventQueue::new();
     let mut r = BinaryHeapQueue::new();
-    for (i, t) in [100u64, 100, 100, 5_000, 2_000_000, 60_000_000]
+    for (i, t) in [100u64, 100, 100, 5_000, 2_000_000, 200_000_000]
         .iter()
         .enumerate()
     {
@@ -260,9 +260,9 @@ fn clear_mid_window_resets_cleanly() {
     assert_eq!(q.peek_tick(), None);
     // The cleared queue keeps working, from `now` out past the window.
     q.schedule(100, 7);
-    q.schedule(90_000_000, 8);
+    q.schedule(300_000_000, 8);
     r.schedule(100, 7);
-    r.schedule(90_000_000, 8);
+    r.schedule(300_000_000, 8);
     for _ in 0..2 {
         let (a, b) = (q.pop().unwrap(), r.pop().unwrap());
         assert_eq!((a.tick, a.seq, a.payload), (b.tick, b.seq, b.payload));

@@ -6,8 +6,8 @@
 //! cargo run --release --example packet_capture [CAPTURE.pcap]
 //! ```
 
-use simnet::harness::summary::{run_phases, Phases};
-use simnet::harness::{build_loadgen_sim, AppSpec, Simulation, SystemConfig};
+use simnet::harness::summary::run_phases;
+use simnet::harness::{build_loadgen_sim, AppSpec, RunConfig, Simulation, SystemConfig};
 use simnet::loadgen::trace::Pacing;
 use simnet::loadgen::{EtherLoadGen, LoadGenMode, TraceConfig};
 use simnet::net::pcap::PcapReader;
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     sim.enable_capture();
     run_phases(
         &mut sim,
-        Phases {
+        RunConfig {
             warmup: us(200),
             measure: us(2_000),
         },
@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut replay = Simulation::loadgen_mode(&cfg, lcores, replay_gen);
     let summary = run_phases(
         &mut replay,
-        Phases {
+        RunConfig {
             warmup: 0,
             measure: us(2_400),
         },

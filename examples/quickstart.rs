@@ -6,8 +6,8 @@
 //! cargo run --release --example quickstart [GBPS] [FRAME_BYTES]
 //! ```
 
-use simnet::harness::summary::{run_phases, Phases};
-use simnet::harness::{build_loadgen_sim, stats_text};
+use simnet::harness::summary::run_phases;
+use simnet::harness::{build_loadgen_sim, stats_text, RunConfig};
 use simnet::prelude::*;
 use simnet::sim::tick::us;
 
@@ -69,7 +69,7 @@ fn main() {
     let mut sim = build_loadgen_sim(&cfg, &AppSpec::TestPmd, frame, gbps);
     run_phases(
         &mut sim,
-        Phases {
+        RunConfig {
             warmup: us(300),
             measure: us(1_000),
         },

@@ -18,7 +18,8 @@
 //! * [`nic`] — the i8254x-style NIC with the drop-classification FSM.
 //! * [`stack`] — the DPDK and kernel software network stacks.
 //! * [`apps`] — TestPMD, TouchFwd, TouchDrop, RXpTX, both memcacheds, iperf.
-//! * [`loadgen`] — `EtherLoadGen` (synthetic / trace / memcached-client).
+//! * [`loadgen`] — `EtherLoadGen` (synthetic / trace / memcached-client /
+//!   TCP-stream client).
 //! * [`harness`] — node assembly, MSB search, and every paper experiment.
 //!
 //! # Quickstart

@@ -2,8 +2,10 @@
 //! round-trip, and trace-mode replay (§IV's dpdk-pdump workflow).
 
 use simnet::harness::config::TopoConfig;
-use simnet::harness::summary::{run_phases, Phases};
-use simnet::harness::{build_loadgen_sim, stats_text, AppSpec, Simulation, SystemConfig};
+use simnet::harness::summary::run_phases;
+use simnet::harness::{
+    build_loadgen_sim, stats_text, AppSpec, RunConfig, Simulation, SystemConfig,
+};
 use simnet::loadgen::trace::Pacing;
 use simnet::loadgen::{EtherLoadGen, LoadGenMode, TraceConfig};
 use simnet::net::pcap::PcapReader;
@@ -28,7 +30,7 @@ fn capture_point(
     sim.enable_capture();
     run_phases(
         &mut sim,
-        Phases {
+        RunConfig {
             warmup: 0,
             measure: us(measure_us),
         },
@@ -143,7 +145,7 @@ fn replaying_a_capture_reproduces_the_load() {
     let mut sim = Simulation::loadgen_mode(&cfg, lcores, loadgen);
     let summary = run_phases(
         &mut sim,
-        Phases {
+        RunConfig {
             warmup: 0,
             measure: us(900),
         },

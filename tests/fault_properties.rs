@@ -5,7 +5,7 @@
 //! hanging or blowing up the event count.
 
 use proptest::prelude::*;
-use simnet::harness::summary::{run_phases, Phases};
+use simnet::harness::summary::run_phases;
 use simnet::harness::{build_loadgen_sim, AppSpec, RunConfig, SystemConfig};
 use simnet::net::MIN_FRAME_LEN;
 use simnet::sim::fault::{Burst, Delayed, FaultInjector, FaultPlan, Window};
@@ -172,12 +172,9 @@ fn faulted_run(plan: FaultPlan, seed: u64, gbps: f64, window: Tick) -> (u64, u64
     run_phases(
         &mut sim,
         RunConfig {
-            phases: Phases {
-                warmup: 0,
-                measure: window,
-            },
-        }
-        .phases,
+            warmup: 0,
+            measure: window,
+        },
     );
     let lg = sim.loadgen.as_ref().expect("loadgen mode");
     let fsm = sim.nodes[0].nic.drop_fsm();
@@ -204,7 +201,7 @@ fn faulted_run_mq(
     sim.install_faults(FaultInjector::new(plan, seed));
     run_phases(
         &mut sim,
-        Phases {
+        RunConfig {
             warmup: 0,
             measure: window,
         },

@@ -11,7 +11,7 @@
 //! ```
 
 use simnet::harness::config::TopoConfig;
-use simnet::harness::summary::{run_phases, Phases};
+use simnet::harness::summary::run_phases;
 use simnet::harness::{
     build_dual_sim, build_loadgen_sim, run_observed, stats_text_all, AppSpec, ObserveOpts,
     ObservedRun, RunConfig, Simulation, SystemConfig,
@@ -33,10 +33,8 @@ fn traced(
     faults: FaultInjector,
 ) -> ObservedRun {
     let rc = RunConfig {
-        phases: Phases {
-            warmup: 0,
-            measure: us(measure_us),
-        },
+        warmup: 0,
+        measure: us(measure_us),
     };
     let opts = ObserveOpts {
         trace: Some((capacity, Component::ALL_MASK)),
@@ -162,7 +160,7 @@ fn trace_and_dumps(mut sim: Simulation, measure_us: u64) -> String {
     sim.enable_trace(1 << 16, Component::ALL_MASK);
     run_phases(
         &mut sim,
-        Phases {
+        RunConfig {
             warmup: 0,
             measure: us(measure_us),
         },
@@ -404,10 +402,8 @@ fn memcached_kernel_small_tx_ring_matches_committed_golden_file() {
 fn trace_filter_restricts_components() {
     let cfg = SystemConfig::gem5();
     let rc = RunConfig {
-        phases: Phases {
-            warmup: 0,
-            measure: us(250),
-        },
+        warmup: 0,
+        measure: us(250),
     };
     let opts = ObserveOpts {
         trace: Some((1 << 16, Component::Nic.bit())),

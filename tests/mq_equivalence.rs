@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use simnet::apps::{Iperf, TestPmd};
 use simnet::harness::sim::Lcore;
-use simnet::harness::summary::{run_phases, Phases};
+use simnet::harness::summary::run_phases;
 use simnet::harness::{
     build_loadgen_sim, run_point, stats_text_all, AppSpec, RunConfig, Simulation, SystemConfig,
 };
@@ -41,7 +41,7 @@ struct Observed {
 
 /// Drives an assembled simulation through the common observability
 /// harness and captures the full observable surface.
-fn observe(mut sim: Simulation, plan: &str, phases: Phases) -> Observed {
+fn observe(mut sim: Simulation, plan: &str, phases: RunConfig) -> Observed {
     sim.enable_trace(1 << 20, Component::ALL_MASK);
     if !plan.is_empty() {
         let plan = FaultPlan::parse(plan).expect("valid plan");
@@ -116,7 +116,7 @@ fn assert_equivalent(a: &Observed, b: &Observed, label: &str) {
     );
 }
 
-const SHORT: Phases = Phases {
+const SHORT: RunConfig = RunConfig {
     warmup: us(50),
     measure: us(150),
 };
@@ -172,7 +172,7 @@ fn multi_queue_replay_is_deterministic() {
 /// stay deterministic under replay.
 #[test]
 fn sharded_memcached_uses_every_queue_and_replays_identically() {
-    let phases = Phases {
+    let phases = RunConfig {
         warmup: us(500),
         measure: us(2_000),
     };
@@ -216,7 +216,7 @@ fn sharded_memcached_answers_every_get_from_its_own_shard() {
         for (nq, lcores) in [(2usize, 2usize), (4, 2), (4, 3), (4, 4), (8, 8)] {
             let cfg = SystemConfig::gem5().with_queues(nq).with_lcores(lcores);
             let mut sim = build_loadgen_sim(&cfg, &spec, 0, krps);
-            let phases = Phases {
+            let phases = RunConfig {
                 warmup: us(200),
                 measure,
             };

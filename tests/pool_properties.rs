@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use simnet::harness::config::TopoConfig;
-use simnet::harness::summary::{run_phases, Phases};
+use simnet::harness::summary::run_phases;
 use simnet::harness::{build_loadgen_sim, AppSpec, RunConfig, SystemConfig};
 use simnet::net::pool;
 use simnet::net::{Packet, MAX_FRAME_LEN};
@@ -112,7 +112,7 @@ fn faulted_ledger(plan: &str, size: usize, gbps: f64) -> pool::PoolStats {
     }
     run_phases(
         &mut sim,
-        Phases {
+        RunConfig {
             warmup: us(100),
             measure: us(400),
         },
@@ -139,7 +139,7 @@ fn faulted_ledger_mq(
     }
     run_phases(
         &mut sim,
-        Phases {
+        RunConfig {
             warmup: us(100),
             measure: us(400),
         },
@@ -277,7 +277,7 @@ fn only_admitted_frames_hold_pool_buffers() {
     let incast = SystemConfig::gem5().with_topo(TopoConfig::incast(8).with_trunk_queue(512));
     for (cfg, size, gbps) in [(knee, 64, 70.0), (incast, 1518, 120.0)] {
         let mut sim = build_loadgen_sim(&cfg, &AppSpec::TestPmd, size, gbps);
-        let summary = run_phases(&mut sim, RunConfig::fast().phases);
+        let summary = run_phases(&mut sim, RunConfig::fast());
         let stats = pool::stats();
         let admitted = sim.nodes[0].nic.stats().rx_frames.value();
         assert!(

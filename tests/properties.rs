@@ -3,7 +3,7 @@
 //! (valid) loads and frame sizes.
 
 use proptest::prelude::*;
-use simnet::harness::summary::{run_phases, Phases};
+use simnet::harness::summary::run_phases;
 use simnet::harness::{build_loadgen_sim, AppSpec, RunConfig, SystemConfig};
 use simnet::net::pcap::{PcapReader, PcapWriter};
 use simnet::net::{PacketBuilder, MIN_FRAME_LEN};
@@ -11,10 +11,8 @@ use simnet::sim::tick::us;
 
 fn quick_phases() -> RunConfig {
     RunConfig {
-        phases: Phases {
-            warmup: us(100),
-            measure: us(300),
-        },
+        warmup: us(100),
+        measure: us(300),
     }
 }
 
@@ -33,7 +31,7 @@ proptest! {
     ) {
         let cfg = SystemConfig::gem5();
         let mut sim = build_loadgen_sim(&cfg, &AppSpec::TestPmd, size, gbps);
-        run_phases(&mut sim, quick_phases().phases);
+        run_phases(&mut sim, quick_phases());
 
         let lg = sim.loadgen.as_ref().expect("loadgen mode");
         let fsm = sim.nodes[0].nic.drop_fsm();

@@ -2,8 +2,8 @@
 //! future-work extension) streaming into a TCP sink on the simulated
 //! kernel stack, over the full NIC/DMA/memory/core pipeline.
 
-use simnet::harness::summary::{run_phases, Phases};
-use simnet::harness::{build_loadgen_sim, AppSpec, Simulation, SystemConfig};
+use simnet::harness::summary::run_phases;
+use simnet::harness::{build_loadgen_sim, AppSpec, RunConfig, Simulation, SystemConfig};
 use simnet::sim::tick::us;
 
 fn tcp_run(window: usize, measure_us: u64) -> (Simulation, simnet::harness::RunSummary) {
@@ -11,7 +11,7 @@ fn tcp_run(window: usize, measure_us: u64) -> (Simulation, simnet::harness::RunS
     let mut sim = build_loadgen_sim(&cfg, &AppSpec::IperfTcp, 1518, window as f64);
     let summary = run_phases(
         &mut sim,
-        Phases {
+        RunConfig {
             warmup: us(1_000),
             measure: us(measure_us),
         },

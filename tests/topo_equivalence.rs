@@ -13,8 +13,10 @@
 
 use proptest::prelude::*;
 use simnet::harness::config::TopoConfig;
-use simnet::harness::summary::{run_phases, Phases};
-use simnet::harness::{build_loadgen_sim, stats_text_all, AppSpec, Simulation, SystemConfig};
+use simnet::harness::summary::run_phases;
+use simnet::harness::{
+    build_loadgen_sim, stats_text_all, AppSpec, RunConfig, Simulation, SystemConfig,
+};
 use simnet::net::pool;
 use simnet::net::topo::{LinkPolicy, TopoLink, Verdict};
 use simnet::sim::tick::{ns, us, Bandwidth};
@@ -33,7 +35,7 @@ struct Observed {
 }
 
 /// Drives an assembled simulation and captures the observable surface.
-fn observe(mut sim: Simulation, phases: Phases) -> Observed {
+fn observe(mut sim: Simulation, phases: RunConfig) -> Observed {
     sim.enable_trace(1 << 20, Component::ALL_MASK);
     let summary = run_phases(&mut sim, phases);
     let events = sim.take_trace();
@@ -74,7 +76,7 @@ fn assert_equivalent(a: &Observed, b: &Observed, label: &str) {
     );
 }
 
-const SHORT: Phases = Phases {
+const SHORT: RunConfig = RunConfig {
     warmup: us(50),
     measure: us(150),
 };
@@ -128,7 +130,7 @@ fn degenerate_runs_keep_the_stats_dump_clean() {
 /// observable byte, and the run actually moves traffic.
 #[test]
 fn incast_replay_is_deterministic() {
-    let phases = Phases {
+    let phases = RunConfig {
         warmup: us(100),
         measure: us(400),
     };

@@ -10,7 +10,6 @@
 
 use std::collections::HashMap;
 
-use simnet::harness::summary::Phases;
 use simnet::harness::{run_observed, AppSpec, ObserveOpts, RunConfig, SystemConfig};
 use simnet::net::MIN_FRAME_LEN;
 use simnet::sim::fault::{FaultInjector, FaultPlan};
@@ -22,10 +21,8 @@ fn overloaded_run() -> (Vec<TraceEvent>, simnet::harness::RunSummary) {
     // No warm-up so the FSM counters in the summary cover exactly the
     // traced window, making trace/counter agreement an equality.
     let rc = RunConfig {
-        phases: Phases {
-            warmup: 0,
-            measure: us(800),
-        },
+        warmup: 0,
+        measure: us(800),
     };
     let opts = ObserveOpts {
         trace: Some((1 << 22, Component::ALL_MASK)),
@@ -142,10 +139,8 @@ fn packet_conservation_holds_across_fault_matrix() {
     let cfg = SystemConfig::gem5();
     // No warm-up: summary counters cover exactly the traced window.
     let rc = RunConfig {
-        phases: Phases {
-            warmup: 0,
-            measure: us(400),
-        },
+        warmup: 0,
+        measure: us(400),
     };
     let apps = [AppSpec::TestPmd, AppSpec::TouchFwd];
     let plans = [
