@@ -9,6 +9,7 @@ use std::collections::HashMap;
 
 use simnet_cpu::{ops, Op};
 use simnet_mem::{layout, Addr};
+use simnet_net::proto::memcached::{nth_key_into, NTH_KEY_LEN};
 use simnet_sim::random::{SimRng, Zipf};
 use simnet_sim::stats::Counter;
 
@@ -200,7 +201,7 @@ impl KvStore {
     }
 
     /// Warms the store with those of `count` keys named by
-    /// [`simnet_net::proto::memcached::nth_key`] that `keep` accepts, with
+    /// [`nth_key_into`] that `keep` accepts, with
     /// Zipfian value lengths — the paper warms "the Memcached server with
     /// 5000 keys" (§VI.A). The RNG is drawn for every key, kept or not,
     /// so stores warmed from one seed agree on every value they share.
@@ -212,8 +213,9 @@ impl KvStore {
         keep: impl Fn(&[u8]) -> bool,
     ) {
         let mut scratch = Vec::new();
+        let mut key = [0u8; NTH_KEY_LEN];
         for i in 0..count {
-            let key = simnet_net::proto::memcached::nth_key(i);
+            nth_key_into(i, &mut key);
             let len = lengths.sample(rng) as usize;
             if !keep(&key) {
                 continue;
@@ -228,7 +230,13 @@ impl KvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet_net::proto::memcached::nth_key;
+
+    /// The `i`-th key name.
+    fn key_name(i: u64) -> [u8; NTH_KEY_LEN] {
+        let mut key = [0u8; NTH_KEY_LEN];
+        nth_key_into(i, &mut key);
+        key
+    }
 
     #[test]
     fn set_get_round_trip() {
@@ -284,7 +292,7 @@ mod tests {
         store.warm(5000, &zipf, &mut rng, |_| true);
         assert_eq!(store.len(), 5000);
         let mut ops = Vec::new();
-        let v = store.get(&nth_key(1234), &mut ops).expect("warmed key");
+        let v = store.get(&key_name(1234), &mut ops).expect("warmed key");
         assert!((10..=100).contains(&v.len()));
     }
 
@@ -314,7 +322,7 @@ mod tests {
             total += shard.len();
             // Spot-check one kept key against the whole store.
             for i in 0..5000u64 {
-                let key = nth_key(i);
+                let key = key_name(i);
                 if part_of(&key) == part {
                     let mut ops = Vec::new();
                     let got = shard.get(&key, &mut ops).expect("shard keeps key");

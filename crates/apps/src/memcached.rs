@@ -225,7 +225,8 @@ impl PacketApp for MemcachedKernel {
 mod tests {
     use super::*;
     use simnet_net::proto::memcached::{
-        decode_response_datagram, encode_request_datagram, nth_key,
+        decode_response_datagram, encode_request_datagram_into, nth_key_into, request_datagram_len,
+        NTH_KEY_LEN,
     };
     use simnet_net::MacAddr;
     use simnet_sim::random::{SimRng, Zipf};
@@ -241,8 +242,16 @@ mod tests {
         store
     }
 
+    /// The `i`-th key name.
+    fn key_name(i: u64) -> [u8; NTH_KEY_LEN] {
+        let mut key = [0u8; NTH_KEY_LEN];
+        nth_key_into(i, &mut key);
+        key
+    }
+
     fn request_packet(request_id: u16, request: &Request) -> RxCompletion {
-        let datagram = encode_request_datagram(request_id, request);
+        let mut datagram = vec![0u8; request_datagram_len(request)];
+        encode_request_datagram_into(&mut datagram, request_id, request);
         RxCompletion {
             visible_at: 0,
             packet: PacketBuilder::new()
@@ -259,7 +268,7 @@ mod tests {
     #[test]
     fn get_hit_produces_addressed_reply() {
         let mut app = MemcachedDpdk::new(warm_store());
-        let completion = request_packet(42, &Request::Get { key: &nth_key(5) });
+        let completion = request_packet(42, &Request::Get { key: &key_name(5) });
         let mut ops = Vec::new();
         let AppAction::Respond(reply) = app.on_packet(completion, 0x5000_0000, &mut ops) else {
             panic!("server must respond");
@@ -327,7 +336,7 @@ mod tests {
     fn kernel_variant_costs_more_dispatch() {
         let mut dpdk = MemcachedDpdk::new(warm_store());
         let mut kernel = MemcachedKernel::new(warm_store());
-        let completion = request_packet(3, &Request::Get { key: &nth_key(1) });
+        let completion = request_packet(3, &Request::Get { key: &key_name(1) });
         let mut a = Vec::new();
         let mut b = Vec::new();
         dpdk.on_packet(completion.clone(), 0, &mut a);

@@ -6,7 +6,7 @@ use simnet_apps::{
 };
 use simnet_loadgen::{
     find_knee, EtherLoadGen, LoadGenMode, MemcachedClientConfig, RatePoint, SyntheticConfig,
-    TcpClientConfig, MSB_DROP_THRESHOLD,
+    TcpClientConfig, CLIENT_IP, MEMCACHED_PORT, MSB_DROP_THRESHOLD, SERVER_IP,
 };
 use simnet_net::{rss, MacAddr};
 use simnet_sim::random::SimRng;
@@ -115,10 +115,9 @@ impl AppSpec {
     /// holds its key. A fan-in's clients each send one UDP flow from
     /// their own address instead, and `offered` is their aggregate.
     ///
-    /// # Panics
-    ///
-    /// Panics on a fan-in of a memcached or TCP client: a fan-in drives
-    /// open-loop synthetic traffic only.
+    /// Only synthetic traffic has client ports: a memcached or TCP
+    /// client sends from the one port whatever `cfg.topo` says, and
+    /// [`Simulation::loadgen_mode`] rejects it on a fan-in.
     pub fn loadgen(&self, cfg: &SystemConfig, size: usize, offered: f64) -> EtherLoadGen {
         let server = cfg.nic.mac;
         let clients = cfg.topo.clients;
@@ -136,7 +135,7 @@ impl AppSpec {
             ))
         } else if self.uses_rps() {
             let mut mc = MemcachedClientConfig::paper_client(offered * 1_000.0, server, client);
-            mc.shard_ports = steering(11_211);
+            mc.shard_ports = steering(MEMCACHED_PORT);
             LoadGenMode::Memcached(mc)
         } else {
             let mut syn =
@@ -146,26 +145,25 @@ impl AppSpec {
             // every frame to queue 0, so a multi-queue NIC gets UDP
             // frames instead.
             if clients > 1 {
-                syn = syn.with_rss_ports(INCAST_IP, SERVER_IP, 9, vec![INCAST_PORT]);
+                syn = syn
+                    .with_rss_ports(INCAST_IP, SERVER_IP, 9, vec![INCAST_PORT])
+                    .with_clients(clients);
             } else if let Some(ports) = steering(9) {
                 syn = syn.with_rss_ports(CLIENT_IP, SERVER_IP, 9, ports);
             }
             LoadGenMode::Synthetic(syn)
         };
-        EtherLoadGen::new(mode, cfg.seed ^ 0x10AD).with_clients(clients)
+        EtherLoadGen::new(mode, cfg.seed ^ 0x10AD)
     }
 }
 
-/// The load generator's `MacAddr::simulated` index and IPv4 address.
+/// The load generator's `MacAddr::simulated` index.
 const CLIENT_MAC: u32 = 99;
-const CLIENT_IP: [u8; 4] = [10, 0, 0, 2];
 /// A fan-in's base client address: client `c` sends from
 /// `MacAddr::simulated(INCAST_MAC + c)` and `10.0.1.c`, UDP port 40000.
 const INCAST_MAC: u32 = 100;
 const INCAST_IP: [u8; 4] = [10, 0, 1, 0];
 const INCAST_PORT: u16 = 40_000;
-/// The node under test's IPv4 address.
-const SERVER_IP: [u8; 4] = [10, 0, 0, 1];
 
 /// `lcore`'s shard of the paper's 5000-key store: the keys whose RSS
 /// queue that lcore polls, in its own 64 MiB heap slice. Value lengths

@@ -9,15 +9,19 @@
 //! In every mode the ports are joined by one table of directed
 //! [`TopoLink`]s, and every frame enters a link through one function,
 //! `Simulation::transmit`. A synthetic frame rides the links as a
-//! [`Descriptor`]; the generator builds it only when the NIC admits it,
-//! the capture tap records it, or it comes back to the generator.
+//! [`Descriptor`], its id and departure tick; the generator's
+//! [`SyntheticConfig`] supplies its length where a link is offered it,
+//! its client port (id mod N) where it picks its egress, and its bytes
+//! only when the NIC admits it, the capture tap records it, or it comes
+//! back to the generator. The switch routes it on the destination MAC
+//! that every client shares.
 //!
 //! Booting a node follows Listing 2: bind `uio_pci_generic` through the
 //! PCI registry, then initialize the DPDK EAL (vendor-check skip and PMD
 //! launch) — or, for the kernel stack, leave interrupts enabled.
 
 use simnet_cpu::Core;
-use simnet_loadgen::{Descriptor, EtherLoadGen, Frame, FrameSpec};
+use simnet_loadgen::{Descriptor, EtherLoadGen, Frame, FrameSpec, SyntheticConfig};
 use simnet_mem::MemorySystem;
 use simnet_net::pcap::PcapWriter;
 use simnet_net::topo::{LinkPolicy, Switch, TopoLink, Verdict};
@@ -678,20 +682,30 @@ impl Simulation {
             .expect("every sender has an egress link")
     }
 
-    /// The spec that builds a described frame: only the generator
-    /// describes frames.
-    fn spec(&self, d: &Descriptor) -> FrameSpec {
+    /// The config every described frame derives from: only a synthetic
+    /// generator describes frames.
+    fn synthetic(&self) -> &SyntheticConfig {
         self.loadgen
             .as_ref()
-            .and_then(|lg| lg.spec(d))
+            .and_then(EtherLoadGen::synthetic)
             .expect("a described frame comes from a synthetic generator")
+    }
+
+    /// The frame's length in bytes: a described frame's is the
+    /// generator's frame length.
+    #[inline]
+    fn frame_len(&self, frame: &Frame) -> usize {
+        match frame {
+            Frame::Built(packet) => packet.len(),
+            Frame::Described(_) => self.synthetic().frame_len(),
+        }
     }
 
     /// The frame's bytes, built by the generator if it is described.
     fn build(&self, frame: Frame) -> Packet {
         match frame {
             Frame::Built(packet) => packet,
-            Frame::Described(d) => self.spec(&d).build(&d),
+            Frame::Described(d) => self.synthetic().spec(d.id).build(&d),
         }
     }
 
@@ -701,8 +715,9 @@ impl Simulation {
     /// copy of a described frame. An accepted frame arrives at the link's
     /// far port; a dropped one is counted by the link and goes no further.
     fn transmit(&mut self, now: Tick, link: usize, frame: Frame) {
+        let len = self.frame_len(&frame);
         let Link { from, to, wire } = &mut self.links[link];
-        let Verdict::Deliver(arrival) = wire.transmit(now, frame.len()) else {
+        let Verdict::Deliver(arrival) = wire.transmit(now, len) else {
             return;
         };
         let (from, to) = (*from, *to);
@@ -849,15 +864,19 @@ impl Simulation {
         let Some(frame) = lg.take(now) else {
             return;
         };
+        let client = match &frame {
+            Frame::Built(_) => 0,
+            Frame::Described(d) => self.synthetic().client(d.id),
+        };
         self.tracer.emit(
             now,
             frame.id(),
             Component::Link,
             Stage::WireTx {
-                len: frame.len() as u32,
+                len: self.frame_len(&frame) as u32,
             },
         );
-        let link = self.egress(Port::Client(frame.client()));
+        let link = self.egress(Port::Client(client));
         self.transmit(now, link, frame);
         let lg = self.loadgen.as_mut().expect("checked above");
         if let Some(next) = lg.next_departure(now) {
@@ -874,7 +893,7 @@ impl Simulation {
         let _ = match frame {
             Frame::Built(packet) => self.nodes[node].nic.wire_rx(now, packet),
             Frame::Described(d) => {
-                let spec = self.spec(&d);
+                let spec = self.synthetic().spec(d.id);
                 self.nodes[node].nic.wire_rx(now, Deferred { d, spec })
             }
         };
@@ -1183,12 +1202,12 @@ impl Simulation {
     }
 
     /// A frame reaches the switch: forward by destination MAC (a
-    /// described frame's from the generator's spec) onto the link its
-    /// route names. Unroutable frames are counted and dropped.
+    /// described frame's is the one every client sends to) onto the link
+    /// its route names. Unroutable frames are counted and dropped.
     fn handle_switch_rx(&mut self, now: Tick, frame: Frame) {
         let dst = match &frame {
             Frame::Built(packet) => packet.ethernet().map(|eth| eth.dst),
-            Frame::Described(d) => Some(self.spec(d).dst),
+            Frame::Described(_) => Some(self.synthetic().dst),
         };
         match dst.and_then(|dst| self.switch.route(dst)) {
             Some(link) => self.transmit(now, link, frame),
@@ -1318,7 +1337,7 @@ impl RxFrame for Deferred {
     }
 
     fn len(&self) -> usize {
-        self.d.len()
+        self.spec.len
     }
 
     fn queue(&self, nqueues: usize) -> usize {
@@ -1346,7 +1365,8 @@ mod tests {
 
     /// Frames ride in events by value (DESIGN §3.2), so every pending
     /// ladder entry pays for the largest variant: a node index plus a
-    /// three-word `Frame`, whose spare tag values hold the event's.
+    /// three-word `Frame`, a tag beside a two-word `Packet` or
+    /// `Descriptor`, whose spare tag values hold the event's.
     #[test]
     fn events_stay_four_words() {
         let size = std::mem::size_of::<Ev>();

@@ -3,65 +3,31 @@
 //! Pktgen stamps each departure into a per-port template frame. The
 //! simulator goes one step further: a frame from the generator in
 //! `Synthetic` mode is a pure function of the generator's config, its
-//! id, its departure tick and the client port that sent it, so it
-//! travels the wire as a [`Descriptor`] of those fields. Its bytes are
-//! built from the generator's [`FrameSpec`] only where something reads
-//! them: when the NIC's RX FIFO admits it, when a capture tap records
-//! it, or when a consumer such as the dual-mode software client needs a
-//! packet. A frame the NIC drops is never built. Frames whose bytes
-//! depend on state at departure (memcached requests, trace replay, TCP,
-//! a Drive Node's frames, every echo) travel [`Frame::Built`].
+//! id and its departure tick, so it travels the wire as a
+//! [`Descriptor`] of those two fields. The config fixes the rest: the
+//! frame length, and the client port that sent the frame, since
+//! departure k is frame id k and leaves from client k mod N. Its bytes
+//! are built from the [`FrameSpec`] the config gives its id only where
+//! something reads them: when the NIC's RX FIFO admits it, when a
+//! capture tap records it, or when a consumer such as the dual-mode
+//! software client needs a packet. A frame the NIC drops is never
+//! built. Frames whose bytes depend on state at departure (memcached
+//! requests, trace replay, TCP, a Drive Node's frames, every echo)
+//! travel [`Frame::Built`].
 
-use simnet_net::{rss, timestamp, EtherType, MacAddr, Packet, PacketBuilder};
-use simnet_net::{ETHERNET_HEADER_LEN, MAX_FRAME_LEN};
+use simnet_net::{rss, timestamp, EtherType, MacAddr, Packet, PacketBuilder, ETHERNET_HEADER_LEN};
 use simnet_sim::Tick;
 
-/// The fields a synthetic frame's bytes derive from, beside the
-/// generator's config: 20 bytes, whatever the frame's length. Packed to
-/// 4-byte alignment so that a [`Frame`] keeps its tag beside the
-/// descriptor in three words, with tag values to spare for the
-/// simulator's event enum; a field is read by value, never borrowed.
+/// What varies between a synthetic generator's frames: the id and the
+/// departure tick, two words whatever the frame's length. Everything
+/// else is the generator's config (see
+/// [`SyntheticConfig::spec`](crate::SyntheticConfig::spec)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(C, packed(4))]
 pub struct Descriptor {
     /// The packet id.
     pub id: u64,
     /// The departure tick, stamped into the payload.
     pub departure: Tick,
-    len: u16,
-    /// The client port that sent the frame (0 on a point-to-point wire).
-    pub client: u8,
-}
-
-impl Descriptor {
-    /// A descriptor of a `len`-byte frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` exceeds [`MAX_FRAME_LEN`].
-    pub(crate) fn new(id: u64, departure: Tick, len: usize, client: u8) -> Self {
-        assert!(
-            len <= MAX_FRAME_LEN,
-            "frame_len {len} exceeds {MAX_FRAME_LEN}"
-        );
-        Self {
-            id,
-            departure,
-            len: len as u16,
-            client,
-        }
-    }
-
-    /// The frame length in bytes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        usize::from(self.len)
-    }
-
-    /// Whether the frame is empty (never true for a described frame).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
 /// A frame on a wire: built bytes, or the descriptor of a synthetic
@@ -83,30 +49,6 @@ impl Frame {
             Frame::Described(d) => d.id,
         }
     }
-
-    /// The frame length in bytes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            Frame::Built(p) => p.len(),
-            Frame::Described(d) => d.len(),
-        }
-    }
-
-    /// Whether the frame is empty (never true for a frame on a wire).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The client port that sent the frame: a described frame's client,
-    /// 0 for a built one.
-    #[inline]
-    pub fn client(&self) -> usize {
-        match self {
-            Frame::Built(_) => 0,
-            Frame::Described(d) => usize::from(d.client),
-        }
-    }
 }
 
 /// A UDP/IPv4 4-tuple.
@@ -123,9 +65,12 @@ pub struct UdpTuple {
 }
 
 /// Everything a synthetic frame's bytes need beyond its [`Descriptor`]:
-/// its addresses, those of the client port that sent it.
+/// its length, and its addresses, those of the client port that sent
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameSpec {
+    /// Frame length in bytes.
+    pub len: usize,
     /// Destination MAC.
     pub dst: MacAddr,
     /// Source MAC.
@@ -136,17 +81,17 @@ pub struct FrameSpec {
 }
 
 impl FrameSpec {
-    /// Builds the frame `d` describes: zero-padded to its length, with
-    /// its departure tick stamped at the start of its payload inside the
-    /// build, so a UDP checksum covers the stamp. A payload too short for
-    /// the stamp gets none.
+    /// Builds the frame `d` describes: zero-padded to the spec's length,
+    /// with its departure tick stamped at the start of its payload inside
+    /// the build, so a UDP checksum covers the stamp. A payload too short
+    /// for the stamp gets none.
     ///
     /// # Panics
     ///
     /// Panics if the frame is shorter than its headers.
     pub fn build(&self, d: &Descriptor) -> Packet {
         let mut builder = PacketBuilder::new();
-        builder.dst(self.dst).src(self.src).frame_len(d.len());
+        builder.dst(self.dst).src(self.src).frame_len(self.len);
         let payload_at = match self.udp {
             Some(t) => {
                 builder.udp(t.src_ip, t.dst_ip, t.src_port, t.dst_port);
@@ -157,8 +102,11 @@ impl FrameSpec {
                 ETHERNET_HEADER_LEN
             }
         };
-        let payload_len = d.len().checked_sub(payload_at).unwrap_or_else(|| {
-            panic!("frame_len {} cannot hold {payload_at}B of headers", d.len())
+        let payload_len = self.len.checked_sub(payload_at).unwrap_or_else(|| {
+            panic!(
+                "frame_len {} cannot hold {payload_at}B of headers",
+                self.len
+            )
         });
         builder.build_with(d.id, payload_len, |payload| {
             timestamp::write_timestamp_slice(payload, 0, d.departure);
@@ -191,13 +139,13 @@ mod tests {
     /// builder, then the stamp (inside the build for a UDP frame).
     fn eager_generator_frame(cfg: &SyntheticConfig, id: u64, departure: Tick) -> Packet {
         let mut builder = PacketBuilder::new();
-        builder.dst(cfg.dst).src(cfg.src).frame_len(cfg.frame_len);
+        builder.dst(cfg.dst).src(cfg.src).frame_len(cfg.frame_len());
         match &cfg.rss {
             Some(t) => {
                 let sport = t.src_ports[(id as usize) % t.src_ports.len()];
                 builder
                     .udp(t.src_ip, t.dst_ip, sport, t.dst_port)
-                    .build_with(id, cfg.frame_len - timestamp::UDP_OFFSET, |buf| {
+                    .build_with(id, cfg.frame_len() - timestamp::UDP_OFFSET, |buf| {
                         timestamp::write_timestamp_slice(buf, 0, departure);
                     })
             }
@@ -246,8 +194,8 @@ mod tests {
         /// A descriptor from any client of a 1..=250-client generator
         /// builds the frame the eager path built. A lone client sends raw
         /// (64..=1518 B) or RSS (52..=1518 B over arbitrary ports)
-        /// frames; client `c` of a fan-in sends from the incast base
-        /// MAC and source IPv4 plus `c`.
+        /// frames; client `c` of a fan-in sends the departures whose id
+        /// is c mod N, from the incast base MAC and source IPv4 plus `c`.
         #[test]
         fn descriptors_build_the_eager_frame(
             clients in prop_oneof![Just(1usize), 2usize..=250],
@@ -257,13 +205,15 @@ mod tests {
             ports in prop::collection::vec(any::<u16>(), 1..5),
             src in any::<u32>(),
             dport in any::<u16>(),
-            id in any::<u64>(),
+            id in 0..=u64::MAX - 250,
             departure in any::<u64>(),
         ) {
             let server = MacAddr::simulated(1);
             let client = client % clients;
+            // Client `client`'s departure at or below `id`.
+            let id = id - id % clients as u64 + client as u64;
             let len = if clients == 1 && !rss { len.max(64) } else { len };
-            let (lg, eager) = if clients == 1 {
+            let (cfg, eager) = if clients == 1 {
                 let mut cfg = SyntheticConfig::fixed_rate(
                     len,
                     Bandwidth::gbps(10.0),
@@ -274,7 +224,7 @@ mod tests {
                     cfg = cfg.with_rss_ports(src.to_be_bytes(), [10, 0, 0, 1], dport, ports);
                 }
                 let eager = eager_generator_frame(&cfg, id, departure);
-                (EtherLoadGen::new(LoadGenMode::Synthetic(cfg), 1), eager)
+                (cfg, eager)
             } else {
                 let cfg = SyntheticConfig::fixed_rate(
                     len,
@@ -282,13 +232,14 @@ mod tests {
                     server,
                     MacAddr::simulated(INCAST_MAC),
                 )
-                .with_rss_ports([10, 0, 1, 0], [10, 0, 0, 1], 9, vec![INCAST_PORT]);
-                let lg = EtherLoadGen::new(LoadGenMode::Synthetic(cfg), 1).with_clients(clients);
-                (lg, eager_fleet_frame(server, client, len, id, departure))
+                .with_rss_ports([10, 0, 1, 0], [10, 0, 0, 1], 9, vec![INCAST_PORT])
+                .with_clients(clients);
+                (cfg, eager_fleet_frame(server, client, len, id, departure))
             };
-            let d = Descriptor::new(id, departure, len, client as u8);
-            let built = lg.build(Frame::Described(d));
-            check(lg.spec(&d).expect("synthetic mode"), &built, &eager)?;
+            let spec = cfg.spec(id);
+            let lg = EtherLoadGen::new(LoadGenMode::Synthetic(cfg), 1);
+            let built = lg.build(Frame::Described(Descriptor { id, departure }));
+            check(spec, &built, &eager)?;
         }
     }
 }

@@ -10,9 +10,10 @@
 //! The generator has one port per client. Point-to-point, it is the
 //! paper's single port, client 0. An incast fan-in gives a `Synthetic`
 //! generator N client ports behind a switch
-//! ([`EtherLoadGen::with_clients`]): departure k leaves from client
-//! k mod N, whose frames carry the base source MAC and IPv4 address plus
-//! k mod N, and one set of counters and RTT samples covers every client.
+//! ([`SyntheticConfig::with_clients`]): departure k is frame id k and
+//! leaves from client k mod N, whose frames carry the base source MAC and
+//! IPv4 address plus k mod N, and one set of counters and RTT samples
+//! covers every client.
 //!
 //! Modes:
 //!
@@ -40,7 +41,7 @@ pub mod tcp_client;
 pub mod trace;
 
 pub use frame::{Descriptor, Frame, FrameSpec, UdpTuple};
-pub use memcached_client::MemcachedClientConfig;
+pub use memcached_client::{MemcachedClientConfig, MEMCACHED_PORT};
 pub use ramp::{find_knee, RatePoint, MSB_DROP_THRESHOLD};
 pub use report::LoadGenReport;
 pub use synthetic::{RssTuples, SyntheticConfig};
@@ -52,6 +53,12 @@ use simnet_sim::random::SimRng;
 use simnet_sim::stats::{Counter, SampleSet};
 use simnet_sim::tick::Tick;
 use simnet_sim::trace::{Component, Stage, Tracer};
+
+/// The IPv4 address every client mode sends from (a fan-in's clients send
+/// from their own /24 instead).
+pub const CLIENT_IP: [u8; 4] = [10, 0, 0, 2];
+/// The IPv4 address of the node under test.
+pub const SERVER_IP: [u8; 4] = [10, 0, 0, 1];
 
 /// What kind of traffic the generator produces.
 #[derive(Debug, Clone)]
@@ -73,10 +80,6 @@ pub struct EtherLoadGen {
     rng: SimRng,
     next_id: u64,
     next_departure: Option<Tick>,
-    /// Client ports (1 = the paper's single port).
-    clients: usize,
-    /// The client port the next synthetic departure leaves from.
-    next_client: usize,
     /// Open-loop by default; `Some(w)` bounds outstanding packets
     /// (closed-loop client, §IV referencing open vs. closed clients).
     window: Option<usize>,
@@ -97,8 +100,6 @@ impl EtherLoadGen {
             rng: SimRng::seed_from(seed),
             next_id: 0,
             next_departure: Some(0),
-            clients: 1,
-            next_client: 0,
             window: None,
             tx_packets: Counter::new(),
             tx_bytes: Counter::new(),
@@ -110,46 +111,14 @@ impl EtherLoadGen {
         }
     }
 
-    /// Gives the generator `clients` client ports: departure k leaves from
-    /// client k mod `clients`, whose frames carry the base source MAC and
-    /// IPv4 address plus k mod `clients`. One client is the paper's
-    /// single port.
-    ///
-    /// # Panics
-    ///
-    /// Panics outside 1..=250 clients (their source addresses share one
-    /// /24), and on more than one client unless the generator sends
-    /// synthetic UDP frames that hold the headers and the stamp.
-    pub fn with_clients(mut self, clients: usize) -> Self {
-        assert!(
-            (1..=250).contains(&clients),
-            "client source IPs live in one /24 (got {clients})"
-        );
-        if clients > 1 {
-            let LoadGenMode::Synthetic(cfg) = &self.mode else {
-                panic!("only synthetic mode has client ports");
-            };
-            assert!(
-                cfg.rss.is_some()
-                    && cfg.frame_len >= timestamp::UDP_OFFSET + timestamp::TIMESTAMP_LEN,
-                "client ports send UDP frames that hold the headers and the stamp"
-            );
-        }
-        self.clients = clients;
-        self
-    }
-
-    /// Number of client ports.
+    /// Number of client ports: a synthetic config's, else the one port.
     pub fn clients(&self) -> usize {
-        self.clients
+        self.synthetic().map_or(1, SyntheticConfig::clients)
     }
 
     /// Client `client`'s source MAC, or `None` outside synthetic mode.
     pub fn client_mac(&self, client: usize) -> Option<MacAddr> {
-        match &self.mode {
-            LoadGenMode::Synthetic(cfg) => Some(cfg.src.offset(client as u32)),
-            _ => None,
-        }
+        self.synthetic().map(|cfg| cfg.src.offset(client as u32))
     }
 
     /// Attaches a packet-lifecycle tracer; the generator reports
@@ -176,43 +145,39 @@ impl EtherLoadGen {
         }
     }
 
-    /// Takes the departure due at `now`: assigns its id and client port,
-    /// draws the next departure, and counts and traces the injection. A
-    /// synthetic frame departs as a [`Descriptor`], built where its bytes
-    /// are read (see [`EtherLoadGen::build`]); every other mode's frame
-    /// depends on state at departure and departs built. Call only
-    /// at/after the tick returned by [`EtherLoadGen::next_departure`].
+    /// Takes the departure due at `now`: assigns its id, draws the next
+    /// departure, and counts and traces the injection. A synthetic frame
+    /// departs as a [`Descriptor`], built where its bytes are read (see
+    /// [`EtherLoadGen::build`]); every other mode's frame depends on state
+    /// at departure and departs built. Call only at/after the tick
+    /// returned by [`EtherLoadGen::next_departure`].
     pub fn take(&mut self, now: Tick) -> Option<Frame> {
         self.next_departure(now)?;
         let id = self.next_id;
         self.next_id += 1;
 
-        let (frame, interval) = match &mut self.mode {
+        let (len, frame, interval) = match &mut self.mode {
             LoadGenMode::Synthetic(cfg) => {
-                let client = self.next_client;
-                self.next_client = if client + 1 == self.clients {
-                    0
-                } else {
-                    client + 1
-                };
-                let (d, interval) = cfg.take(id, client as u8, now, &mut self.rng);
-                (Frame::Described(d), Some(interval))
+                let (d, interval) = cfg.take(id, now, &mut self.rng);
+                (cfg.frame_len(), Frame::Described(d), Some(interval))
             }
             LoadGenMode::Trace(cfg) => {
                 let (packet, interval) = cfg.build(id, now)?;
-                (Frame::Built(packet), interval)
+                (packet.len(), Frame::Built(packet), interval)
             }
             LoadGenMode::Memcached(cfg) => {
                 let (packet, interval) = cfg.build(id, now, &mut self.rng);
-                (Frame::Built(packet), interval)
+                (packet.len(), Frame::Built(packet), interval)
             }
-            LoadGenMode::Tcp(cfg) => (Frame::Built(cfg.build(id, now)?), None),
+            LoadGenMode::Tcp(cfg) => {
+                let packet = cfg.build(id, now)?;
+                (packet.len(), Frame::Built(packet), None)
+            }
         };
 
         if !matches!(self.mode, LoadGenMode::Tcp(_)) {
             self.next_departure = interval.map(|dt| now + dt);
         }
-        let len = frame.len();
         self.tx_packets.inc();
         self.tx_bytes.add(len as u64);
         self.outstanding += 1;
@@ -225,12 +190,12 @@ impl EtherLoadGen {
         Some(frame)
     }
 
-    /// The spec that builds a frame this generator described, or `None`
-    /// outside synthetic mode, which describes none.
+    /// The synthetic config every frame this generator describes derives
+    /// from, or `None` outside synthetic mode, which describes none.
     #[inline]
-    pub fn spec(&self, d: &Descriptor) -> Option<FrameSpec> {
+    pub fn synthetic(&self) -> Option<&SyntheticConfig> {
         match &self.mode {
-            LoadGenMode::Synthetic(cfg) => Some(cfg.spec(d.id, d.client)),
+            LoadGenMode::Synthetic(cfg) => Some(cfg),
             _ => None,
         }
     }
@@ -245,8 +210,9 @@ impl EtherLoadGen {
         match frame {
             Frame::Built(packet) => packet,
             Frame::Described(d) => self
-                .spec(&d)
+                .synthetic()
                 .expect("only synthetic mode describes frames")
+                .spec(d.id)
                 .build(&d),
         }
     }
@@ -340,8 +306,9 @@ impl EtherLoadGen {
         let report = self.report(0, now);
         let summary = &report.latency;
         reg.scoped("loadgen", |reg| {
-            if self.clients > 1 {
-                reg.scalar("clients", self.clients as u64, "fleet client endpoints");
+            let clients = self.clients();
+            if clients > 1 {
+                reg.scalar("clients", clients as u64, "fleet client endpoints");
             }
             reg.scalar("txPackets", report.tx_packets, "packets injected");
             reg.scalar("rxPackets", report.rx_packets, "packets echoed back");
@@ -415,8 +382,9 @@ mod tests {
             MacAddr::simulated(1),
             MacAddr::simulated(100),
         )
-        .with_rss_ports([10, 0, 1, 0], [10, 0, 0, 1], 9, vec![40_000]);
-        EtherLoadGen::new(LoadGenMode::Synthetic(cfg), 7).with_clients(clients)
+        .with_rss_ports([10, 0, 1, 0], [10, 0, 0, 1], 9, vec![40_000])
+        .with_clients(clients);
+        EtherLoadGen::new(LoadGenMode::Synthetic(cfg), 7)
     }
 
     /// Takes the first departure due at or after `now`: its tick and its
@@ -427,6 +395,18 @@ mod tests {
             Some(Frame::Described(d)) => (t, d),
             other => panic!("synthetic frames depart described: {other:?}"),
         }
+    }
+
+    /// The fan-in client that sent `d`, read from its built frame: source
+    /// MAC `simulated(100 + c)` and source IPv4 10.0.1.c.
+    fn sender(lg: &EtherLoadGen, d: Descriptor) -> u8 {
+        let pkt = lg.build(Frame::Described(d));
+        let (ip, _, _) = pkt.udp().expect("checksum must verify");
+        let c = ip.src[3];
+        assert_eq!(ip.src, [10, 0, 1, c]);
+        let mac = pkt.ethernet().unwrap().src;
+        assert_eq!(mac, MacAddr::simulated(100 + u32::from(c)));
+        c
     }
 
     #[test]
@@ -555,7 +535,8 @@ mod tests {
         lg.reset_stats();
         assert_eq!(lg.tx_packets(), 0);
         assert_eq!(lg.next_departure(t0), next);
-        assert_eq!(depart(&mut lg, t0).1.client, 1, "the client rotation too");
+        let (_, d) = depart(&mut lg, t0);
+        assert_eq!(sender(&lg, d), 1, "the client rotation too");
     }
 
     /// The client ports form one evenly spaced chain: departure k leaves
@@ -568,7 +549,7 @@ mod tests {
         let mut now = 0;
         for k in 0..64u64 {
             let (t, d) = depart(&mut lg, now);
-            assert_eq!((t, d.id, d.client), (k * agg, k, (k % 4) as u8));
+            assert_eq!((t, d.id, sender(&lg, d)), (k * agg, k, (k % 4) as u8));
             now = t;
         }
     }
@@ -580,7 +561,7 @@ mod tests {
         for _ in 0..5 {
             (now, d) = depart(&mut lg, now);
         }
-        assert_eq!(d.client, 5);
+        assert_eq!(sender(&lg, d), 5);
         let pkt = lg.build(Frame::Described(d));
         let eth = pkt.ethernet().unwrap();
         assert_eq!(eth.src, MacAddr::simulated(105));
@@ -604,7 +585,7 @@ mod tests {
         let mut now = 0;
         for _ in 0..16 {
             let (t, d) = depart(&mut lg, now);
-            seen.insert(lg.spec(&d).unwrap().queue(4));
+            seen.insert(lg.synthetic().unwrap().spec(d.id).queue(4));
             now = t;
         }
         assert!(
@@ -618,7 +599,7 @@ mod tests {
         let mut lg = fan_in(2);
         let (t0, a) = depart(&mut lg, 0);
         let (t1, b) = depart(&mut lg, t0);
-        assert_eq!((a.client, b.client), (0, 1));
+        assert_eq!((sender(&lg, a), sender(&lg, b)), (0, 1));
         let b = lg.build(Frame::Described(b));
         lg.on_rx(t1 + 5_000_000, &b);
         let report = lg.report(0, 10_000_000);

@@ -19,6 +19,14 @@ use simnet_sim::random::{Distribution, SimRng, Zipf};
 use simnet_sim::stats::Counter;
 use simnet_sim::tick::{Tick, S};
 
+use crate::{CLIENT_IP, SERVER_IP};
+
+/// The memcached server's UDP port.
+pub const MEMCACHED_PORT: u16 = 11_211;
+
+/// The source port of every request when none steers by shard.
+const SRC_PORT: u16 = 40_000;
+
 /// Sentinel for a free slot in the outstanding-request table (no real
 /// send timestamp can reach it).
 const NO_REQUEST: Tick = Tick::MAX;
@@ -119,12 +127,12 @@ impl MemcachedClientConfig {
         let natural = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEADER_LEN + datagram_len;
         let src_port = match &self.shard_ports {
             Some(ports) => ports[simnet_net::rss::key_shard(&key, ports.len())],
-            None => 40_000,
+            None => SRC_PORT,
         };
         let packet = PacketBuilder::new()
             .dst(self.server_mac)
             .src(self.client_mac)
-            .udp([10, 0, 0, 2], [10, 0, 0, 1], src_port, 11_211)
+            .udp(CLIENT_IP, SERVER_IP, src_port, MEMCACHED_PORT)
             .frame_len(natural.max(MIN_FRAME_LEN))
             .build_with(id, datagram_len, |buf| {
                 encode_request_datagram_into(buf, request_id, &request);
@@ -171,7 +179,7 @@ impl MemcachedClientConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet_net::proto::memcached::encode_response_datagram;
+    use simnet_net::proto::memcached::{encode_response_datagram_into, response_datagram_len};
 
     fn client() -> MemcachedClientConfig {
         MemcachedClientConfig::paper_client(100_000.0, MacAddr::simulated(1), MacAddr::simulated(2))
@@ -190,7 +198,7 @@ mod tests {
         let (pkt, interval) = c.build(0, 1_000, &mut rng);
         assert!(interval.unwrap() > 0);
         let (_, udp, payload) = pkt.udp().expect("valid UDP frame");
-        assert_eq!(udp.dst_port, 11_211);
+        assert_eq!(udp.dst_port, MEMCACHED_PORT);
         let (hdr, req) = simnet_net::proto::memcached::decode_request_datagram(payload).unwrap();
         assert_eq!(hdr.request_id, 1);
         assert!(req.key().starts_with(b"key:"));
@@ -220,7 +228,8 @@ mod tests {
         let (request, _) = c.build(0, 10_000, &mut rng);
         let (ip, udp, _) = request.udp().unwrap();
         // Fake the server's reply.
-        let datagram = encode_response_datagram(1, &Response::Stored);
+        let mut datagram = vec![0u8; response_datagram_len(&Response::Stored)];
+        encode_response_datagram_into(&mut datagram, 1, &Response::Stored);
         let reply = PacketBuilder::new()
             .dst(MacAddr::simulated(2))
             .src(MacAddr::simulated(1))

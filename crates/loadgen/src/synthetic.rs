@@ -1,7 +1,7 @@
 //! Synthetic traffic: fixed-size Ethernet frames at a configured rate and
-//! inter-arrival distribution.
+//! inter-arrival distribution, from one client port or several.
 
-use simnet_net::{timestamp, MacAddr};
+use simnet_net::{timestamp, MacAddr, MAX_FRAME_LEN};
 use simnet_sim::random::{Distribution, SimRng};
 use simnet_sim::tick::{Bandwidth, Tick};
 
@@ -25,11 +25,12 @@ pub struct RssTuples {
     pub src_ports: Vec<u16>,
 }
 
-/// Synthetic-mode parameters.
+/// Synthetic-mode parameters: everything a synthetic frame's bytes
+/// derive from beside its id and departure tick.
 #[derive(Debug, Clone)]
 pub struct SyntheticConfig {
     /// Frame length in bytes (the paper's 64…1518 B sweep).
-    pub frame_len: usize,
+    frame_len: usize,
     /// Inter-departure distribution, in ticks.
     pub interarrival: Distribution,
     /// Destination MAC (the NIC under test).
@@ -39,31 +40,45 @@ pub struct SyntheticConfig {
     /// When set, frames carry this UDP/IPv4 tuple (RSS-hashable) and the
     /// timestamp moves into the UDP payload, written before the checksum.
     pub rss: Option<RssTuples>,
+    /// Client ports (1 = the paper's single port).
+    clients: usize,
 }
 
 impl SyntheticConfig {
-    /// Constant-rate traffic achieving `rate` of frame-byte goodput.
-    pub fn fixed_rate(frame_len: usize, rate: Bandwidth, dst: MacAddr, src: MacAddr) -> Self {
+    /// `frame_len`-byte frames, at most [`MAX_FRAME_LEN`], from one port.
+    fn new(frame_len: usize, interarrival: Distribution, dst: MacAddr, src: MacAddr) -> Self {
+        assert!(
+            frame_len <= MAX_FRAME_LEN,
+            "frame_len {frame_len} exceeds {MAX_FRAME_LEN}"
+        );
         Self {
             frame_len,
-            interarrival: Distribution::Fixed(rate.bytes_to_ticks(frame_len as u64) as f64),
+            interarrival,
             dst,
             src,
             rss: None,
+            clients: 1,
         }
     }
 
+    /// Constant-rate traffic achieving `rate` of frame-byte goodput.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame_len` exceeds [`MAX_FRAME_LEN`].
+    pub fn fixed_rate(frame_len: usize, rate: Bandwidth, dst: MacAddr, src: MacAddr) -> Self {
+        let interval = rate.bytes_to_ticks(frame_len as u64) as f64;
+        Self::new(frame_len, Distribution::Fixed(interval), dst, src)
+    }
+
     /// Poisson arrivals at the same average rate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame_len` exceeds [`MAX_FRAME_LEN`].
     pub fn poisson(frame_len: usize, rate: Bandwidth, dst: MacAddr, src: MacAddr) -> Self {
-        Self {
-            frame_len,
-            interarrival: Distribution::Exponential {
-                mean: rate.bytes_to_ticks(frame_len as u64) as f64,
-            },
-            dst,
-            src,
-            rss: None,
-        }
+        let mean = rate.bytes_to_ticks(frame_len as u64) as f64;
+        Self::new(frame_len, Distribution::Exponential { mean }, dst, src)
     }
 
     /// Switches frames to RSS-hashable UDP tuples: source ports cycle
@@ -96,6 +111,51 @@ impl SyntheticConfig {
         self
     }
 
+    /// Gives the generator `clients` client ports: departure k (frame id
+    /// k) leaves from client k mod `clients`, whose frames carry the base
+    /// source MAC and IPv4 address plus k mod `clients`. One client is
+    /// the paper's single port.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside 1..=250 clients (their source addresses share one
+    /// /24), and on more than one client unless
+    /// [`SyntheticConfig::with_rss_ports`] gave the frames their UDP
+    /// headers.
+    pub fn with_clients(mut self, clients: usize) -> Self {
+        assert!(
+            (1..=250).contains(&clients),
+            "client source IPs live in one /24 (got {clients})"
+        );
+        assert!(
+            clients == 1 || self.rss.is_some(),
+            "client ports send UDP frames that hold the headers and the stamp"
+        );
+        self.clients = clients;
+        self
+    }
+
+    /// Frame length in bytes.
+    #[inline]
+    pub fn frame_len(&self) -> usize {
+        self.frame_len
+    }
+
+    /// Number of client ports.
+    #[inline]
+    pub fn clients(&self) -> usize {
+        self.clients
+    }
+
+    /// The client port that sends frame `id`: `id` mod the client count.
+    #[inline]
+    pub fn client(&self, id: u64) -> usize {
+        match self.clients {
+            1 => 0,
+            n => (id % n as u64) as usize,
+        }
+    }
+
     /// The mean offered load in gigabits per second of frame bytes.
     pub fn offered_gbps(&self) -> f64 {
         let mean = self.interarrival.mean();
@@ -105,32 +165,27 @@ impl SyntheticConfig {
         (self.frame_len as f64 * 8.0) / (mean / simnet_sim::tick::S as f64) / 1e9
     }
 
-    /// Takes the departure of frame `id` from client port `client` at
-    /// `now`: its descriptor, and the interval to the next departure
-    /// drawn from `rng`.
-    pub(crate) fn take(
-        &self,
-        id: u64,
-        client: u8,
-        now: Tick,
-        rng: &mut SimRng,
-    ) -> (Descriptor, Tick) {
-        let frame = Descriptor::new(id, now, self.frame_len, client);
+    /// Takes the departure of frame `id` at `now`: its descriptor, and the
+    /// interval to the next departure drawn from `rng`.
+    pub(crate) fn take(&self, id: u64, now: Tick, rng: &mut SimRng) -> (Descriptor, Tick) {
         let interval = self.interarrival.sample(rng).round() as Tick;
-        (frame, interval.max(1))
+        (Descriptor { id, departure: now }, interval.max(1))
     }
 
-    /// The spec of frame `id` from client port `client`: the client's
-    /// source MAC and IPv4 address are the base ones plus `client`, and
-    /// the source port cycles over the RSS ports.
+    /// The spec of frame `id`: the configured length, the source MAC and
+    /// IPv4 address of the client that sends it (the base ones plus
+    /// [`SyntheticConfig::client`]), and a source port cycling over the
+    /// RSS ports.
     #[inline]
-    pub fn spec(&self, id: u64, client: u8) -> FrameSpec {
+    pub fn spec(&self, id: u64) -> FrameSpec {
+        let client = self.client(id) as u32;
         FrameSpec {
+            len: self.frame_len,
             dst: self.dst,
-            src: self.src.offset(u32::from(client)),
+            src: self.src.offset(client),
             udp: self.rss.as_ref().map(|t| UdpTuple {
                 src_ip: u32::from_be_bytes(t.src_ip)
-                    .wrapping_add(u32::from(client))
+                    .wrapping_add(client)
                     .to_be_bytes(),
                 dst_ip: t.dst_ip,
                 src_port: t.src_ports[(id as usize) % t.src_ports.len()],
@@ -158,6 +213,15 @@ mod tests {
         assert!((cfg.offered_gbps() - 100.0).abs() < 0.1);
     }
 
+    /// A frame over 1518 B is rejected where its config is built, not at
+    /// its first departure.
+    #[test]
+    #[should_panic(expected = "frame_len 1519 exceeds 1518")]
+    fn oversized_frames_are_rejected_when_built() {
+        let (dst, src) = (MacAddr::simulated(1), MacAddr::simulated(2));
+        SyntheticConfig::fixed_rate(1519, Bandwidth::gbps(10.0), dst, src);
+    }
+
     #[test]
     fn take_describes_frames_the_spec_builds() {
         let cfg = SyntheticConfig::fixed_rate(
@@ -167,12 +231,14 @@ mod tests {
             MacAddr::simulated(2),
         );
         let mut rng = SimRng::seed_from(1);
-        let (d, interval) = cfg.take(9, 0, 0, &mut rng);
-        assert_eq!((d.id, d.departure, d.len(), d.client), (9, 0, 256, 0));
-        let pkt = cfg.spec(d.id, 0).build(&d);
+        let (d, interval) = cfg.take(9, 0, &mut rng);
+        assert_eq!((d.id, d.departure), (9, 0));
+        let pkt = cfg.spec(d.id).build(&d);
         assert_eq!(pkt.len(), 256);
         assert_eq!(pkt.id(), 9);
         assert_eq!(pkt.ethernet().unwrap().dst, MacAddr::simulated(1));
+        // Client 0 sends from the base source MAC.
+        assert_eq!(pkt.ethernet().unwrap().src, MacAddr::simulated(2));
         assert_eq!(pkt.ethernet().unwrap().ethertype, EtherType::LoadGen);
         assert_eq!(
             timestamp::read_timestamp(&pkt, timestamp::DEFAULT_OFFSET),
@@ -190,8 +256,8 @@ mod tests {
             MacAddr::simulated(2),
         );
         let mut rng = SimRng::seed_from(2);
-        let (_, a) = cfg.take(0, 0, 0, &mut rng);
-        let (_, b) = cfg.take(1, 0, 0, &mut rng);
+        let (_, a) = cfg.take(0, 0, &mut rng);
+        let (_, b) = cfg.take(1, 0, &mut rng);
         assert_ne!(a, b);
     }
 
@@ -207,8 +273,8 @@ mod tests {
         .with_rss_ports([10, 0, 0, 2], [10, 0, 0, 1], 9, ports.clone());
         let mut rng = SimRng::seed_from(1);
         for id in 0..6u64 {
-            let (d, _) = cfg.take(id, 0, 123_456, &mut rng);
-            let pkt = cfg.spec(id, 0).build(&d);
+            let (d, _) = cfg.take(id, 123_456, &mut rng);
+            let pkt = cfg.spec(id).build(&d);
             let (_, udp, _) = pkt.udp().expect("checksum must verify");
             assert_eq!(udp.src_port, ports[(id as usize) % ports.len()]);
             assert_eq!(udp.dst_port, 9);
@@ -231,7 +297,7 @@ mod tests {
             MacAddr::simulated(2),
         )
         .with_rss_ports([10, 0, 0, 2], [10, 0, 0, 1], 9, ports);
-        let queues: Vec<usize> = (0..8u64).map(|id| cfg.spec(id, 0).queue(nq)).collect();
+        let queues: Vec<usize> = (0..8u64).map(|id| cfg.spec(id).queue(nq)).collect();
         assert_eq!(&queues[..4], &[0, 1, 2, 3], "ports_for_queues round-robin");
         assert_eq!(&queues[4..], &[0, 1, 2, 3]);
     }

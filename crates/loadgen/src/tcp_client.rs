@@ -15,6 +15,8 @@ use simnet_net::{MacAddr, Packet};
 use simnet_sim::stats::Counter;
 use simnet_sim::tick::{us, Tick};
 
+use crate::{CLIENT_IP, SERVER_IP};
+
 /// Connection state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -77,8 +79,6 @@ const RTO_MIN: Tick = us(400);
 const RTO_MAX: Tick = us(20_000);
 
 const ISS: u32 = 1_000;
-const SRC_IP: [u8; 4] = [10, 0, 0, 2];
-const DST_IP: [u8; 4] = [10, 0, 0, 1];
 const SRC_PORT: u16 = 40_001;
 /// iperf's well-known control/data port.
 pub const TCP_SERVER_PORT: u16 = 5_001;
@@ -320,8 +320,8 @@ impl TcpClientConfig {
             id,
             self.client_mac,
             self.server_mac,
-            SRC_IP,
-            DST_IP,
+            CLIENT_IP,
+            SERVER_IP,
             header,
             payload,
         )
@@ -349,8 +349,8 @@ mod tests {
             0,
             client_cfg.server_mac,
             client_cfg.client_mac,
-            DST_IP,
-            SRC_IP,
+            SERVER_IP,
+            CLIENT_IP,
             header,
             &[],
         )
@@ -369,8 +369,8 @@ mod tests {
             0,
             client_cfg.server_mac,
             client_cfg.client_mac,
-            DST_IP,
-            SRC_IP,
+            SERVER_IP,
+            CLIENT_IP,
             header,
             &[],
         )

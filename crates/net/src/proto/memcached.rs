@@ -17,22 +17,17 @@
 //! pooled packet's payload region), so a request/response round trip
 //! allocates nothing on the hot path.
 
-/// Canonical name of the `i`-th key in the benchmark key space — shared by
-/// the server warm-up and the load-generator client so GETs hit.
-pub fn nth_key(i: u64) -> Vec<u8> {
-    format!("key:{i:012}").into_bytes()
-}
-
-/// Byte length of every [`nth_key`] name (for `i < 10^12`).
+/// Byte length of every [`nth_key_into`] name.
 pub const NTH_KEY_LEN: usize = 16;
 
-/// Writes the `i`-th key name into a stack buffer — the allocation-free
-/// twin of [`nth_key`], for the load generator's request path.
+/// Writes the canonical name of the `i`-th key in the benchmark key space,
+/// `key:` and `i` in 12 zero-padded digits, into a stack buffer. The
+/// server warm-up and the load-generator client share it so GETs hit.
 ///
 /// # Panics
 ///
 /// Panics if `i` needs more than 12 digits (outside every benchmark
-/// key space; [`nth_key`] widens instead).
+/// key space).
 pub fn nth_key_into(i: u64, buf: &mut [u8; NTH_KEY_LEN]) {
     assert!(i < 1_000_000_000_000, "key index {i} exceeds 12 digits");
     buf[..4].copy_from_slice(b"key:");
@@ -194,14 +189,6 @@ impl<'a> Request<'a> {
         len
     }
 
-    /// Encodes to freshly allocated bytes (tests and cold paths; the hot
-    /// path uses [`Request::encode_into`]).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = vec![0u8; self.encoded_len()];
-        self.encode_into(&mut buf);
-        buf
-    }
-
     /// Decodes from bytes, borrowing the key/value from `data`.
     ///
     /// # Errors
@@ -263,14 +250,6 @@ impl<'a> Response<'a> {
             }
         }
         len
-    }
-
-    /// Encodes to freshly allocated bytes (tests and cold paths; the hot
-    /// path uses [`Response::encode_into`]).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = vec![0u8; self.encoded_len()];
-        self.encode_into(&mut buf);
-        buf
     }
 
     /// Decodes from bytes, borrowing a hit's value from `data`.
@@ -338,20 +317,6 @@ pub fn encode_response_datagram_into(
     UDP_FRAME_HEADER_LEN + response.encode_into(&mut buf[UDP_FRAME_HEADER_LEN..])
 }
 
-/// Encodes a full memcached UDP datagram payload: frame header + request.
-pub fn encode_request_datagram(request_id: u16, request: &Request<'_>) -> Vec<u8> {
-    let mut buf = vec![0u8; request_datagram_len(request)];
-    encode_request_datagram_into(&mut buf, request_id, request);
-    buf
-}
-
-/// Encodes a full memcached UDP datagram payload: frame header + response.
-pub fn encode_response_datagram(request_id: u16, response: &Response<'_>) -> Vec<u8> {
-    let mut buf = vec![0u8; response_datagram_len(response)];
-    encode_response_datagram_into(&mut buf, request_id, response);
-    buf
-}
-
 /// Decodes a datagram payload into its frame header and request.
 ///
 /// # Errors
@@ -390,20 +355,21 @@ mod tests {
     }
 
     #[test]
-    fn nth_key_into_matches_nth_key() {
+    fn nth_key_into_writes_the_canonical_name() {
         for i in [0u64, 1, 42, 4_999, 999_999_999_999] {
             let mut buf = [0u8; NTH_KEY_LEN];
             nth_key_into(i, &mut buf);
-            assert_eq!(&buf[..], &nth_key(i)[..], "i={i}");
+            assert_eq!(&buf[..], format!("key:{i:012}").as_bytes(), "i={i}");
         }
     }
 
     #[test]
     fn get_round_trip() {
         let req = Request::Get { key: b"user:1234" };
-        let encoded = req.encode();
-        assert_eq!(encoded.len(), req.encoded_len());
-        assert_eq!(Request::decode(&encoded).unwrap(), req);
+        let mut buf = [0u8; 64];
+        let len = req.encode_into(&mut buf);
+        assert_eq!(len, req.encoded_len());
+        assert_eq!(Request::decode(&buf[..len]).unwrap(), req);
     }
 
     #[test]
@@ -413,7 +379,9 @@ mod tests {
             key: b"k",
             value: &value,
         };
-        assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+        let mut buf = [0u8; 128];
+        let len = req.encode_into(&mut buf);
+        assert_eq!(Request::decode(&buf[..len]).unwrap(), req);
     }
 
     #[test]
@@ -423,7 +391,9 @@ mod tests {
             Response::Miss,
             Response::Stored,
         ] {
-            assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+            let mut buf = [0u8; 16];
+            let len = resp.encode_into(&mut buf);
+            assert_eq!(Response::decode(&buf[..len]).unwrap(), resp);
         }
     }
 
@@ -434,9 +404,10 @@ mod tests {
             key: b"key",
             value: b"value",
         };
-        let encoded = req.encode();
+        let mut buf = [0u8; 64];
+        let len = req.encode_into(&mut buf);
         assert_eq!(
-            Request::decode(&encoded[..encoded.len() - 1]),
+            Request::decode(&buf[..len - 1]),
             Err(DecodeError::Truncated)
         );
         assert_eq!(Response::decode(&[0x80, 0, 0]), Err(DecodeError::Truncated));
@@ -444,24 +415,31 @@ mod tests {
 
     #[test]
     fn bad_opcode_errors() {
-        let mut encoded = Request::Get { key: &[] }.encode();
-        encoded[0] = 0x77;
-        assert_eq!(Request::decode(&encoded), Err(DecodeError::BadOpcode(0x77)));
+        let mut buf = [0u8; 7];
+        Request::Get { key: &[] }.encode_into(&mut buf);
+        buf[0] = 0x77;
+        assert_eq!(Request::decode(&buf), Err(DecodeError::BadOpcode(0x77)));
     }
 
     #[test]
     fn datagram_round_trip() {
         let req = Request::Get { key: b"hotkey" };
-        let dgram = encode_request_datagram(42, &req);
-        assert_eq!(dgram.len(), request_datagram_len(&req));
+        let mut dgram = vec![0u8; request_datagram_len(&req)];
+        assert_eq!(
+            encode_request_datagram_into(&mut dgram, 42, &req),
+            dgram.len()
+        );
         let (h, decoded) = decode_request_datagram(&dgram).unwrap();
         assert_eq!(h.request_id, 42);
         assert_eq!(decoded, req);
 
         let value = vec![9u8; 50];
         let resp = Response::Hit { value: &value };
-        let dgram = encode_response_datagram(42, &resp);
-        assert_eq!(dgram.len(), response_datagram_len(&resp));
+        let mut dgram = vec![0u8; response_datagram_len(&resp)];
+        assert_eq!(
+            encode_response_datagram_into(&mut dgram, 42, &resp),
+            dgram.len()
+        );
         let (h, decoded) = decode_response_datagram(&dgram).unwrap();
         assert_eq!(h.request_id, 42);
         assert_eq!(decoded, resp);

@@ -159,6 +159,7 @@ pub fn ports_for_queues(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::memcached::{nth_key_into, NTH_KEY_LEN};
     use crate::{MacAddr, PacketBuilder};
     use proptest::prelude::*;
 
@@ -285,7 +286,8 @@ mod tests {
     fn key_shard_is_stable_and_bounded() {
         for n in 1..=8 {
             for i in 0..64u64 {
-                let key = crate::proto::memcached::nth_key(i);
+                let mut key = [0u8; NTH_KEY_LEN];
+                nth_key_into(i, &mut key);
                 let s = key_shard(&key, n);
                 assert!(s < n);
                 assert_eq!(s, key_shard(&key, n), "shard must be deterministic");

@@ -1,8 +1,7 @@
 //! NIC configuration.
 
 use simnet_net::MacAddr;
-
-use crate::regs::NicCompatMode;
+use simnet_pci::CompatMode;
 
 /// Parameters of the simulated i8254x-style NIC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +30,7 @@ pub struct NicConfig {
     /// The port's MAC address.
     pub mac: MacAddr,
     /// Baseline-gem5 vs extended register semantics.
-    pub compat: NicCompatMode,
+    pub compat: CompatMode,
     /// Whether the PCI vendor ID reads back wrong (as on gem5, where
     /// "unmodified DPDK cannot fetch the correct vendor ID ... we suspect
     /// this is because some manufacturer-specific information is missing
@@ -53,7 +52,7 @@ impl NicConfig {
             desc_refill_batch: 32,
             wb_threshold: 4,
             mac: MacAddr::simulated(1),
-            compat: NicCompatMode::Extended,
+            compat: CompatMode::Extended,
             vendor_id_broken: true,
         }
     }

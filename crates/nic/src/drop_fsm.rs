@@ -12,36 +12,12 @@
 //! * **CoreDrop** — RX ring full, TX ring not full: the core fell behind.
 //! * **TxDrop** — TX ring full (which stalled the core, which filled the
 //!   RX ring): the transmit path is the root cause.
+//!
+//! A drop's cause is the trace layer's [`DropClass`], so a classified
+//! drop and its trace event name it the same way.
 
 use simnet_sim::stats::Counter;
 use simnet_sim::trace::DropClass;
-
-/// The cause assigned to a dropped packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DropKind {
-    /// The DMA engine could not replenish/drain in time (§VII.A).
-    Dma,
-    /// The core could not process packets fast enough.
-    Core,
-    /// The TX path backed up into the RX path.
-    Tx,
-    /// An injected fault (link bit error, corrupted writeback) killed the
-    /// packet — counted separately from the Fig. 4 congestion taxonomy.
-    Fault,
-}
-
-impl DropKind {
-    /// The simulation-layer trace classification for this drop cause
-    /// (identical taxonomy; the trace layer cannot depend on this crate).
-    pub fn trace_class(self) -> DropClass {
-        match self {
-            DropKind::Dma => DropClass::Dma,
-            DropKind::Core => DropClass::Core,
-            DropKind::Tx => DropClass::Tx,
-            DropKind::Fault => DropClass::Fault,
-        }
-    }
-}
 
 /// One observation of buffer fullness, sampled at a packet RX.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -67,8 +43,9 @@ impl BufferState {
 /// The drop-classification FSM with its per-cause counters.
 ///
 /// ```
-/// use simnet_nic::{DropFsm, DropKind};
+/// use simnet_nic::DropFsm;
 /// use simnet_nic::drop_fsm::BufferState;
+/// use simnet_sim::trace::DropClass;
 ///
 /// let mut fsm = DropFsm::new();
 /// // FIFO full while descriptors were still available: DMA is at fault.
@@ -77,7 +54,7 @@ impl BufferState {
 ///     rx_ring_full: false,
 ///     tx_ring_full: false,
 /// });
-/// assert_eq!(kind, Some(DropKind::Dma));
+/// assert_eq!(kind, Some(DropClass::Dma));
 /// assert_eq!(fsm.dma_drops.value(), 1);
 /// ```
 #[derive(Debug, Default)]
@@ -109,7 +86,7 @@ impl DropFsm {
     /// Observes a packet reception with the given buffer fullness;
     /// transitions the FSM and, if the packet drops (RX FIFO full),
     /// classifies and counts the drop.
-    pub fn on_packet_rx(&mut self, observed: BufferState) -> Option<DropKind> {
+    pub fn on_packet_rx(&mut self, observed: BufferState) -> Option<DropClass> {
         self.state = observed;
         if !observed.rx_fifo_full {
             self.accepted.inc();
@@ -118,24 +95,24 @@ impl DropFsm {
         let kind = if !observed.rx_ring_full {
             // 1,0,x — descriptors available, DMA is behind.
             self.dma_drops.inc();
-            DropKind::Dma
+            DropClass::Dma
         } else if !observed.tx_ring_full {
             // 1,1,0 — core is behind.
             self.core_drops.inc();
-            DropKind::Core
+            DropClass::Core
         } else {
             // 1,1,1 — TX backpressure chain.
             self.tx_drops.inc();
-            DropKind::Tx
+            DropClass::Tx
         };
         Some(kind)
     }
 
     /// Counts a fault-induced drop. The Fig. 4 state is untouched: fault
     /// drops say nothing about buffer fullness.
-    pub fn on_fault_drop(&mut self) -> DropKind {
+    pub fn on_fault_drop(&mut self) -> DropClass {
         self.fault_drops.inc();
-        DropKind::Fault
+        DropClass::Fault
     }
 
     /// Total drops of all causes, fault-induced included.
@@ -223,12 +200,12 @@ mod tests {
         let mut fsm = DropFsm::new();
         assert_eq!(
             fsm.on_packet_rx(state(true, false, false)),
-            Some(DropKind::Dma)
+            Some(DropClass::Dma)
         );
         // "x is don't care": TX ring full doesn't change DMA attribution.
         assert_eq!(
             fsm.on_packet_rx(state(true, false, true)),
-            Some(DropKind::Dma)
+            Some(DropClass::Dma)
         );
         assert_eq!(fsm.dma_drops.value(), 2);
     }
@@ -238,7 +215,7 @@ mod tests {
         let mut fsm = DropFsm::new();
         assert_eq!(
             fsm.on_packet_rx(state(true, true, false)),
-            Some(DropKind::Core)
+            Some(DropClass::Core)
         );
         assert_eq!(fsm.core_drops.value(), 1);
     }
@@ -248,7 +225,7 @@ mod tests {
         let mut fsm = DropFsm::new();
         assert_eq!(
             fsm.on_packet_rx(state(true, true, true)),
-            Some(DropKind::Tx)
+            Some(DropClass::Tx)
         );
         assert_eq!(fsm.tx_drops.value(), 1);
         assert_eq!(fsm.state_bits(), 0b111);
@@ -289,7 +266,7 @@ mod tests {
     fn fault_drops_count_but_keep_state_and_breakdown() {
         let mut fsm = DropFsm::new();
         fsm.on_packet_rx(state(true, false, false));
-        assert_eq!(fsm.on_fault_drop(), DropKind::Fault);
+        assert_eq!(fsm.on_fault_drop(), DropClass::Fault);
         assert_eq!(fsm.fault_drops.value(), 1);
         assert_eq!(fsm.total_drops(), 2, "fault counts toward total");
         assert_eq!(fsm.state_bits(), 0b100, "Fig. 4 state untouched");
@@ -299,7 +276,6 @@ mod tests {
             (1.0, 0.0, 0.0),
             "breakdown excludes faults"
         );
-        assert_eq!(DropKind::Fault.trace_class(), DropClass::Fault);
         fsm.reset_stats();
         assert_eq!(fsm.fault_drops.value(), 0);
     }

@@ -20,16 +20,16 @@ use std::collections::VecDeque;
 use simnet_mem::system::DmaTiming;
 use simnet_mem::{layout, MemorySystem};
 use simnet_net::{rss, MacAddr, Packet};
-use simnet_pci::{CompatMode, ConfigSpace};
+use simnet_pci::ConfigSpace;
 use simnet_sim::fault::{FaultInjector, FaultKind};
 use simnet_sim::stats::Counter;
-use simnet_sim::trace::{Component, Stage, Tracer, NO_PACKET};
+use simnet_sim::trace::{Component, DropClass, Stage, Tracer, NO_PACKET};
 use simnet_sim::Tick;
 
 use crate::config::NicConfig;
-use crate::drop_fsm::{BufferState, DropFsm, DropKind};
+use crate::drop_fsm::{BufferState, DropFsm};
 use crate::fifo::ByteFifo;
-use crate::regs::{irq, NicCompatMode, RegisterFile};
+use crate::regs::{irq, RegisterFile};
 
 /// Intel's vendor id (the e1000 PMD matches on this).
 pub const VENDOR_INTEL: u16 = 0x8086;
@@ -225,10 +225,6 @@ impl Nic {
     /// Panics on a degenerate configuration.
     pub fn new(cfg: NicConfig) -> Self {
         cfg.validate();
-        let pci_mode = match cfg.compat {
-            NicCompatMode::Baseline => CompatMode::Baseline,
-            NicCompatMode::Extended => CompatMode::Extended,
-        };
         let mut regs = RegisterFile::new(cfg.compat);
         let _ = regs.write(crate::regs::offsets::WBTHRESH, cfg.wb_threshold as u32);
         let _ = regs.write(crate::regs::offsets::RDLEN, cfg.rx_ring_size as u32);
@@ -246,7 +242,7 @@ impl Nic {
         let nq = cfg.num_queues as u64;
         Self {
             regs,
-            pci: ConfigSpace::new(vendor, DEVICE_82540EM, pci_mode),
+            pci: ConfigSpace::new(vendor, DEVICE_82540EM, cfg.compat),
             fsm: DropFsm::new(),
             stats: NicStats::default(),
             tracer: Tracer::disabled(),
@@ -492,14 +488,14 @@ impl Nic {
     /// Traces the drop of frame `id` from queue `queue` at `at`, with the
     /// queue's buffer occupancies.
     #[inline]
-    fn trace_drop(&self, at: Tick, id: u64, queue: usize, kind: DropKind) {
+    fn trace_drop(&self, at: Tick, id: u64, queue: usize, class: DropClass) {
         let rxq = &self.rxq[queue];
         self.tracer.emit(
             at,
             id,
             Component::Nic,
             Stage::Drop {
-                class: kind.trace_class(),
+                class,
                 fifo_used: rxq.fifo.used(),
                 ring_free: (rxq.avail + rxq.desc_cache) as u32,
                 tx_used: self.txq[queue].occupancy as u32,
@@ -530,7 +526,7 @@ impl Nic {
     /// Returns `Some(kind)` if it was dropped (RX FIFO overrun),
     /// classified per Fig. 4. The frame is built only once the FIFO
     /// admits it.
-    pub fn wire_rx(&mut self, now: Tick, frame: impl RxFrame) -> Option<DropKind> {
+    pub fn wire_rx(&mut self, now: Tick, frame: impl RxFrame) -> Option<DropClass> {
         let queue = frame.queue(self.cfg.num_queues);
         self.settle_q(queue, now);
         let id = frame.id();
@@ -1114,7 +1110,7 @@ mod tests {
             sent += 1;
             assert!(sent < 1_000, "must eventually drop");
         }
-        assert_eq!(dropped, Some(DropKind::Dma));
+        assert_eq!(dropped, Some(DropClass::Dma));
         assert!(sent > fifo_cap / 1518);
         assert_eq!(n.drop_fsm().dma_drops.value(), 1);
     }
@@ -1129,7 +1125,7 @@ mod tests {
             id += 1;
             dropped = n.wire_rx(0, packet(id, 1518));
         }
-        assert_eq!(dropped, Some(DropKind::Core));
+        assert_eq!(dropped, Some(DropClass::Core));
     }
 
     #[test]

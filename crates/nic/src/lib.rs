@@ -24,7 +24,7 @@ pub mod i8254x;
 pub mod regs;
 
 pub use config::NicConfig;
-pub use drop_fsm::{DropFsm, DropKind};
+pub use drop_fsm::DropFsm;
 pub use fifo::ByteFifo;
 pub use i8254x::{Nic, RxCompletion, RxFrame};
-pub use regs::{NicCompatMode, RegisterFile};
+pub use regs::RegisterFile;

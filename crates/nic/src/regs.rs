@@ -4,9 +4,11 @@
 //! model, but the read and write methods for accessing the register are
 //! not implemented in the current gem5 release. We implemented the read
 //! and write methods to enable DPDK to launch its PMD." In
-//! [`NicCompatMode::Baseline`], accesses to IMS/IMC fault exactly like
+//! [`CompatMode::Baseline`], accesses to IMS/IMC fault exactly like
 //! unimplemented-register accesses in gem5; in
-//! [`NicCompatMode::Extended`] they work.
+//! [`CompatMode::Extended`] they work.
+
+use simnet_pci::CompatMode;
 
 /// Register offsets within BAR0 (subset of the 8254x map).
 pub mod offsets {
@@ -52,17 +54,6 @@ pub mod irq {
     pub const TXDW: u32 = 1 << 0;
 }
 
-/// Whether the register file reproduces baseline gem5's unimplemented
-/// interrupt-mask accessors or the paper's fixed ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NicCompatMode {
-    /// IMS/IMC accesses fault (baseline gem5).
-    Baseline,
-    /// IMS/IMC implemented (this work).
-    #[default]
-    Extended,
-}
-
 /// Error accessing a register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegError {
@@ -88,7 +79,7 @@ impl std::error::Error for RegError {}
 /// The register file.
 #[derive(Debug)]
 pub struct RegisterFile {
-    mode: NicCompatMode,
+    mode: CompatMode,
     ctrl: u32,
     ims: u32,
     icr: u32,
@@ -104,7 +95,7 @@ pub struct RegisterFile {
 
 impl RegisterFile {
     /// Creates a register file in the given compat mode.
-    pub fn new(mode: NicCompatMode) -> Self {
+    pub fn new(mode: CompatMode) -> Self {
         Self {
             mode,
             ctrl: 0,
@@ -122,7 +113,7 @@ impl RegisterFile {
     }
 
     /// The compat mode.
-    pub fn mode(&self) -> NicCompatMode {
+    pub fn mode(&self) -> CompatMode {
         self.mode
     }
 
@@ -169,8 +160,8 @@ impl RegisterFile {
                 Ok(v)
             }
             IMS => match self.mode {
-                NicCompatMode::Baseline => Err(RegError::Unimplemented(offset)),
-                NicCompatMode::Extended => Ok(self.ims),
+                CompatMode::Baseline => Err(RegError::Unimplemented(offset)),
+                CompatMode::Extended => Ok(self.ims),
             },
             RDLEN => Ok(self.rdlen),
             RDH => Ok(self.rdh),
@@ -196,12 +187,12 @@ impl RegisterFile {
             CTRL => self.ctrl = value,
             ICR => self.icr &= !value, // write-1-to-clear
             IMS => match self.mode {
-                NicCompatMode::Baseline => return Err(RegError::Unimplemented(offset)),
-                NicCompatMode::Extended => self.ims |= value,
+                CompatMode::Baseline => return Err(RegError::Unimplemented(offset)),
+                CompatMode::Extended => self.ims |= value,
             },
             IMC => match self.mode {
-                NicCompatMode::Baseline => return Err(RegError::Unimplemented(offset)),
-                NicCompatMode::Extended => self.ims &= !value,
+                CompatMode::Baseline => return Err(RegError::Unimplemented(offset)),
+                CompatMode::Extended => self.ims &= !value,
             },
             RDLEN => self.rdlen = value,
             RDH => self.rdh = value,
@@ -220,7 +211,7 @@ impl RegisterFile {
 
 impl Default for RegisterFile {
     fn default() -> Self {
-        Self::new(NicCompatMode::Extended)
+        Self::new(CompatMode::Extended)
     }
 }
 
@@ -231,7 +222,7 @@ mod tests {
 
     #[test]
     fn ims_imc_work_in_extended_mode() {
-        let mut r = RegisterFile::new(NicCompatMode::Extended);
+        let mut r = RegisterFile::new(CompatMode::Extended);
         r.write(IMS, 0xFF).unwrap();
         assert_eq!(r.read(IMS).unwrap(), 0xFF);
         r.write(IMC, 0x0F).unwrap();
@@ -242,7 +233,7 @@ mod tests {
     #[test]
     fn ims_faults_in_baseline_mode() {
         // The §III.A.5 defect: PMD launch pokes IMC and faults.
-        let mut r = RegisterFile::new(NicCompatMode::Baseline);
+        let mut r = RegisterFile::new(CompatMode::Baseline);
         assert_eq!(r.write(IMC, u32::MAX), Err(RegError::Unimplemented(IMC)));
         assert_eq!(r.read(IMS), Err(RegError::Unimplemented(IMS)));
     }

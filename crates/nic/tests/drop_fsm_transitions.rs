@@ -1,12 +1,12 @@
 //! Device-level drop classification: drives a real `Nic` (not the bare
 //! FSM) into each Fig. 4 drop state and checks both the returned
-//! `DropKind` and the packet-lifecycle trace — every drop must emit one
+//! `DropClass` and the packet-lifecycle trace — every drop must emit one
 //! classified `Stage::Drop` event whose per-class totals equal the FSM's
 //! aggregate counters.
 
 use simnet_net::{MacAddr, Packet, PacketBuilder};
 use simnet_nic::i8254x::TxRequest;
-use simnet_nic::{DropKind, Nic, NicConfig};
+use simnet_nic::{Nic, NicConfig};
 use simnet_sim::trace::{Component, DropClass, Stage, Tracer};
 
 fn frame(id: u64, len: usize) -> Packet {
@@ -36,7 +36,7 @@ fn tiny_nic() -> (Nic, Tracer) {
 }
 
 /// Fills the RX FIFO with 1518 B frames until one drops; returns the kind.
-fn fill_fifo_until_drop(nic: &mut Nic, now: u64, first_id: u64) -> DropKind {
+fn fill_fifo_until_drop(nic: &mut Nic, now: u64, first_id: u64) -> DropClass {
     for i in 0..8 {
         if let Some(kind) = nic.wire_rx(now + i, frame(first_id + i, 1518)) {
             return kind;
@@ -70,7 +70,7 @@ fn dma_drop_when_descriptors_posted_but_dma_stalled() {
     // DMA engine, so the FIFO cannot drain.
     nic.rx_ring_post(8);
     let kind = fill_fifo_until_drop(&mut nic, 0, 0);
-    assert_eq!(kind, DropKind::Dma);
+    assert_eq!(kind, DropClass::Dma);
     assert_eq!(nic.drop_fsm().dma_drops.value(), 1);
     assert_eq!(nic.drop_fsm().state_bits() & 0b100, 0b100);
 
@@ -100,7 +100,7 @@ fn core_drop_when_ring_exhausted() {
     // of view (software owns every entry), mimicking a core too slow to
     // replenish. The TX ring stays empty.
     let kind = fill_fifo_until_drop(&mut nic, 0, 100);
-    assert_eq!(kind, DropKind::Core);
+    assert_eq!(kind, DropClass::Core);
     assert_eq!(nic.drop_fsm().core_drops.value(), 1);
 
     let events = tracer.take();
@@ -140,7 +140,7 @@ fn tx_drop_when_everything_backed_up() {
     assert_eq!(extra.len(), 1);
 
     let kind = fill_fifo_until_drop(&mut nic, 1, 300);
-    assert_eq!(kind, DropKind::Tx);
+    assert_eq!(kind, DropClass::Tx);
     assert_eq!(nic.drop_fsm().tx_drops.value(), 1);
     assert_eq!(nic.drop_fsm().state_bits(), 0b111);
 

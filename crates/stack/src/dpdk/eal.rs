@@ -147,7 +147,8 @@ impl Eal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet_nic::{NicCompatMode, NicConfig};
+    use simnet_nic::NicConfig;
+    use simnet_pci::CompatMode;
 
     fn gem5_nic() -> Nic {
         Nic::new(NicConfig::paper_default()) // vendor quirk on, extended regs
@@ -190,7 +191,7 @@ mod tests {
     fn pmd_launch_fails_on_baseline_register_model() {
         // §III.A.5: without IMR read/write methods the PMD cannot launch.
         let mut nic = Nic::new(NicConfig {
-            compat: NicCompatMode::Baseline,
+            compat: CompatMode::Baseline,
             ..NicConfig::paper_default()
         });
         let mut eal = Eal::new(EalConfig::paper_default());

@@ -5,7 +5,7 @@
 //! cargo run --release --example gem5_defects
 //! ```
 
-use simnet::nic::{Nic, NicCompatMode, NicConfig};
+use simnet::nic::{Nic, NicConfig};
 use simnet::pci::{BindError, CompatMode, ConfigSpace, UioPciGeneric};
 use simnet::stack::dpdk::{Eal, EalConfig, EalError};
 
@@ -52,7 +52,7 @@ fn main() {
 
     println!("== §III.A.5 — interrupt mask register methods ==\n");
     let mut nic = Nic::new(NicConfig {
-        compat: NicCompatMode::Baseline,
+        compat: CompatMode::Baseline,
         ..NicConfig::paper_default()
     });
     let err = Eal::new(EalConfig::paper_default())

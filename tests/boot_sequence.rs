@@ -1,7 +1,7 @@
 //! Cross-crate integration: the Listing-2 boot sequence and the paper's
 //! §III defect reproductions, wired through the real component stack.
 
-use simnet::nic::{Nic, NicCompatMode, NicConfig};
+use simnet::nic::{Nic, NicConfig};
 use simnet::pci::devbind::DevBind;
 use simnet::pci::{BindError, CompatMode, ConfigSpace, UioPciGeneric};
 use simnet::stack::dpdk::{Eal, EalConfig, EalError};
@@ -40,7 +40,7 @@ fn baseline_pci_model_rejects_uio() {
 #[test]
 fn baseline_nic_model_blocks_pmd_launch() {
     let mut nic = Nic::new(NicConfig {
-        compat: NicCompatMode::Baseline,
+        compat: CompatMode::Baseline,
         ..NicConfig::paper_default()
     });
     let mut eal = Eal::new(EalConfig::paper_default());
